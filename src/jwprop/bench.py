@@ -14,22 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import JwpConfig, Method, run
+from .engine import JwpConfig, method_for, run
 from .errors import InputError
 from .propagation import LabelSet
 from .synth import gen_pa
 
 # Effectively unreachable convergence threshold: forces the full budget.
 _NO_EARLY_STOP = 1e-300
-
-_CLI_TO_METHOD_UNDIRECTED = {
-    "lbp": Method.LBP_U,
-    "lbp-jwp": Method.LBP_JWP_U,
-    "rw-n": Method.RW_N,
-    "rw-p": Method.RW_P,
-    "rw-b": Method.RW_B,
-    "rw-jwp": Method.RW_JWP_U,
-}
 
 
 @dataclass(frozen=True)
@@ -61,9 +52,7 @@ def bench(methods: list[str], edge_targets: list[int], seeds: list[int],
     report per-cell median wall time."""
     if alternations < 1:
         raise InputError("alternation budget must be at least 1")
-    for name in methods:
-        if name not in _CLI_TO_METHOD_UNDIRECTED:
-            raise InputError(f"unknown method {name!r}")
+    resolved = {name: method_for(name, directed=False) for name in methods}
     records = []
     for target in edge_targets:
         n = pa_nodes_for_edges(int(target), m)
@@ -75,7 +64,7 @@ def bench(methods: list[str], edge_targets: list[int], seeds: list[int],
             edges = g.edge_count
             labels = _bench_labels(n, int(seed))
             for name in methods:
-                cfg = JwpConfig(method=_CLI_TO_METHOD_UNDIRECTED[name],
+                cfg = JwpConfig(method=resolved[name],
                                 max_alternations=alternations,
                                 tolerance=_NO_EARLY_STOP)
                 tic = time.perf_counter()

@@ -9,7 +9,7 @@ import argparse
 import sys
 
 from .bench import bench, write_bench
-from .engine import JwpConfig, Method, RunResult, run, write_diagnostics
+from .engine import METHOD_NAMES, JwpConfig, RunResult, method_for, run, write_diagnostics
 from .errors import InputError, NumericalError
 from .graph import load_edge_list, mutual_projection_lcc, write_edge_list
 from .learning import RegularizerKind
@@ -22,26 +22,6 @@ from .synth import (
     sample_training,
     synth_sybil_replicate,
 )
-
-_METHOD_TABLE = {
-    ("lbp", False): Method.LBP_U,
-    ("lbp", True): Method.LBP_D,
-    ("lbp-jwp", False): Method.LBP_JWP_U,
-    ("lbp-jwp", True): Method.LBP_JWP_D,
-    ("rw-n", False): Method.RW_N,
-    ("rw-p", False): Method.RW_P,
-    ("rw-b", False): Method.RW_B,
-    ("rw-jwp", False): Method.RW_JWP_U,
-}
-
-
-def _resolve_method(name: str, directed: bool) -> Method:
-    try:
-        return _METHOD_TABLE[(name, directed)]
-    except KeyError:
-        raise InputError(
-            f"method {name!r} does not support directed graphs") from None
-
 
 def _parse_auto(flag: str, text: str) -> float | None:
     if text == "auto":
@@ -60,7 +40,7 @@ def _cmd_run(args) -> int:
         print(f"dropped {g.self_loops_dropped} self-loop(s)", file=sys.stderr)
     labels = read_labels(args.train)
     cfg = JwpConfig(
-        method=_resolve_method(args.method, args.directed),
+        method=method_for(args.method, args.directed),
         regularizer=RegularizerKind(args.reg),
         theta=args.theta,
         lam=args.lam,
@@ -70,11 +50,6 @@ def _cmd_run(args) -> int:
         max_alternations=args.max_alt,
         tolerance=args.tol,
         restart=args.restart,
-        renorm=args.renorm,
-        rwb_norm=args.rwb_norm,
-        inner_iters=args.inner_iters,
-        threads=args.threads,
-        seed=args.seed,
     )
     result: RunResult = run(g, labels, cfg)
     rank_and_write(result.posteriors, None, args.out)
@@ -171,8 +146,7 @@ def _parser() -> argparse.ArgumentParser:
     direction.add_argument("--directed", action="store_true")
     direction.add_argument("--undirected", dest="directed", action="store_false")
     p.add_argument("--train", required=True)
-    p.add_argument("--method", required=True,
-                   choices=["lbp", "lbp-jwp", "rw-n", "rw-p", "rw-b", "rw-jwp"])
+    p.add_argument("--method", required=True, choices=METHOD_NAMES)
     p.add_argument("--reg", default="consistency",
                    choices=["consistency", "l1", "l2", "none"])
     p.add_argument("--lambda", dest="lam", type=float, default=None,
@@ -189,11 +163,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--max-alt", type=int, default=15)
     p.add_argument("--tol", type=float, default=1e-3)
     p.add_argument("--restart", type=float, default=0.15)
-    p.add_argument("--renorm", default="clamp", choices=["clamp", "rescale"])
-    p.add_argument("--rwb-norm", default="receiver", choices=["receiver", "sender"])
-    p.add_argument("--inner-iters", type=int, default=1)
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--log", default=None)
     p.set_defaults(func=_cmd_run)

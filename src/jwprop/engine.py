@@ -52,6 +52,30 @@ JWP_METHODS = frozenset({Method.LBP_JWP_U, Method.LBP_JWP_D, Method.RW_JWP_U})
 DIRECTED_METHODS = frozenset({Method.LBP_D, Method.LBP_JWP_D})
 RW_METHODS = frozenset({Method.RW_N, Method.RW_P, Method.RW_B, Method.RW_JWP_U})
 
+# CLI method name and graph direction -> method.  The random-walk methods
+# exist for undirected graphs only.
+METHOD_TABLE = {
+    ("lbp", False): Method.LBP_U,
+    ("lbp", True): Method.LBP_D,
+    ("lbp-jwp", False): Method.LBP_JWP_U,
+    ("lbp-jwp", True): Method.LBP_JWP_D,
+    ("rw-n", False): Method.RW_N,
+    ("rw-p", False): Method.RW_P,
+    ("rw-b", False): Method.RW_B,
+    ("rw-jwp", False): Method.RW_JWP_U,
+}
+METHOD_NAMES = tuple(dict.fromkeys(name for name, _ in METHOD_TABLE))
+
+
+def method_for(name: str, directed: bool) -> Method:
+    """The method a CLI name selects on a directed or undirected graph."""
+    try:
+        return METHOD_TABLE[(name, directed)]
+    except KeyError:
+        if name in METHOD_NAMES:
+            raise InputError(f"method {name!r} does not support directed graphs") from None
+        raise InputError(f"unknown method {name!r}") from None
+
 
 # Default weight init and clamp of the LBP methods, as fractions of 1/rho,
 # where rho bounds the spectral radius of the unweighted slot adjacency A.
@@ -77,6 +101,7 @@ class JwpConfig:
     belief propagation, so the scores approach the fixed point of
     p = q + W p instead of growing along the dominant eigenvector.  For the
     random-walk methods, w0 = 1 / average degree and clamp_bound = 0.5.
+    A given or resolved w0 must satisfy |w0| <= clamp_bound.
     """
 
     method: Method = Method.LBP_JWP_U
@@ -89,11 +114,6 @@ class JwpConfig:
     max_alternations: int = 15
     tolerance: float = 1e-3
     restart: float = 0.15
-    renorm: str = "clamp"
-    rwb_norm: str = "receiver"
-    inner_iters: int = 1
-    threads: int = 1
-    seed: int = 0
 
     def __post_init__(self):
         if self.theta <= 0:
@@ -104,8 +124,6 @@ class JwpConfig:
             raise InputError("tolerance must be positive")
         if self.max_alternations < 1:
             raise InputError("max_alternations must be at least 1")
-        if self.inner_iters < 1:
-            raise InputError("inner_iters must be at least 1")
         if not 0.0 <= self.restart <= 1.0:
             raise InputError("restart must lie in [0, 1]")
 
@@ -179,16 +197,20 @@ def _resolve_priors(method: Method, labels: LabelSet, theta: float, n: int) -> n
 
 
 def _resolve_weights(method: Method, g: Graph, cfg: JwpConfig) -> tuple[float, float]:
-    """Initial weight and clamp bound, filling in the defaults."""
+    """Initial weight and clamp bound, filling in the defaults.  A w0
+    outside the clamp is rejected: no step would pull plain LBP's weights
+    back inside it."""
     if method in RW_METHODS:
         w0 = cfg.w0 if cfg.w0 is not None else 1.0 / g.average_degree()
         clamp = cfg.clamp_bound if cfg.clamp_bound is not None else RW_CLAMP_BOUND
-        return w0, clamp
-    w0, clamp = cfg.w0, cfg.clamp_bound
-    if w0 is None:
-        w0 = LBP_W0_FACTOR / g.spectral_radius_bound()
-    if clamp is None:
-        clamp = LBP_CLAMP_FACTOR / g.spectral_radius_bound()
+    else:
+        w0, clamp = cfg.w0, cfg.clamp_bound
+        if w0 is None:
+            w0 = LBP_W0_FACTOR / g.spectral_radius_bound()
+        if clamp is None:
+            clamp = LBP_CLAMP_FACTOR / g.spectral_radius_bound()
+    if abs(w0) > clamp:
+        raise InputError(f"w0 {w0:g} exceeds the clamp bound {clamp:g}")
     return w0, clamp
 
 
@@ -221,12 +243,11 @@ def run(g: Graph, labels: LabelSet, cfg: JwpConfig,
 
     def propagate(weights, vec):
         if method in (Method.LBP_U, Method.LBP_JWP_U):
-            return lbp_step_undirected(g, weights, q, vec, cfg.threads)
+            return lbp_step_undirected(g, weights, q, vec)
         if method in (Method.LBP_D, Method.LBP_JWP_D):
-            return lbp_step_directed(g, weights, q, vec, cfg.threads)
+            return lbp_step_directed(g, weights, q, vec)
         variant = {Method.RW_N: "rw-n", Method.RW_P: "rw-p"}.get(method, "rw-b")
-        return rw_step(g, weights, q, vec, variant, cfg.restart,
-                       norm=cfg.rwb_norm, threads=cfg.threads)
+        return rw_step(g, weights, q, vec, variant, cfg.restart)
 
     def gradient(weights, p_t, p_next):
         if method is Method.LBP_JWP_U:
@@ -237,7 +258,7 @@ def run(g: Graph, labels: LabelSet, cfg: JwpConfig,
                                  cfg.regularizer, p_next=p_next)
         return grad_rw_undirected(g, weights, q, p_t, labels, lam,
                                   cfg.regularizer, restart=cfg.restart,
-                                  norm=cfg.rwb_norm, p_next=p_next)
+                                  p_next=p_next)
 
     diags: list[AlternationDiag] = []
     converged = False
@@ -255,13 +276,9 @@ def run(g: Graph, labels: LabelSet, cfg: JwpConfig,
         converged = metric < cfg.tolerance
         grad_inf = math.nan
         if learn and not converged and t < cfg.max_alternations:
-            p_look = p
-            for inner in range(cfg.inner_iters):
-                if inner > 0:
-                    p_look = propagate(w, p_prev)
-                grad = gradient(w, p_prev, p_look)
-                grad_inf = float(np.max(np.abs(grad))) if grad.size else 0.0
-                w = apply_gradient_step(w, grad, cfg.gamma, renorm=cfg.renorm)
+            grad = gradient(w, p_prev, p)
+            grad_inf = float(np.max(np.abs(grad))) if grad.size else 0.0
+            w = apply_gradient_step(w, grad, cfg.gamma)
         if collect_diagnostics:
             hm, ht = weight_class_means(g, w, truth) if truth is not None \
                 else (math.nan, math.nan)

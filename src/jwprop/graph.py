@@ -33,6 +33,10 @@ UNI_OUTGOING = 2  # only (u,v) is an input edge
 _RHO_BOUND_RTOL = 1e-2
 _RHO_BOUND_MAX_STEPS = 30
 
+# Largest node count n whose slot keys u * n + v (at most n * n - 1) fit
+# in int64.
+MAX_NODE_COUNT = math.isqrt(2 ** 63)
+
 
 def _contains_sorted(haystack: np.ndarray, needles: np.ndarray) -> np.ndarray:
     idx = np.searchsorted(haystack, needles)
@@ -85,7 +89,8 @@ class Graph:
         Drops self-loops (counted), deduplicates pairs, and for undirected
         graphs collapses (u, v) and (v, u) onto one edge.  Node count
         defaults to max id + 1; pass it explicitly to keep trailing
-        isolated nodes.
+        isolated nodes.  Node counts above ``MAX_NODE_COUNT`` are rejected
+        before any array sized by the node count is built.
         """
         e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         if e.size and int(e.min()) < 0:
@@ -104,6 +109,9 @@ class Graph:
             node_count = max_id + 1
         elif node_count <= max_id:
             raise InputError(f"node_count {node_count} too small for node id {max_id}")
+        if node_count > MAX_NODE_COUNT:
+            raise InputError(f"node count {node_count} exceeds the limit of "
+                             f"{MAX_NODE_COUNT} nodes (int64 slot keys)")
         return cls(node_count, e, directed, dropped)
 
     # -- derived structure ------------------------------------------------

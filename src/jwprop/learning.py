@@ -123,18 +123,19 @@ def grad_directed(g: Graph, w: EdgeWeights, q: np.ndarray, p_t: np.ndarray,
 def grad_rw_undirected(g: Graph, w: EdgeWeights, q: np.ndarray, p_t: np.ndarray,
                        labels: LabelSet, lam: float,
                        regularizer: RegularizerKind = RegularizerKind.CONSISTENCY,
-                       restart: float = 0.0, norm: str = "receiver",
+                       restart: float = 0.0,
                        p_next: np.ndarray | None = None) -> np.ndarray:
-    """Gradient for the random-walk propagation form.
+    """Gradient for the both-label random walk ("rw-b").
 
     The degree normalization is treated as constant within the alternation,
     so a slot's loss contribution is the plain undirected one scaled by the
-    normalizing node's inverse weighted degree and the non-restart mass.
+    receiving labeled node's inverse weighted degree and the non-restart
+    mass.  ``p_next`` defaults to one "rw-b" step from ``p_t``.
     """
     if g.directed:
         raise InputError("grad_rw_undirected expects an undirected graph")
     if p_next is None:
-        p_next = rw_step(g, w, q, p_t, "rw-b", restart, norm=norm)
+        p_next = rw_step(g, w, q, p_t, "rw-b", restart)
     err = _residuals(p_next, labels, g.node_count)
     d = weighted_degrees(g, w)
     inv = np.zeros_like(d)
@@ -142,23 +143,15 @@ def grad_rw_undirected(g: Graph, w: EdgeWeights, q: np.ndarray, p_t: np.ndarray,
     inv[nz] = 1.0 / d[nz]
     u, v = g._slot_u, g._slot_v
     pu, pv = p_t[u], p_t[v]
-    keep = 1.0 - restart
-    if norm == "sender":
-        grad = keep * (err[u] * pv * inv[v] + err[v] * pu * inv[u])
-    else:
-        grad = keep * (err[u] * pv * inv[u] + err[v] * pu * inv[v])
+    grad = (1.0 - restart) * (err[u] * pv * inv[u] + err[v] * pu * inv[v])
     grad += _regularizer_grad(regularizer, lam, w.values, pu, pv)
     return grad
 
 
-def apply_gradient_step(w: EdgeWeights, grad: np.ndarray, gamma: float,
-                        clamp_bound: float | None = None,
-                        renorm: str = "clamp") -> EdgeWeights:
-    """One descent step followed by weight normalization.
-
-    "clamp" clips each weight into [-bound, bound]; "rescale" shrinks the
-    whole vector linearly only when its max magnitude exceeds the bound.
-    """
+def apply_gradient_step(w: EdgeWeights, grad: np.ndarray,
+                        gamma: float) -> EdgeWeights:
+    """One descent step, then each weight is clipped into
+    [-w.clamp_bound, w.clamp_bound]."""
     if gamma < 0:
         raise InputError("learning rate must be nonnegative")
     grad = np.asarray(grad, dtype=float)
@@ -167,14 +160,6 @@ def apply_gradient_step(w: EdgeWeights, grad: np.ndarray, gamma: float,
     if not np.all(np.isfinite(grad)):
         bad = int(np.flatnonzero(~np.isfinite(grad))[0])
         raise NumericalError(f"non-finite gradient entry at slot {bad}")
-    bound = w.clamp_bound if clamp_bound is None else float(clamp_bound)
-    vals = w.values - gamma * grad
-    if renorm == "rescale":
-        peak = float(np.max(np.abs(vals))) if vals.size else 0.0
-        if peak > bound:
-            vals = vals * (bound / peak)
-    elif renorm == "clamp":
-        vals = np.clip(vals, -bound, bound)
-    else:
-        raise InputError(f"unknown renorm mode {renorm!r}")
+    bound = w.clamp_bound
+    vals = np.clip(w.values - gamma * grad, -bound, bound)
     return EdgeWeights(vals, bound)

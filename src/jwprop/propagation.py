@@ -2,13 +2,10 @@
 
 All steps are Jacobi-style: the next score vector is computed entirely from
 the previous one, so a step is a data-parallel map over adjacency rows.
-Single-threaded execution is bit-deterministic; the threaded path partitions
-rows into contiguous blocks and produces the same per-row sums.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,52 +87,25 @@ def _check_vectors(g: Graph, w: EdgeWeights, *vecs):
             )
 
 
-def _block_bounds(indptr: np.ndarray, threads: int) -> np.ndarray:
-    nnz = int(indptr[-1])
-    targets = np.linspace(0, nnz, threads + 1)
-    bounds = np.searchsorted(indptr, targets, side="left").astype(np.int64)
-    bounds[0] = 0
-    bounds[-1] = len(indptr) - 1
-    return np.unique(bounds)
-
-
-def _matvec(indptr, indices, data, p, threads=1) -> np.ndarray:
+def _matvec(indptr, indices, data, p) -> np.ndarray:
     n_rows = len(indptr) - 1
-    if threads <= 1 or n_rows < 2:
-        m = sparse.csr_matrix((data, indices, indptr), shape=(n_rows, p.shape[0]),
-                              copy=False)
-        return m @ p
-
-    # Row blocks: every row is still summed in its original entry order, so
-    # the result matches the single-threaded product exactly.
-    bounds = _block_bounds(indptr, threads)
-    out = np.empty(n_rows)
-
-    def work(i):
-        lo, hi = int(bounds[i]), int(bounds[i + 1])
-        a, b = int(indptr[lo]), int(indptr[hi])
-        block = sparse.csr_matrix(
-            (data[a:b], indices[a:b], indptr[lo:hi + 1] - a),
-            shape=(hi - lo, p.shape[0]), copy=False)
-        out[lo:hi] = block @ p
-
-    with ThreadPoolExecutor(max_workers=len(bounds) - 1) as pool:
-        list(pool.map(work, range(len(bounds) - 1)))
-    return out
+    m = sparse.csr_matrix((data, indices, indptr), shape=(n_rows, p.shape[0]),
+                          copy=False)
+    return m @ p
 
 
-def lbp_step_undirected(g: Graph, w: EdgeWeights, q: np.ndarray, p: np.ndarray,
-                        threads: int = 1) -> np.ndarray:
+def lbp_step_undirected(g: Graph, w: EdgeWeights, q: np.ndarray,
+                        p: np.ndarray) -> np.ndarray:
     """One additive propagation step q + W p on an undirected graph."""
     if g.directed:
         raise InputError("lbp_step_undirected expects an undirected graph")
     _check_vectors(g, w, q, p)
     data = w.values[g._entry_slot]
-    return q + _matvec(g._indptr, g._indices, data, p, threads)
+    return q + _matvec(g._indptr, g._indices, data, p)
 
 
-def lbp_step_directed(g: Graph, w: EdgeWeights, q: np.ndarray, p: np.ndarray,
-                      threads: int = 1) -> np.ndarray:
+def lbp_step_directed(g: Graph, w: EdgeWeights, q: np.ndarray,
+                      p: np.ndarray) -> np.ndarray:
     """One directed propagation step.
 
     A bidirectional neighbor contributes its full score, an incoming-only
@@ -155,7 +125,7 @@ def lbp_step_directed(g: Graph, w: EdgeWeights, q: np.ndarray, p: np.ndarray,
         indptr, indices, slots = g._class_csr[cls]
         if slots.size == 0:
             continue
-        out += _matvec(indptr, indices, w.values[slots], vec, threads)
+        out += _matvec(indptr, indices, w.values[slots], vec)
     return out
 
 
@@ -167,17 +137,15 @@ def weighted_degrees(g: Graph, w: EdgeWeights) -> np.ndarray:
 
 
 def rw_step(g: Graph, w: EdgeWeights, q: np.ndarray, p: np.ndarray,
-            variant: str, restart: float, norm: str = "receiver",
-            threads: int = 1) -> np.ndarray:
+            variant: str, restart: float) -> np.ndarray:
     """One random-walk propagation step on an undirected graph.
 
     Each node collects degree-normalized score from its neighbors and mixes
     it with its prior via the restart probability.  The both-label variant
-    ("rw-b") normalizes by the receiver's weighted degree by default; the
-    single-label variants ("rw-n", "rw-p") normalize by the sender's.  Pass
-    norm="sender" to force sender normalization for rw-b as well.  Learned
-    weights may be negative, so degrees sum |w|; a node with zero weighted
-    degree keeps restart * q.
+    ("rw-b") normalizes by the receiver's weighted degree; the single-label
+    variants ("rw-n", "rw-p") normalize by the sender's.  Learned weights may
+    be negative, so degrees sum |w|; a node with zero weighted degree keeps
+    restart * q.
     """
     if g.directed:
         raise InputError("random-walk propagation supports undirected graphs only")
@@ -191,11 +159,10 @@ def rw_step(g: Graph, w: EdgeWeights, q: np.ndarray, p: np.ndarray,
     nz = d > 0
     inv[nz] = 1.0 / d[nz]
     data = w.values[g._entry_slot]
-    sender = variant in ("rw-n", "rw-p") or norm == "sender"
-    if sender:
-        moved = _matvec(g._indptr, g._indices, data, p * inv, threads)
+    if variant == "rw-b":
+        moved = _matvec(g._indptr, g._indices, data, p) * inv
     else:
-        moved = _matvec(g._indptr, g._indices, data, p, threads) * inv
+        moved = _matvec(g._indptr, g._indices, data, p * inv)
     return (1.0 - restart) * moved + restart * q
 
 

@@ -148,6 +148,17 @@ class TestExitCodes:
                      "--out", tmp_path / "o.tsv")
         assert rc == 3
 
+    def test_w0_above_clamp_is_input_error(self, tmp_path, capsys):
+        g = tmp_path / "g.tsv"
+        g.write_text("0\t1\n")
+        train = tmp_path / "t.tsv"
+        train.write_text("0\t1\n1\t-1\n")
+        rc = run_cli("run", "--graph", g, "--undirected", "--train", train,
+                     "--method", "lbp", "--w0", 0.9, "--clamp", 0.5,
+                     "--out", tmp_path / "o.tsv")
+        assert rc == 2
+        assert "w0 0.9 exceeds the clamp bound 0.5" in capsys.readouterr().err
+
     def test_non_numeric_clamp_is_input_error(self, tmp_path):
         g = tmp_path / "g.tsv"
         g.write_text("0\t1\n")

@@ -165,6 +165,16 @@ class TestRunBasics:
                 dense_slot_adjacency(g) * bound)))
             assert rho_w < 1.0
 
+    def test_w0_above_clamp_rejected(self):
+        g = Graph.from_edges([(0, 1), (1, 2), (0, 2)], directed=False)
+        labels = LabelSet.of([0], [1])
+        # the resolved LBP clamp on a triangle is 0.99 / 2
+        for method in (Method.LBP_U, Method.LBP_JWP_U):
+            with pytest.raises(InputError, match=r"w0 0\.9 .*clamp bound 0\.495"):
+                run(g, labels, JwpConfig(method=method, w0=0.9))
+        with pytest.raises(InputError, match="w0 -0.6"):
+            run(g, labels, JwpConfig(method=Method.RW_B, w0=-0.6))
+
     def test_non_finite_abort_mentions_alternation(self):
         g = two_node_graph()
         cfg = JwpConfig(method=Method.LBP_U, w0=1e200, clamp_bound=1e300,
@@ -186,14 +196,6 @@ class TestRunBasics:
         with pytest.raises(InputError):
             run(two_node_graph(), LabelSet.of([], []), JwpConfig(method=Method.LBP_U))
 
-    def test_threads_match_single_thread(self):
-        spec = SynthSpec(node_count=300, attachment=3, seed=2, attack_edges=100,
-                         train_pos=20, train_neg=20)
-        g, _, train = build_sybil_benchmark(spec)
-        r1 = run(g, train, JwpConfig(method=Method.LBP_JWP_U, threads=1))
-        r4 = run(g, train, JwpConfig(method=Method.LBP_JWP_U, threads=4))
-        assert np.allclose(r4.posteriors, r1.posteriors, rtol=1e-9, atol=0)
-
     def test_regularizer_irrelevant_for_fixed_weight_methods(self):
         g = two_node_graph()
         labels = two_node_labels()
@@ -202,16 +204,6 @@ class TestRunBasics:
         for other in runs[1:]:
             assert np.array_equal(runs[0].posteriors, other.posteriors)
             assert np.array_equal(other.weights.values, [0.5])
-
-    def test_inner_iterations_take_extra_steps(self):
-        spec = SynthSpec(node_count=120, attachment=3, seed=8, attack_edges=100,
-                         train_pos=12, train_neg=12)
-        g, _, train = build_sybil_benchmark(spec)
-        one = run(g, train, JwpConfig(method=Method.LBP_JWP_U, lam=1.0, gamma=1e-4,
-                                      max_alternations=3, inner_iters=1))
-        three = run(g, train, JwpConfig(method=Method.LBP_JWP_U, lam=1.0, gamma=1e-4,
-                                        max_alternations=3, inner_iters=3))
-        assert not np.array_equal(one.weights.values, three.weights.values)
 
 
 class TestRwMethods:

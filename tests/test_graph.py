@@ -13,6 +13,8 @@ from jwprop import (
     write_edge_list,
 )
 
+from jwprop.graph import MAX_NODE_COUNT
+
 from _oracles import dense_slot_adjacency, random_directed_graph, random_undirected_graph
 
 
@@ -86,6 +88,32 @@ class TestLoadEdgeList:
         write_lines(f, ["0\t7"])
         g = load_edge_list(f, directed=False)
         assert g.node_count == 8
+
+
+class TestNodeCountLimit:
+    # Each case must fail before any array sized by the node count exists:
+    # at 4e9 nodes one such array takes 32 GB.
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_inferred_count_above_limit(self, directed):
+        with pytest.raises(InputError, match="node count"):
+            Graph.from_edges([(0, MAX_NODE_COUNT)], directed=directed)
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_explicit_count_above_limit(self, directed):
+        with pytest.raises(InputError, match="node count"):
+            Graph.from_edges([(0, 1)], directed=directed,
+                             node_count=MAX_NODE_COUNT + 1)
+
+    def test_limit_keeps_slot_keys_in_int64(self):
+        assert MAX_NODE_COUNT ** 2 - 1 <= np.iinfo(np.int64).max
+        assert (MAX_NODE_COUNT + 1) ** 2 - 1 > np.iinfo(np.int64).max
+
+    def test_edge_list_with_huge_id(self, tmp_path):
+        f = tmp_path / "g.tsv"
+        write_lines(f, ["0\t4000000000"])
+        with pytest.raises(InputError, match="node count"):
+            load_edge_list(f, directed=False)
 
 
 class TestRoundTrip:

@@ -192,7 +192,7 @@ class TestGradRwUndirected:
         p_t = np.array([1.0, 2.0, 3.0])
         labels = LabelSet.of([0], [])
         grad = grad_rw_undirected(g, w, q, p_t, labels, 0.0, RegularizerKind.NONE,
-                                  restart=0.0, norm="receiver")
+                                  restart=0.0)
         p_next = np.array([0.5 * 2 + 0.5 * 3, 0.5 * 1 / 0.5, 0.5 * 1 / 0.5])
         err0 = p_next[0] - 1.0
         assert grad[g.edge_slot(0, 1)] == pytest.approx(err0 * 2.0 / 1.0)
@@ -219,15 +219,6 @@ class TestApplyGradientStep:
         w = EdgeWeights(np.array([0.1]))
         with pytest.raises(NumericalError):
             apply_gradient_step(w, np.array([np.nan]), 1.0)
-
-    def test_rescale_mode(self):
-        w = EdgeWeights(np.array([0.4, 0.1]))
-        out = apply_gradient_step(w, np.array([-0.6, 0.0]), 1.0, renorm="rescale")
-        # updated = (1.0, 0.1) -> scaled by 0.5
-        assert np.allclose(out.values, [0.5, 0.05])
-        # no rescale when already inside the bound
-        out2 = apply_gradient_step(w, np.array([0.05, 0.05]), 1.0, renorm="rescale")
-        assert np.allclose(out2.values, [0.35, 0.05])
 
     @given(st.lists(st.floats(-5, 5), min_size=1, max_size=10).map(np.asarray))
     def test_clamp_idempotent(self, vals):

@@ -146,16 +146,6 @@ class TestLbpUndirected:
         assert np.allclose(lbp_step_undirected(g, w, -q, -p),
                            -lbp_step_undirected(g, w, q, p), atol=1e-14)
 
-    def test_threads_match_single(self):
-        rng = np.random.default_rng(5)
-        g = random_undirected_graph(rng, 40, density=0.2)
-        w = random_weights(rng, g)
-        q = rng.uniform(-1, 1, 40)
-        p = rng.uniform(-1, 1, 40)
-        single = lbp_step_undirected(g, w, q, p, threads=1)
-        multi = lbp_step_undirected(g, w, q, p, threads=4)
-        assert np.allclose(multi, single, rtol=1e-9, atol=0)
-
 
 class TestLbpDirected:
     def test_single_edge_positive_sender(self):
@@ -266,27 +256,21 @@ class TestRwStep:
         out = rw_step(g, w, q, p, "rw-b", restart=0.2)
         assert out[2] == pytest.approx(0.2 * -1.0)
 
-    def test_sender_vs_receiver_differ_on_irregular(self):
-        g = Graph.from_edges([(0, 1), (0, 2)], directed=False)
-        w = EdgeWeights.uniform(g, 0.5)
-        q = np.zeros(3)
-        p = np.array([1.0, 2.0, 3.0])
-        recv = rw_step(g, w, q, p, "rw-b", 0.0, norm="receiver")
-        send = rw_step(g, w, q, p, "rw-b", 0.0, norm="sender")
-        assert not np.allclose(recv, send)
-        # sender: node 1 gets p_0 * w / d_0 with d_0 = 1.0
-        assert send[1] == pytest.approx(1.0 * 0.5 / 1.0)
-        # receiver: node 1 gets p_0 * w / d_1 with d_1 = 0.5
-        assert recv[1] == pytest.approx(1.0 * 0.5 / 0.5)
-
     def test_single_label_variants_use_sender_norm(self):
+        # star: node 0 has weighted degree d_0 = 1.0, the leaves 0.5
         g = Graph.from_edges([(0, 1), (0, 2)], directed=False)
         w = EdgeWeights.uniform(g, 0.5)
         q = np.zeros(3)
         p = np.array([1.0, 2.0, 3.0])
+        # sender: node i gets sum_j w * p_j / d_j
+        send = [0.5 * 2.0 / 0.5 + 0.5 * 3.0 / 0.5, 0.5 * 1.0 / 1.0, 0.5 * 1.0 / 1.0]
         for variant in ("rw-n", "rw-p"):
-            out = rw_step(g, w, q, p, variant, 0.0)
-            assert np.allclose(out, rw_step(g, w, q, p, "rw-b", 0.0, norm="sender"))
+            assert np.allclose(rw_step(g, w, q, p, variant, 0.0), send, atol=1e-14)
+        # receiver (rw-b): node i gets sum_j w * p_j / d_i
+        recv = rw_step(g, w, q, p, "rw-b", 0.0)
+        assert np.allclose(recv, [(0.5 * 2.0 + 0.5 * 3.0) / 1.0, 0.5 * 1.0 / 0.5,
+                                  0.5 * 1.0 / 0.5], atol=1e-14)
+        assert not np.allclose(recv, send)
 
     def test_weighted_degree_uses_absolute_values(self):
         g = Graph.from_edges([(0, 1), (0, 2)], directed=False)
