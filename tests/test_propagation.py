@@ -256,6 +256,20 @@ class TestRwStep:
         out = rw_step(g, w, q, p, "rw-b", restart=0.2)
         assert out[2] == pytest.approx(0.2 * -1.0)
 
+    def test_sender_vs_receiver_differ_on_irregular(self):
+        # star: node 0 has weighted degree d_0 = 1.0, the leaves 0.5
+        g = Graph.from_edges([(0, 1), (0, 2)], directed=False)
+        w = EdgeWeights.uniform(g, 0.5)
+        q = np.zeros(3)
+        p = np.array([1.0, 2.0, 3.0])
+        recv = rw_step(g, w, q, p, "rw-b", 0.0)
+        send = rw_step(g, w, q, p, "rw-n", 0.0)
+        assert not np.allclose(recv, send)
+        # sender (rw-n): node 1 gets p_0 * w / d_0 with d_0 = 1.0
+        assert send[1] == pytest.approx(1.0 * 0.5 / 1.0)
+        # receiver (rw-b): node 1 gets p_0 * w / d_1 with d_1 = 0.5
+        assert recv[1] == pytest.approx(1.0 * 0.5 / 0.5)
+
     def test_single_label_variants_use_sender_norm(self):
         # star: node 0 has weighted degree d_0 = 1.0, the leaves 0.5
         g = Graph.from_edges([(0, 1), (0, 2)], directed=False)
@@ -270,7 +284,6 @@ class TestRwStep:
         recv = rw_step(g, w, q, p, "rw-b", 0.0)
         assert np.allclose(recv, [(0.5 * 2.0 + 0.5 * 3.0) / 1.0, 0.5 * 1.0 / 0.5,
                                   0.5 * 1.0 / 0.5], atol=1e-14)
-        assert not np.allclose(recv, send)
 
     def test_weighted_degree_uses_absolute_values(self):
         g = Graph.from_edges([(0, 1), (0, 2)], directed=False)
