@@ -197,9 +197,10 @@ def _resolve_priors(method: Method, labels: LabelSet, theta: float, n: int) -> n
 
 
 def _resolve_weights(method: Method, g: Graph, cfg: JwpConfig) -> tuple[float, float]:
-    """Initial weight and clamp bound, filling in the defaults.  A w0
+    """Initial weight and clamp bound, filling in the defaults.  A given w0
     outside the clamp is rejected: no step would pull plain LBP's weights
-    back inside it."""
+    back inside it.  A default w0 is left as resolved: RW's 1/average degree
+    only sets a scale, and LBP's keeps every step a contraction."""
     if method in RW_METHODS:
         w0 = cfg.w0 if cfg.w0 is not None else 1.0 / g.average_degree()
         clamp = cfg.clamp_bound if cfg.clamp_bound is not None else RW_CLAMP_BOUND
@@ -209,7 +210,7 @@ def _resolve_weights(method: Method, g: Graph, cfg: JwpConfig) -> tuple[float, f
             w0 = LBP_W0_FACTOR / g.spectral_radius_bound()
         if clamp is None:
             clamp = LBP_CLAMP_FACTOR / g.spectral_radius_bound()
-    if abs(w0) > clamp:
+    if cfg.w0 is not None and abs(cfg.w0) > clamp:
         raise InputError(f"w0 {w0:g} exceeds the clamp bound {clamp:g}")
     return w0, clamp
 

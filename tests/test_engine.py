@@ -175,6 +175,21 @@ class TestRunBasics:
         with pytest.raises(InputError, match="w0 -0.6"):
             run(g, labels, JwpConfig(method=Method.RW_B, w0=-0.6))
 
+    def test_default_w0_outside_clamp_runs(self):
+        # a star has average degree 1.6, so RW's default w0 of 1/1.6 exceeds
+        # its clamp of 0.5; only a given w0 is held to the clamp
+        g = Graph.from_edges([(0, 1), (0, 2), (0, 3), (0, 4)], directed=False)
+        labels = LabelSet.of([1], [2])
+        for method in (Method.RW_B, Method.RW_N, Method.RW_JWP_U):
+            r = run(g, labels, JwpConfig(method=method))
+            assert r.w0 == pytest.approx(0.625)
+            assert np.all(np.isfinite(r.posteriors))
+        # a clamp alone below LBP's default w0, about 0.9 / 2 on the star
+        r = run(g, labels, JwpConfig(method=Method.LBP_U, clamp_bound=0.3))
+        assert r.w0 == 0.9 / g.spectral_radius_bound() > 0.3
+        assert r.weights.clamp_bound == 0.3
+        assert np.all(np.isfinite(r.posteriors))
+
     def test_non_finite_abort_mentions_alternation(self):
         g = two_node_graph()
         cfg = JwpConfig(method=Method.LBP_U, w0=1e200, clamp_bound=1e300,
@@ -219,11 +234,11 @@ class TestRwMethods:
         assert np.array_equal(r.priors, q)
 
     def test_rw_n_requires_negatives(self):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="needs labeled negative"):
             run(two_node_graph(), LabelSet.of([0], []), JwpConfig(method=Method.RW_N))
 
     def test_rw_p_requires_positives(self):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="needs labeled positive"):
             run(two_node_graph(), LabelSet.of([], [1]), JwpConfig(method=Method.RW_P))
 
     def test_rw_jwp_runs_and_learns(self):
