@@ -33,8 +33,6 @@ def _parse_auto(flag: str, text: str) -> float | None:
 
 
 def _cmd_run(args) -> int:
-    if args.format != "edgelist":
-        raise InputError(f"unsupported graph format {args.format!r}")
     g = load_edge_list(args.graph, args.directed)
     if g.self_loops_dropped:
         print(f"dropped {g.self_loops_dropped} self-loop(s)", file=sys.stderr)
@@ -51,7 +49,7 @@ def _cmd_run(args) -> int:
         tolerance=args.tol,
         restart=args.restart,
     )
-    result: RunResult = run(g, labels, cfg)
+    result: RunResult = run(g, labels, cfg, collect_diagnostics=args.log is not None)
     rank_and_write(result.posteriors, None, args.out)
     if args.log:
         write_diagnostics(result.diagnostics, args.log)
@@ -141,7 +139,6 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="propagate scores, optionally learning weights")
     p.add_argument("--graph", required=True)
-    p.add_argument("--format", default="edgelist")
     direction = p.add_mutually_exclusive_group(required=True)
     direction.add_argument("--directed", action="store_true")
     direction.add_argument("--undirected", dest="directed", action="store_false")

@@ -6,10 +6,16 @@ gradient step on the edge weights using the scores just computed.  The
 convergence test runs after the propagation half-step and before weight
 learning; the learning half-step is skipped once the run is stopping, since
 it could no longer influence any posterior.
+
+Every method belongs to one propagation family (undirected LBP, directed
+LBP, random walk), named in ``METHOD_TABLE``.  ``run`` resolves the
+family's priors, default weights, step and gradient once, before the loop;
+the steps live in ``propagation`` and their gradients in ``learning``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -48,33 +54,31 @@ class Method(str, Enum):
     RW_JWP_U = "rw-jwp-u"
 
 
-JWP_METHODS = frozenset({Method.LBP_JWP_U, Method.LBP_JWP_D, Method.RW_JWP_U})
-DIRECTED_METHODS = frozenset({Method.LBP_D, Method.LBP_JWP_D})
-RW_METHODS = frozenset({Method.RW_N, Method.RW_P, Method.RW_B, Method.RW_JWP_U})
-
-# CLI method name and graph direction -> method.  The random-walk methods
-# exist for undirected graphs only.
+# Method -> (CLI name, propagation family, learns weights).  The families
+# are undirected LBP ("lbp-u"), directed LBP ("lbp-d") and the random walk
+# ("rw"); only "lbp-d" runs on directed graphs, so a CLI name selects its
+# method by the graph's direction.
 METHOD_TABLE = {
-    ("lbp", False): Method.LBP_U,
-    ("lbp", True): Method.LBP_D,
-    ("lbp-jwp", False): Method.LBP_JWP_U,
-    ("lbp-jwp", True): Method.LBP_JWP_D,
-    ("rw-n", False): Method.RW_N,
-    ("rw-p", False): Method.RW_P,
-    ("rw-b", False): Method.RW_B,
-    ("rw-jwp", False): Method.RW_JWP_U,
+    Method.LBP_U: ("lbp", "lbp-u", False),
+    Method.LBP_D: ("lbp", "lbp-d", False),
+    Method.LBP_JWP_U: ("lbp-jwp", "lbp-u", True),
+    Method.LBP_JWP_D: ("lbp-jwp", "lbp-d", True),
+    Method.RW_N: ("rw-n", "rw", False),
+    Method.RW_P: ("rw-p", "rw", False),
+    Method.RW_B: ("rw-b", "rw", False),
+    Method.RW_JWP_U: ("rw-jwp", "rw", True),
 }
-METHOD_NAMES = tuple(dict.fromkeys(name for name, _ in METHOD_TABLE))
+METHOD_NAMES = tuple(dict.fromkeys(name for name, _, _ in METHOD_TABLE.values()))
 
 
 def method_for(name: str, directed: bool) -> Method:
     """The method a CLI name selects on a directed or undirected graph."""
-    try:
-        return METHOD_TABLE[(name, directed)]
-    except KeyError:
-        if name in METHOD_NAMES:
-            raise InputError(f"method {name!r} does not support directed graphs") from None
-        raise InputError(f"unknown method {name!r}") from None
+    for method, (cli_name, family, _) in METHOD_TABLE.items():
+        if cli_name == name and (family == "lbp-d") == directed:
+            return method
+    if name in METHOD_NAMES:
+        raise InputError(f"method {name!r} does not support directed graphs")
+    raise InputError(f"unknown method {name!r}")
 
 
 # Default weight init and clamp of the LBP methods, as fractions of 1/rho,
@@ -174,45 +178,13 @@ def weight_class_means(g: Graph, w: EdgeWeights, truth: LabelSet) -> tuple[float
     y = np.zeros(g.node_count, dtype=np.int8)
     y[truth.positive_array()] = 1
     y[truth.negative_array()] = -1
-    u = g.slot_ends[:, 0]
-    v = g.slot_ends[:, 1]
+    u, v = g._slot_u, g._slot_v
     known = (y[u] != 0) & (y[v] != 0)
     homo = known & (y[u] == y[v])
     hetero = known & (y[u] != y[v])
     hm = float(np.mean(w.values[homo])) if homo.any() else math.nan
     ht = float(np.mean(w.values[hetero])) if hetero.any() else math.nan
     return hm, ht
-
-
-def _resolve_priors(method: Method, labels: LabelSet, theta: float, n: int) -> np.ndarray:
-    if method is Method.RW_N:
-        if not labels.negatives:
-            raise InputError("rw-n needs labeled negative nodes")
-        labels = LabelSet(frozenset(), labels.negatives)
-    elif method is Method.RW_P:
-        if not labels.positives:
-            raise InputError("rw-p needs labeled positive nodes")
-        labels = LabelSet(labels.positives, frozenset())
-    return assign_priors(labels, theta, n)
-
-
-def _resolve_weights(method: Method, g: Graph, cfg: JwpConfig) -> tuple[float, float]:
-    """Initial weight and clamp bound, filling in the defaults.  A given w0
-    outside the clamp is rejected: no step would pull plain LBP's weights
-    back inside it.  A default w0 is left as resolved: RW's 1/average degree
-    only sets a scale, and LBP's keeps every step a contraction."""
-    if method in RW_METHODS:
-        w0 = cfg.w0 if cfg.w0 is not None else 1.0 / g.average_degree()
-        clamp = cfg.clamp_bound if cfg.clamp_bound is not None else RW_CLAMP_BOUND
-    else:
-        w0, clamp = cfg.w0, cfg.clamp_bound
-        if w0 is None:
-            w0 = LBP_W0_FACTOR / g.spectral_radius_bound()
-        if clamp is None:
-            clamp = LBP_CLAMP_FACTOR / g.spectral_radius_bound()
-    if cfg.w0 is not None and abs(cfg.w0) > clamp:
-        raise InputError(f"w0 {w0:g} exceeds the clamp bound {clamp:g}")
-    return w0, clamp
 
 
 def run(g: Graph, labels: LabelSet, cfg: JwpConfig,
@@ -227,39 +199,53 @@ def run(g: Graph, labels: LabelSet, cfg: JwpConfig,
     ``truth`` to track per-class mean weights in the diagnostics.
     """
     method = cfg.method
-    if (method in DIRECTED_METHODS) != g.directed:
-        kind = "directed" if method in DIRECTED_METHODS else "undirected"
+    _, family, learn = METHOD_TABLE[method]
+    if (family == "lbp-d") != g.directed:
+        kind = "directed" if family == "lbp-d" else "undirected"
         raise InputError(f"method {method.value} needs a {kind} graph")
     if len(labels) == 0:
         raise InputError("a nonempty training label set is required")
     labels.check_bounds(g.node_count)
-
-    w0, clamp = _resolve_weights(method, g, cfg)
     lam = cfg.lam if cfg.lam is not None else min(1.0, 10.0 / g.average_degree())
-    learn = method in JWP_METHODS
 
-    q = _resolve_priors(method, labels, cfg.theta, g.node_count)
+    # Resolve the family once: its priors (one class for the single-label
+    # walks), default w0 and clamp, step and gradient.  Steps and gradients
+    # are looked up by module name here, so wrappers bound to them apply.
+    prior_labels = labels
+    if family == "rw":
+        variant = method.value if method in (Method.RW_N, Method.RW_P) else "rw-b"
+        if variant == "rw-n":
+            if not labels.negatives:
+                raise InputError("rw-n needs labeled negative nodes")
+            prior_labels = LabelSet(frozenset(), labels.negatives)
+        elif variant == "rw-p":
+            if not labels.positives:
+                raise InputError("rw-p needs labeled positive nodes")
+            prior_labels = LabelSet(labels.positives, frozenset())
+        w0 = cfg.w0 if cfg.w0 is not None else 1.0 / g.average_degree()
+        clamp = cfg.clamp_bound if cfg.clamp_bound is not None else RW_CLAMP_BOUND
+        step = functools.partial(rw_step, variant=variant, restart=cfg.restart)
+        gradient = functools.partial(grad_rw_undirected, restart=cfg.restart)
+    else:
+        w0, clamp = cfg.w0, cfg.clamp_bound
+        if w0 is None:
+            w0 = LBP_W0_FACTOR / g.spectral_radius_bound()
+        if clamp is None:
+            clamp = LBP_CLAMP_FACTOR / g.spectral_radius_bound()
+        if family == "lbp-d":
+            step, gradient = lbp_step_directed, grad_directed
+        else:
+            step, gradient = lbp_step_undirected, grad_undirected
+    # A given w0 outside the clamp is rejected: no step would pull plain
+    # LBP's weights back inside it.  A default w0 is left as resolved: RW's
+    # 1/average degree only sets a scale, and LBP's keeps every step a
+    # contraction.
+    if cfg.w0 is not None and abs(cfg.w0) > clamp:
+        raise InputError(f"w0 {w0:g} exceeds the clamp bound {clamp:g}")
+
+    q = assign_priors(prior_labels, cfg.theta, g.node_count)
     w = EdgeWeights.uniform(g, w0, clamp)
     p_prev = q.copy()
-
-    def propagate(weights, vec):
-        if method in (Method.LBP_U, Method.LBP_JWP_U):
-            return lbp_step_undirected(g, weights, q, vec)
-        if method in (Method.LBP_D, Method.LBP_JWP_D):
-            return lbp_step_directed(g, weights, q, vec)
-        variant = {Method.RW_N: "rw-n", Method.RW_P: "rw-p"}.get(method, "rw-b")
-        return rw_step(g, weights, q, vec, variant, cfg.restart)
-
-    def gradient(weights, p_t, p_next):
-        if method is Method.LBP_JWP_U:
-            return grad_undirected(g, weights, q, p_t, labels, lam,
-                                   cfg.regularizer, p_next=p_next)
-        if method is Method.LBP_JWP_D:
-            return grad_directed(g, weights, q, p_t, labels, lam,
-                                 cfg.regularizer, p_next=p_next)
-        return grad_rw_undirected(g, weights, q, p_t, labels, lam,
-                                  cfg.regularizer, restart=cfg.restart,
-                                  p_next=p_next)
 
     diags: list[AlternationDiag] = []
     converged = False
@@ -269,7 +255,7 @@ def run(g: Graph, labels: LabelSet, cfg: JwpConfig,
     for t in range(1, cfg.max_alternations + 1):
         tic = time.perf_counter()
         w_used = w
-        p = propagate(w_used, p_prev)
+        p = step(g, w_used, q, p_prev)
         if not np.all(np.isfinite(p)):
             raise NumericalError(f"non-finite posteriors at alternation {t}")
         metric = convergence_metric(p, p_prev)
@@ -277,7 +263,8 @@ def run(g: Graph, labels: LabelSet, cfg: JwpConfig,
         converged = metric < cfg.tolerance
         grad_inf = math.nan
         if learn and not converged and t < cfg.max_alternations:
-            grad = gradient(w, p_prev, p)
+            grad = gradient(g, w, q, p_prev, labels, lam, cfg.regularizer,
+                            p_next=p)
             grad_inf = float(np.max(np.abs(grad))) if grad.size else 0.0
             w = apply_gradient_step(w, grad, cfg.gamma)
         if collect_diagnostics:

@@ -59,6 +59,9 @@ class Graph:
         sorted, so a one-way input edge contributes two slots.
     pair_class : (S,) uint8 array or None
         BIDIRECTIONAL / UNI_INCOMING / UNI_OUTGOING per slot (directed only).
+        The values 0, 1, 2 number the column blocks of the n x 3n directed
+        step matrix (full score, negative part, positive part): slot (u, v)
+        sits in row u, column ``pair_class * node_count + v``.
     self_loops_dropped : int
         Count of self-loop lines discarded during construction.
     """
@@ -144,18 +147,13 @@ class Graph:
             fwd & bwd, BIDIRECTIONAL, np.where(fwd, UNI_OUTGOING, UNI_INCOMING)
         ).astype(np.uint8)
         # Row-major sorted pairs double as the full CSR adjacency: entry k of
-        # the concatenated rows is exactly slot k.
+        # the concatenated rows is exactly slot k, so the weight values are
+        # the CSR data as they stand.
         self._indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(pairs[:, 0], minlength=n), out=self._indptr[1:])
         self._indices = pairs[:, 1]
-        self._entry_slot = np.arange(pairs.shape[0], dtype=np.int64)
-        # Per-class sub-adjacency used by the directed propagation step.
-        self._class_csr = {}
-        for cls in (BIDIRECTIONAL, UNI_INCOMING, UNI_OUTGOING):
-            mask = self.pair_class == cls
-            indptr = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(np.bincount(pairs[mask, 0], minlength=n), out=indptr[1:])
-            self._class_csr[cls] = (indptr, pairs[mask, 1], np.flatnonzero(mask))
+        # Column of slot (u, v) in the n x 3n directed step matrix.
+        self._class_col = self.pair_class.astype(np.int64) * n + pairs[:, 1]
 
     # -- queries -----------------------------------------------------------
 

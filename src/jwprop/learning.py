@@ -15,13 +15,14 @@ from enum import Enum
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .graph import BIDIRECTIONAL, UNI_INCOMING, EdgeWeights, Graph
+from .graph import EdgeWeights, Graph
 from .propagation import (
     LabelSet,
+    _class_parts,
+    _inverse_degrees,
     lbp_step_directed,
     lbp_step_undirected,
     rw_step,
-    weighted_degrees,
 )
 
 
@@ -103,20 +104,17 @@ def grad_directed(g: Graph, w: EdgeWeights, q: np.ndarray, p_t: np.ndarray,
     Only the row owner u of slot (u, v) contributes loss signal, scaled by
     the part of p_t_v that the pair class lets through (full score for
     bidirectional pairs, negative part for incoming-only, positive part for
-    outgoing-only).
+    outgoing-only): the entry of the step's input vector in slot (u, v)'s
+    column.
     """
     if not g.directed:
         raise InputError("grad_directed expects a directed graph")
     if p_next is None:
         p_next = lbp_step_directed(g, w, q, p_t)
     err = _residuals(p_next, labels, g.node_count)
-    src, dst = g._slot_u, g._slot_v
-    pv = p_t[dst]
-    msg = np.where(g.pair_class == BIDIRECTIONAL, pv,
-                   np.where(g.pair_class == UNI_INCOMING,
-                            np.minimum(pv, 0.0), np.maximum(pv, 0.0)))
-    grad = err[src] * msg
-    grad += _regularizer_grad(regularizer, lam, w.values, p_t[src], pv)
+    src = g._slot_u
+    grad = err[src] * _class_parts(p_t)[g._class_col]
+    grad += _regularizer_grad(regularizer, lam, w.values, p_t[src], p_t[g._slot_v])
     return grad
 
 
@@ -137,10 +135,7 @@ def grad_rw_undirected(g: Graph, w: EdgeWeights, q: np.ndarray, p_t: np.ndarray,
     if p_next is None:
         p_next = rw_step(g, w, q, p_t, "rw-b", restart)
     err = _residuals(p_next, labels, g.node_count)
-    d = weighted_degrees(g, w)
-    inv = np.zeros_like(d)
-    nz = d > 0
-    inv[nz] = 1.0 / d[nz]
+    inv = _inverse_degrees(g, w)
     u, v = g._slot_u, g._slot_v
     pu, pv = p_t[u], p_t[v]
     grad = (1.0 - restart) * (err[u] * pv * inv[u] + err[v] * pu * inv[v])

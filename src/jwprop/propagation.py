@@ -12,7 +12,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import InputError
-from .graph import BIDIRECTIONAL, UNI_INCOMING, UNI_OUTGOING, EdgeWeights, Graph
+from .graph import EdgeWeights, Graph
 
 RW_VARIANTS = ("rw-n", "rw-p", "rw-b")
 
@@ -104,6 +104,12 @@ def lbp_step_undirected(g: Graph, w: EdgeWeights, q: np.ndarray,
     return q + _matvec(g._indptr, g._indices, data, p)
 
 
+def _class_parts(p: np.ndarray) -> np.ndarray:
+    """p, its negative part and its positive part, stacked in pair-class
+    order: entry ``c * n + v`` is what a class-c pair lets through of p_v."""
+    return np.concatenate([p, half_neg(p), half_pos(p)])
+
+
 def lbp_step_directed(g: Graph, w: EdgeWeights, q: np.ndarray,
                       p: np.ndarray) -> np.ndarray:
     """One directed propagation step.
@@ -111,22 +117,14 @@ def lbp_step_directed(g: Graph, w: EdgeWeights, q: np.ndarray,
     A bidirectional neighbor contributes its full score, an incoming-only
     neighbor contributes only its negative part, and an outgoing-only
     neighbor only its positive part, each scaled by the pair's weight.
+    The step is q plus one matvec of the n x 3n matrix whose row u holds
+    slot (u, v)'s weight in column ``pair_class * n + v``, applied to
+    ``_class_parts(p)``.
     """
     if not g.directed:
         raise InputError("lbp_step_directed expects a directed graph")
     _check_vectors(g, w, q, p)
-    out = q.copy()
-    parts = (
-        (BIDIRECTIONAL, p),
-        (UNI_INCOMING, half_neg(p)),
-        (UNI_OUTGOING, half_pos(p)),
-    )
-    for cls, vec in parts:
-        indptr, indices, slots = g._class_csr[cls]
-        if slots.size == 0:
-            continue
-        out += _matvec(indptr, indices, w.values[slots], vec)
-    return out
+    return q + _matvec(g._indptr, g._class_col, w.values, _class_parts(p))
 
 
 def weighted_degrees(g: Graph, w: EdgeWeights) -> np.ndarray:
@@ -134,6 +132,15 @@ def weighted_degrees(g: Graph, w: EdgeWeights) -> np.ndarray:
     aw = np.abs(w.values)
     return np.bincount(g.slot_ends.ravel(), weights=np.repeat(aw, 2),
                        minlength=g.node_count)
+
+
+def _inverse_degrees(g: Graph, w: EdgeWeights) -> np.ndarray:
+    """1 / weighted degree per node, 0 where the weighted degree is 0."""
+    d = weighted_degrees(g, w)
+    inv = np.zeros_like(d)
+    nz = d > 0
+    inv[nz] = 1.0 / d[nz]
+    return inv
 
 
 def rw_step(g: Graph, w: EdgeWeights, q: np.ndarray, p: np.ndarray,
@@ -154,10 +161,7 @@ def rw_step(g: Graph, w: EdgeWeights, q: np.ndarray, p: np.ndarray,
     if not 0.0 <= restart <= 1.0:
         raise InputError("restart probability must lie in [0, 1]")
     _check_vectors(g, w, q, p)
-    d = weighted_degrees(g, w)
-    inv = np.zeros_like(d)
-    nz = d > 0
-    inv[nz] = 1.0 / d[nz]
+    inv = _inverse_degrees(g, w)
     data = w.values[g._entry_slot]
     if variant == "rw-b":
         moved = _matvec(g._indptr, g._indices, data, p) * inv

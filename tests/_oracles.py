@@ -137,3 +137,10 @@ def brute_force_auc_counts(pos_scores, neg_scores):
 def brute_force_auc(pos_scores, neg_scores):
     greater, ties = brute_force_auc_counts(pos_scores, neg_scores)
     return (greater + 0.5 * ties) / (len(pos_scores) * len(neg_scores))
+
+
+def directed_graph_with_isolated_tail() -> Graph:
+    """Directed graph holding all three pair classes, built with an explicit
+    node count three above max id + 1, so nodes 4-6 are isolated."""
+    edges = [(0, 1), (1, 0), (1, 2), (3, 0), (2, 3), (3, 2), (0, 2)]
+    return Graph.from_edges(np.asarray(edges), directed=True, node_count=7)

@@ -28,7 +28,7 @@ class TestPipeline:
         d = pipeline_files["dir"]
         scores = d / "scores.tsv"
         log = d / "log.tsv"
-        rc = run_cli("run", "--graph", pipeline_files["graph"], "--format", "edgelist",
+        rc = run_cli("run", "--graph", pipeline_files["graph"],
                      "--undirected", "--train", pipeline_files["train"],
                      "--method", "lbp-jwp", "--reg", "consistency",
                      "--lambda", 1.0, "--gamma", 0.01, "--out", scores, "--log", log)
@@ -127,15 +127,6 @@ class TestExitCodes:
         train.write_text("0\t1\n1\t-1\n")
         rc = run_cli("run", "--graph", g, "--directed", "--train", train,
                      "--method", "rw-b", "--out", tmp_path / "o.tsv")
-        assert rc == 2
-
-    def test_unsupported_format_is_input_error(self, tmp_path):
-        g = tmp_path / "g.tsv"
-        g.write_text("0\t1\n")
-        train = tmp_path / "t.tsv"
-        train.write_text("0\t1\n1\t-1\n")
-        rc = run_cli("run", "--graph", g, "--format", "parquet", "--undirected",
-                     "--train", train, "--method", "lbp", "--out", tmp_path / "o.tsv")
         assert rc == 2
 
     def test_numerical_failure_exit_code(self, tmp_path):

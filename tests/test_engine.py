@@ -23,7 +23,7 @@ from jwprop import (
     weight_class_means,
     write_diagnostics,
 )
-
+from jwprop.engine import METHOD_NAMES, METHOD_TABLE, method_for
 
 from _oracles import (
     dense_slot_adjacency,
@@ -198,14 +198,24 @@ class TestRunBasics:
             run(g, two_node_labels(), cfg)
 
     def test_method_graph_compatibility(self):
+        # every method is rejected on a graph of the other direction
         gu = two_node_graph()
         gd = Graph.from_edges([(0, 1)], directed=True)
-        with pytest.raises(InputError):
-            run(gd, two_node_labels(), JwpConfig(method=Method.LBP_U))
-        with pytest.raises(InputError):
-            run(gu, two_node_labels(), JwpConfig(method=Method.LBP_D))
-        with pytest.raises(InputError):
-            run(gd, two_node_labels(), JwpConfig(method=Method.RW_B))
+        for method in Method:
+            other = gu if method in (Method.LBP_D, Method.LBP_JWP_D) else gd
+            with pytest.raises(InputError, match="needs a"):
+                run(other, two_node_labels(), JwpConfig(method=method))
+
+    def test_method_table_round_trips(self):
+        directed = {Method.LBP_D, Method.LBP_JWP_D}
+        assert set(METHOD_TABLE) == set(Method)
+        for method, (name, _, _) in METHOD_TABLE.items():
+            assert method_for(name, method in directed) is method
+        assert METHOD_NAMES == ("lbp", "lbp-jwp", "rw-n", "rw-p", "rw-b", "rw-jwp")
+        with pytest.raises(InputError, match="does not support directed"):
+            method_for("rw-b", True)
+        with pytest.raises(InputError, match="unknown method"):
+            method_for("lbp-d", False)
 
     def test_empty_labels_rejected(self):
         with pytest.raises(InputError):

@@ -19,6 +19,7 @@ from jwprop import (
 )
 
 from _oracles import (
+    directed_graph_with_isolated_tail,
     finite_difference_gradient,
     objective,
     random_directed_graph,
@@ -174,6 +175,20 @@ class TestGradDirected:
             fd = finite_difference_gradient(
                 objective(g, q, p_t, labels, lam, reg, True), w.values)
             assert relative_close(grad, fd)
+
+    @pytest.mark.parametrize("reg", ALL_REGS)
+    def test_isolated_tail_matches_finite_differences(self, reg):
+        # every pair class, and a node count above max id + 1
+        g = directed_graph_with_isolated_tail()
+        rng = np.random.default_rng(23)
+        w = random_weights(rng, g, min_abs=0.05)
+        q = rng.uniform(-1, 1, 7)
+        p_t = np.array([0.7, -0.4, 0.3, -0.9, 0.5, -0.6, 0.2])
+        labels = LabelSet.of([0, 3, 5], [1, 2, 6])
+        grad = grad_directed(g, w, q, p_t, labels, 0.3, reg)
+        fd = finite_difference_gradient(
+            objective(g, q, p_t, labels, 0.3, reg, True), w.values)
+        assert relative_close(grad, fd)
 
 
 class TestGradRwUndirected:

@@ -4,6 +4,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from jwprop import (
+    BIDIRECTIONAL,
+    UNI_INCOMING,
+    UNI_OUTGOING,
     EdgeWeights,
     Graph,
     InputError,
@@ -22,6 +25,7 @@ from jwprop import (
 from _oracles import (
     dense_directed_step,
     dense_undirected_step,
+    directed_graph_with_isolated_tail,
     random_directed_graph,
     random_undirected_graph,
     random_weights,
@@ -194,6 +198,20 @@ class TestLbpDirected:
             p = rng.uniform(-1, 1, n)
             got = lbp_step_directed(g, w, q, p)
             assert np.max(np.abs(got - dense_directed_step(g, w, q, p))) < 1e-12
+
+    def test_class_offsets_use_node_count(self):
+        # class c's columns start at c * node_count; with isolated trailing
+        # nodes that differs from c * (max id + 1)
+        g = directed_graph_with_isolated_tail()
+        assert set(g.pair_class.tolist()) == {BIDIRECTIONAL, UNI_INCOMING, UNI_OUTGOING}
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            w = random_weights(rng, g)
+            q = rng.uniform(-1, 1, 7)
+            p = rng.uniform(-1, 1, 7)
+            got = lbp_step_directed(g, w, q, p)
+            assert np.max(np.abs(got - dense_directed_step(g, w, q, p))) < 1e-12
+            assert np.array_equal(got[4:], q[4:])
 
     def test_sign_symmetry_swaps_rectifiers(self):
         # negating scores sends the negative part onto minus the positive
