@@ -27,6 +27,7 @@ from .errors import InputError, NumericalError
 from .graph import EdgeWeights, Graph
 from .learning import (
     RegularizerKind,
+    SlotWork,
     apply_gradient_step,
     consistency_value,
     grad_directed,
@@ -252,27 +253,31 @@ def run(g: Graph, labels: LabelSet, cfg: JwpConfig,
     alternations = 0
     p = p_prev
 
+    # One set of slot-sized work arrays for the whole run; the weights are
+    # updated in place, after the diagnostics that read the weights this
+    # alternation propagated with.
+    work = SlotWork(g.slot_count)
     for t in range(1, cfg.max_alternations + 1):
         tic = time.perf_counter()
-        w_used = w
-        p = step(g, w_used, q, p_prev)
+        p = step(g, w, q, p_prev)
         if not np.all(np.isfinite(p)):
             raise NumericalError(f"non-finite posteriors at alternation {t}")
         metric = convergence_metric(p, p_prev)
         alternations = t
         converged = metric < cfg.tolerance
+        if collect_diagnostics:
+            with np.errstate(over="ignore"):  # inf diagnostics on divergence
+                loss_val = training_loss(p, labels)
+                cons_val = consistency_value(g, w, p, work)
         grad_inf = math.nan
         if learn and not converged and t < cfg.max_alternations:
             grad = gradient(g, w, q, p_prev, labels, lam, cfg.regularizer,
-                            p_next=p)
+                            p_next=p, work=work)
             grad_inf = float(np.max(np.abs(grad))) if grad.size else 0.0
-            w = apply_gradient_step(w, grad, cfg.gamma)
+            w = apply_gradient_step(w, grad, cfg.gamma, work, out=w.values)
         if collect_diagnostics:
             hm, ht = weight_class_means(g, w, truth) if truth is not None \
                 else (math.nan, math.nan)
-            with np.errstate(over="ignore"):  # inf diagnostics on divergence
-                loss_val = training_loss(p, labels)
-                cons_val = consistency_value(g, w_used, p)
             diags.append(AlternationDiag(
                 t=t,
                 conv_metric=metric,

@@ -14,14 +14,16 @@ change between propagation passes.
 
 from __future__ import annotations
 
+import io
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
 
-from .errors import InputError
+from .errors import InputError, is_utf8, numbered_lines
 
 # Pair classes for directed graphs, stored per ordered slot (u, v).
 BIDIRECTIONAL = 0  # both (u,v) and (v,u) are input edges
@@ -36,12 +38,27 @@ _RHO_BOUND_MAX_STEPS = 30
 # Largest node count n whose slot keys u * n + v (at most n * n - 1) fit
 # in int64.
 MAX_NODE_COUNT = math.isqrt(2 ** 63)
+_MAX_INT64 = 2 ** 63 - 1
 
 
 def _contains_sorted(haystack: np.ndarray, needles: np.ndarray) -> np.ndarray:
     idx = np.searchsorted(haystack, needles)
     idx_c = np.minimum(idx, len(haystack) - 1)
     return (idx < len(haystack)) & (haystack[idx_c] == needles)
+
+
+def _first_of_runs(sorted_keys: np.ndarray) -> np.ndarray:
+    """Mask of the first entry of each run of equal values."""
+    first = np.empty(sorted_keys.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=first[1:])
+    return first
+
+
+def _row_starts(sorted_keys: np.ndarray, n: int) -> np.ndarray:
+    """CSR row pointers of sorted keys row * n + col: the count of keys
+    below r * n for r = 0..n (n * n fits in int64 below MAX_NODE_COUNT)."""
+    return np.searchsorted(sorted_keys, np.arange(n + 1, dtype=np.int64) * n)
 
 
 class Graph:
@@ -98,16 +115,16 @@ class Graph:
         e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         if e.size and int(e.min()) < 0:
             raise InputError("node ids must be nonnegative")
-        loops = e[:, 0] == e[:, 1]
-        dropped = int(np.count_nonzero(loops))
-        e = e[~loops]
-        if not directed:
-            e = np.sort(e, axis=1)
-        if e.shape[0]:
-            e = np.unique(e, axis=0)
-        if e.shape[0] == 0:
+        u, v = e[:, 0], e[:, 1]
+        keep = u != v
+        dropped = e.shape[0] - int(np.count_nonzero(keep))
+        if dropped:
+            u, v = u[keep], v[keep]
+        if u.size == 0:
             raise InputError("empty graph: no edges left after dropping self-loops")
-        max_id = int(e.max())
+        if not directed:
+            u, v = np.minimum(u, v), np.maximum(u, v)
+        max_id = int(max(u.max(), v.max()))
         if node_count is None:
             node_count = max_id + 1
         elif node_count <= max_id:
@@ -115,6 +132,14 @@ class Graph:
         if node_count > MAX_NODE_COUNT:
             raise InputError(f"node count {node_count} exceeds the limit of "
                              f"{MAX_NODE_COUNT} nodes (int64 slot keys)")
+        # Sorted distinct keys u * n + v are the lexicographically sorted
+        # distinct pairs.  1-D np.unique costs far more than np.sort plus a
+        # neighbour mask on NumPy 2.x.
+        key = u * node_count + v
+        key.sort()
+        key = key[_first_of_runs(key)]
+        e = np.empty((key.size, 2), dtype=np.int64)
+        np.divmod(key, node_count, out=(e[:, 0], e[:, 1]))
         return cls(node_count, e, directed, dropped)
 
     # -- derived structure ------------------------------------------------
@@ -124,36 +149,41 @@ class Graph:
         e = self.edges  # lex sorted unique rows, u < v
         self.slot_ends = e
         self.pair_class = None
-        s = np.arange(e.shape[0], dtype=np.int64)
-        rows = np.concatenate([e[:, 0], e[:, 1]])
-        cols = np.concatenate([e[:, 1], e[:, 0]])
-        slot = np.concatenate([s, s])
-        order = np.lexsort((cols, rows))
-        rows, cols, slot = rows[order], cols[order], slot[order]
-        self._indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=n), out=self._indptr[1:])
-        self._indices = cols
-        self._entry_slot = slot
+        # Edge s is two adjacency entries, (u, v) and (v, u).  All 2E entry
+        # keys row * n + col are distinct, so sorting them gives CSR order.
+        m = e.shape[0]
+        key = np.concatenate([e[:, 0] * n + e[:, 1], e[:, 1] * n + e[:, 0]])
+        order = np.argsort(key)
+        key = key[order]
+        self._indptr = _row_starts(key, n)
+        self._indices = key % n
+        order[order >= m] -= m
+        self._entry_slot = order
 
     def _build_directed(self):
         n = self.node_count
         e = self.edges
-        key_sorted = np.sort(e[:, 0] * n + e[:, 1])
-        pairs = np.unique(np.concatenate([e, e[:, ::-1]], axis=0), axis=0)
-        fwd = _contains_sorted(key_sorted, pairs[:, 0] * n + pairs[:, 1])
-        bwd = _contains_sorted(key_sorted, pairs[:, 1] * n + pairs[:, 0])
-        self.slot_ends = pairs
+        fwd = e[:, 0] * n + e[:, 1]  # sorted: the edges are lex sorted
+        # Arc u->v makes the slots (u, v) and (v, u); a reciprocated pair
+        # makes each of its two slots twice.
+        key = np.concatenate([fwd, e[:, 1] * n + e[:, 0]])
+        key.sort()
+        first = _first_of_runs(key)
+        pairs = key[first]
+        bidi = np.diff(np.flatnonzero(first), append=key.size) == 2
         self.pair_class = np.where(
-            fwd & bwd, BIDIRECTIONAL, np.where(fwd, UNI_OUTGOING, UNI_INCOMING)
+            bidi, BIDIRECTIONAL,
+            np.where(_contains_sorted(fwd, pairs), UNI_OUTGOING, UNI_INCOMING)
         ).astype(np.uint8)
+        self.slot_ends = np.empty((pairs.size, 2), dtype=np.int64)
+        np.divmod(pairs, n, out=(self.slot_ends[:, 0], self.slot_ends[:, 1]))
         # Row-major sorted pairs double as the full CSR adjacency: entry k of
         # the concatenated rows is exactly slot k, so the weight values are
         # the CSR data as they stand.
-        self._indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(pairs[:, 0], minlength=n), out=self._indptr[1:])
-        self._indices = pairs[:, 1]
+        self._indptr = _row_starts(pairs, n)
+        self._indices = self.slot_ends[:, 1]
         # Column of slot (u, v) in the n x 3n directed step matrix.
-        self._class_col = self.pair_class.astype(np.int64) * n + pairs[:, 1]
+        self._class_col = self.pair_class.astype(np.int64) * n + self._indices
 
     # -- queries -----------------------------------------------------------
 
@@ -250,40 +280,88 @@ class EdgeWeights:
 
 
 def load_edge_list(path, directed: bool) -> Graph:
-    """Parse a tab-separated edge list ("u<TAB>v" per line) into a Graph.
+    """Parse an edge list ("u<TAB>v" per line) into a Graph.
 
-    Lines starting with '#' are ignored.  Self-loops are dropped and counted
-    on the returned graph; duplicate pairs collapse to one edge.  Node ids
-    must be nonnegative base-10 integers; node_count becomes max id + 1.
+    Lines that are blank or start with '#' are ignored.  Self-loops are
+    dropped and counted on the returned graph; duplicate pairs collapse to
+    one edge.  Node ids must be nonnegative base-10 integers below 2**63;
+    node_count becomes max id + 1.
+
+    The fast path skips the leading '#' lines (SNAP-style headers) and
+    parses the rest of the open UTF-8 handle in bulk with ``np.loadtxt``.
+    Any file it does not accept as it stands -- a comment after the first
+    edge, a line without exactly two ids, an id that is not a plain decimal
+    int64 (such as ``1_0``, which ``int`` accepts), a negative id, bytes
+    that are not UTF-8, or no edges at all -- is read again from the start
+    and parsed line by line.  That slow path accepts ids as ``int`` does
+    and raises an ``InputError`` naming the first bad line.  Input from a
+    pipe is read into memory first, so that it can be read twice.
     """
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        if not fh.seekable():  # a pipe: keep a copy the line parser can reread
+            fh = io.StringIO(fh.read())
+        edges = _load_edges_bulk(fh)
+        if edges is None:
+            fh.seek(0)
+            edges = _parse_edge_lines(fh, path)
+    return Graph.from_edges(edges, directed)
+
+
+def _load_edges_bulk(fh) -> np.ndarray | None:
+    """(E, 2) int64 ids parsed by ``np.loadtxt`` from a seekable text
+    handle, or None where the line parser must decide."""
+    start = 0
+    while True:
+        text = fh.readline()
+        stripped = text.strip()
+        if not text or (stripped and not stripped.startswith("#")):
+            break
+        if not is_utf8(text):
+            return None
+        start = fh.tell()
+    fh.seek(start)
+    try:
+        with warnings.catch_warnings():
+            # an empty remainder warns "input contained no data"
+            warnings.simplefilter("ignore", UserWarning)
+            edges = np.loadtxt(fh, dtype=np.int64, ndmin=2, comments=None)
+    except ValueError:
+        return None
+    if edges.shape[1] != 2 or edges.size == 0 or int(edges.min()) < 0:
+        return None
+    return edges
+
+
+def _parse_edge_lines(fh, path) -> np.ndarray:
+    """(E, 2) int64 ids, one line at a time, with line-numbered errors."""
     edges = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            parts = text.split()
-            if len(parts) != 2:
-                raise InputError(f"{path}:{lineno}: expected 'u<TAB>v', got {text!r}")
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise InputError(
-                    f"{path}:{lineno}: node ids must be base-10 integers"
-                ) from None
-            if u < 0 or v < 0:
-                raise InputError(f"{path}:{lineno}: node ids must be nonnegative")
-            edges.append((u, v))
+    for lineno, line in numbered_lines(fh, path):
+        text = line.strip()
+        if not text or text.startswith("#"):
+            continue
+        parts = text.split()
+        if len(parts) != 2:
+            raise InputError(f"{path}:{lineno}: expected 'u<TAB>v', got {text!r}")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise InputError(
+                f"{path}:{lineno}: node ids must be base-10 integers"
+            ) from None
+        if u < 0 or v < 0:
+            raise InputError(f"{path}:{lineno}: node ids must be nonnegative")
+        if u > _MAX_INT64 or v > _MAX_INT64:
+            raise InputError(f"{path}:{lineno}: node ids must be below 2**63")
+        edges.append((u, v))
     if not edges:
         raise InputError(f"{path}: empty graph")
-    return Graph.from_edges(np.asarray(edges, dtype=np.int64), directed)
+    return np.asarray(edges, dtype=np.int64)
 
 
 def write_edge_list(g: Graph, path):
     """Serialize the stored input edges, one "u<TAB>v" line per edge."""
     with open(path, "w", encoding="utf-8") as fh:
-        for u, v in g.edges:
-            fh.write(f"{u}\t{v}\n")
+        fh.write("".join(f"{u}\t{v}\n" for u, v in g.edges.tolist()))
 
 
 def mutual_projection_lcc(g: Graph) -> tuple[Graph, np.ndarray]:

@@ -18,6 +18,7 @@ from .errors import InputError, NumericalError
 from .graph import EdgeWeights, Graph
 from .propagation import (
     LabelSet,
+    _check_vectors,
     _class_parts,
     _inverse_degrees,
     lbp_step_directed,
@@ -43,10 +44,42 @@ def training_loss(p: np.ndarray, labels: LabelSet) -> float:
                   float(np.sum((p[neg] + 1.0) ** 2)))
 
 
-def consistency_value(g: Graph, w: EdgeWeights, p: np.ndarray) -> float:
+class SlotWork:
+    """Slot-sized work arrays for the gradients, ``consistency_value`` and
+    ``apply_gradient_step``, allocated once per run and reused by every
+    alternation.
+
+    Fresh slot-sized temporaries on every call cost page faults: glibc
+    serves blocks above its mmap threshold by mmap and returns them on
+    free, so each one is faulted in again.  A gradient written here stays
+    valid only until the next call that is given the same work arrays.
+    """
+
+    def __init__(self, slot_count: int):
+        self.grad = np.empty(slot_count)
+        self.a = np.empty(slot_count)
+        self.b = np.empty(slot_count)
+        self.c = np.empty(slot_count)
+        self.d = np.empty(slot_count)
+        self.mask = np.empty(slot_count, dtype=bool)
+
+
+def _gather(values: np.ndarray, idx: np.ndarray, out: np.ndarray) -> np.ndarray:
+    # values[idx] into out.  The graph's slot indices are in range by
+    # construction; mode="raise" would stage the result in a temporary.
+    return np.take(values, idx, out=out, mode="clip")
+
+
+def consistency_value(g: Graph, w: EdgeWeights, p: np.ndarray,
+                      work: SlotWork | None = None) -> float:
     """Sum of p_u * p_v * w over stored slots (per edge when undirected,
     per ordered pair when directed)."""
-    return float(np.sum(p[g._slot_u] * p[g._slot_v] * w.values))
+    _check_vectors(g, w, p)
+    work = work or SlotWork(g.slot_count)
+    prod = _gather(p, g._slot_u, work.a)
+    prod *= _gather(p, g._slot_v, work.b)
+    prod *= w.values
+    return float(np.sum(prod))
 
 
 def _residuals(p_next: np.ndarray, labels: LabelSet, n: int) -> np.ndarray:
@@ -60,22 +93,31 @@ def _residuals(p_next: np.ndarray, labels: LabelSet, n: int) -> np.ndarray:
     return err
 
 
-def _regularizer_grad(kind: RegularizerKind, lam: float, w_vals: np.ndarray,
-                      pu: np.ndarray, pv: np.ndarray) -> np.ndarray:
+def _add_regularizer_grad(grad: np.ndarray, kind: RegularizerKind, lam: float,
+                          w_vals: np.ndarray, pu: np.ndarray, pv: np.ndarray):
+    # Adds the regularizer's gradient to grad.  pu and pv hold the endpoint
+    # scores p_t[u] and p_t[v] for the consistency term; pu is overwritten.
     if kind is RegularizerKind.CONSISTENCY:
-        return -lam * pu * pv
-    if kind is RegularizerKind.L1:
+        pu *= -lam
+        pu *= pv
+        grad += pu
+    elif kind is RegularizerKind.L1:
         # subgradient 0 at w == 0
-        return lam * np.sign(w_vals)
-    if kind is RegularizerKind.L2:
-        return 2.0 * lam * w_vals
-    return np.zeros_like(w_vals)
+        np.sign(w_vals, out=pu)
+        pu *= lam
+        grad += pu
+    elif kind is RegularizerKind.L2:
+        np.multiply(w_vals, 2.0 * lam, out=pu)
+        grad += pu
+    else:
+        grad += 0.0
 
 
 def grad_undirected(g: Graph, w: EdgeWeights, q: np.ndarray, p_t: np.ndarray,
                     labels: LabelSet, lam: float,
                     regularizer: RegularizerKind = RegularizerKind.CONSISTENCY,
-                    p_next: np.ndarray | None = None) -> np.ndarray:
+                    p_next: np.ndarray | None = None,
+                    work: SlotWork | None = None) -> np.ndarray:
     """Objective gradient per undirected weight slot.
 
     Both labeled endpoints of an edge contribute to the shared slot:
@@ -85,20 +127,27 @@ def grad_undirected(g: Graph, w: EdgeWeights, q: np.ndarray, p_t: np.ndarray,
     """
     if g.directed:
         raise InputError("grad_undirected expects an undirected graph")
+    _check_vectors(g, w, q, p_t)
     if p_next is None:
         p_next = lbp_step_undirected(g, w, q, p_t)
+    work = work or SlotWork(g.slot_count)
     err = _residuals(p_next, labels, g.node_count)
     u, v = g._slot_u, g._slot_v
-    pu, pv = p_t[u], p_t[v]
-    grad = err[u] * pv + err[v] * pu
-    grad += _regularizer_grad(regularizer, lam, w.values, pu, pv)
+    pu, pv = _gather(p_t, u, work.a), _gather(p_t, v, work.b)
+    grad = _gather(err, u, work.grad)
+    grad *= pv
+    term = _gather(err, v, work.c)
+    term *= pu
+    grad += term
+    _add_regularizer_grad(grad, regularizer, lam, w.values, pu, pv)
     return grad
 
 
 def grad_directed(g: Graph, w: EdgeWeights, q: np.ndarray, p_t: np.ndarray,
                   labels: LabelSet, lam: float,
                   regularizer: RegularizerKind = RegularizerKind.CONSISTENCY,
-                  p_next: np.ndarray | None = None) -> np.ndarray:
+                  p_next: np.ndarray | None = None,
+                  work: SlotWork | None = None) -> np.ndarray:
     """Objective gradient per ordered-pair slot of a directed graph.
 
     Only the row owner u of slot (u, v) contributes loss signal, scaled by
@@ -109,12 +158,19 @@ def grad_directed(g: Graph, w: EdgeWeights, q: np.ndarray, p_t: np.ndarray,
     """
     if not g.directed:
         raise InputError("grad_directed expects a directed graph")
+    _check_vectors(g, w, q, p_t)
     if p_next is None:
         p_next = lbp_step_directed(g, w, q, p_t)
+    work = work or SlotWork(g.slot_count)
     err = _residuals(p_next, labels, g.node_count)
     src = g._slot_u
-    grad = err[src] * _class_parts(p_t)[g._class_col]
-    grad += _regularizer_grad(regularizer, lam, w.values, p_t[src], p_t[g._slot_v])
+    grad = _gather(err, src, work.grad)
+    grad *= _gather(_class_parts(p_t), g._class_col, work.a)
+    pu, pv = work.a, work.b
+    if regularizer is RegularizerKind.CONSISTENCY:
+        _gather(p_t, src, pu)
+        _gather(p_t, g._slot_v, pv)
+    _add_regularizer_grad(grad, regularizer, lam, w.values, pu, pv)
     return grad
 
 
@@ -122,7 +178,8 @@ def grad_rw_undirected(g: Graph, w: EdgeWeights, q: np.ndarray, p_t: np.ndarray,
                        labels: LabelSet, lam: float,
                        regularizer: RegularizerKind = RegularizerKind.CONSISTENCY,
                        restart: float = 0.0,
-                       p_next: np.ndarray | None = None) -> np.ndarray:
+                       p_next: np.ndarray | None = None,
+                       work: SlotWork | None = None) -> np.ndarray:
     """Gradient for the both-label random walk ("rw-b").
 
     The degree normalization is treated as constant within the alternation,
@@ -132,29 +189,48 @@ def grad_rw_undirected(g: Graph, w: EdgeWeights, q: np.ndarray, p_t: np.ndarray,
     """
     if g.directed:
         raise InputError("grad_rw_undirected expects an undirected graph")
+    _check_vectors(g, w, q, p_t)
     if p_next is None:
         p_next = rw_step(g, w, q, p_t, "rw-b", restart)
+    work = work or SlotWork(g.slot_count)
     err = _residuals(p_next, labels, g.node_count)
     inv = _inverse_degrees(g, w)
     u, v = g._slot_u, g._slot_v
-    pu, pv = p_t[u], p_t[v]
-    grad = (1.0 - restart) * (err[u] * pv * inv[u] + err[v] * pu * inv[v])
-    grad += _regularizer_grad(regularizer, lam, w.values, pu, pv)
+    pu, pv = _gather(p_t, u, work.a), _gather(p_t, v, work.b)
+    # (1 - restart) * (err_u * pv * inv_u + err_v * pu * inv_v)
+    grad = _gather(err, u, work.grad)
+    grad *= pv
+    grad *= _gather(inv, u, work.c)
+    term = _gather(err, v, work.c)
+    term *= pu
+    term *= _gather(inv, v, work.d)
+    grad += term
+    grad *= 1.0 - restart
+    _add_regularizer_grad(grad, regularizer, lam, w.values, pu, pv)
     return grad
 
 
-def apply_gradient_step(w: EdgeWeights, grad: np.ndarray,
-                        gamma: float) -> EdgeWeights:
+def apply_gradient_step(w: EdgeWeights, grad: np.ndarray, gamma: float,
+                        work: SlotWork | None = None,
+                        out: np.ndarray | None = None) -> EdgeWeights:
     """One descent step, then each weight is clipped into
-    [-w.clamp_bound, w.clamp_bound]."""
+    [-w.clamp_bound, w.clamp_bound].
+
+    The new values go to ``out`` when given, which may be ``w.values``
+    itself to update the weights in place.
+    """
     if gamma < 0:
         raise InputError("learning rate must be nonnegative")
     grad = np.asarray(grad, dtype=float)
     if grad.shape != w.values.shape:
         raise InputError("gradient shape does not match the weight array")
-    if not np.all(np.isfinite(grad)):
-        bad = int(np.flatnonzero(~np.isfinite(grad))[0])
+    work = work or SlotWork(grad.size)
+    finite = np.isfinite(grad, out=work.mask)
+    if not finite.all():
+        bad = int(np.flatnonzero(~finite)[0])
         raise NumericalError(f"non-finite gradient entry at slot {bad}")
     bound = w.clamp_bound
-    vals = np.clip(w.values - gamma * grad, -bound, bound)
+    step = np.multiply(grad, gamma, out=work.a)
+    vals = np.subtract(w.values, step, out=out)
+    np.clip(vals, -bound, bound, out=vals)
     return EdgeWeights(vals, bound)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, numbered_lines
 from .propagation import LabelSet, classify
 
 
@@ -66,16 +66,16 @@ def rank_and_write(p: np.ndarray, remap: np.ndarray | None, path):
         raise InputError("remap length does not match the score vector")
     pred = classify(p)
     order = np.lexsort((ids, -p))
+    rows = zip(ids[order].tolist(), p[order].tolist(), pred[order].tolist())
     with open(path, "w", encoding="utf-8") as fh:
-        for i in order:
-            fh.write(f"{ids[i]}\t{float(p[i])!r}\t{pred[i]}\n")
+        fh.write("".join(f"{i}\t{x!r}\t{c}\n" for i, x, c in rows))
 
 
 def read_scores(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read a score file back as (ids, posteriors, predicted labels)."""
     ids, vals, preds = [], [], []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in numbered_lines(fh, path):
             text = line.strip()
             if not text or text.startswith("#"):
                 continue

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .errors import InputError
+from .errors import InputError, numbered_lines
 from .graph import EdgeWeights, Graph
 
 RW_VARIANTS = ("rw-n", "rw-p", "rw-b")
@@ -181,8 +181,8 @@ def classify(p: np.ndarray) -> np.ndarray:
 def read_labels(path) -> LabelSet:
     """Parse a "node_id<TAB>label" file with labels +1 / -1."""
     pos, neg = [], []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in numbered_lines(fh, path):
             text = line.strip()
             if not text or text.startswith("#"):
                 continue

@@ -144,3 +144,43 @@ def directed_graph_with_isolated_tail() -> Graph:
     node count three above max id + 1, so nodes 4-6 are isolated."""
     edges = [(0, 1), (1, 0), (1, 2), (3, 0), (2, 3), (3, 2), (0, 2)]
     return Graph.from_edges(np.asarray(edges), directed=True, node_count=7)
+
+
+def reference_graph_arrays(edges, directed, node_count=None) -> dict:
+    """Graph arrays by the original construction: np.unique over rows, a
+    lexsort of the undirected adjacency entries, and np.unique over the
+    directed ordered pairs."""
+    e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    e = e[e[:, 0] != e[:, 1]]
+    if not directed:
+        e = np.sort(e, axis=1)
+    e = np.unique(e, axis=0)
+    n = int(e.max()) + 1 if node_count is None else node_count
+    out = {"edges": e}
+    if directed:
+        key_sorted = np.sort(e[:, 0] * n + e[:, 1])
+        pairs = np.unique(np.concatenate([e, e[:, ::-1]], axis=0), axis=0)
+
+        def contains(keys):
+            idx = np.minimum(np.searchsorted(key_sorted, keys), len(key_sorted) - 1)
+            return key_sorted[idx] == keys
+
+        fwd = contains(pairs[:, 0] * n + pairs[:, 1])
+        bwd = contains(pairs[:, 1] * n + pairs[:, 0])
+        pair_class = np.where(fwd & bwd, 0, np.where(fwd, 2, 1)).astype(np.uint8)
+        out.update(slot_ends=pairs, pair_class=pair_class, _indices=pairs[:, 1],
+                   _class_col=pair_class.astype(np.int64) * n + pairs[:, 1])
+        rows = pairs[:, 0]
+    else:
+        s = np.arange(e.shape[0], dtype=np.int64)
+        rows = np.concatenate([e[:, 0], e[:, 1]])
+        cols = np.concatenate([e[:, 1], e[:, 0]])
+        slot = np.concatenate([s, s])
+        order = np.lexsort((cols, rows))
+        rows = rows[order]
+        out.update(slot_ends=e, _indices=cols[order], _entry_slot=slot[order])
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    out["_indptr"] = indptr
+    out["_slot_key"] = out["slot_ends"][:, 0] * n + out["slot_ends"][:, 1]
+    return out

@@ -120,6 +120,23 @@ class TestExitCodes:
                      "--method", "lbp", "--out", tmp_path / "o.tsv")
         assert rc == 2
 
+    @pytest.mark.parametrize("graph_bytes,train_bytes,message", [
+        (b"0\t1\n0\t99999999999999999999\n", b"0\t1\n1\t-1\n",
+         "g.tsv:2: node ids must be below 2**63"),
+        (b"0\t1\n1\t\xff2\n", b"0\t1\n1\t-1\n", "g.tsv:2: not valid UTF-8"),
+        (b"0\t1\n", b"0\t1\n1\t\xfe-1\n", "t.tsv:2: not valid UTF-8"),
+    ], ids=["int64_overflow_id", "non_utf8_graph", "non_utf8_labels"])
+    def test_hostile_input_is_input_error(self, tmp_path, capsys, graph_bytes,
+                                          train_bytes, message):
+        g = tmp_path / "g.tsv"
+        g.write_bytes(graph_bytes)
+        train = tmp_path / "t.tsv"
+        train.write_bytes(train_bytes)
+        rc = run_cli("run", "--graph", g, "--undirected", "--train", train,
+                     "--method", "lbp", "--out", tmp_path / "o.tsv")
+        assert rc == 2
+        assert message in capsys.readouterr().err
+
     def test_rw_on_directed_is_input_error(self, tmp_path):
         g = tmp_path / "g.tsv"
         g.write_text("0\t1\n")

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from scipy.sparse import csgraph
@@ -13,9 +15,15 @@ from jwprop import (
     write_edge_list,
 )
 
+from jwprop import graph
 from jwprop.graph import MAX_NODE_COUNT
 
-from _oracles import dense_slot_adjacency, random_directed_graph, random_undirected_graph
+from _oracles import (
+    dense_slot_adjacency,
+    random_directed_graph,
+    random_undirected_graph,
+    reference_graph_arrays,
+)
 
 
 def write_lines(path, lines):
@@ -88,6 +96,180 @@ class TestLoadEdgeList:
         write_lines(f, ["0\t7"])
         g = load_edge_list(f, directed=False)
         assert g.node_count == 8
+
+
+# (case, file bytes, parsed in bulk, error raised or None).  Every case must
+# give the same graph or the same line-numbered error on both parsers.
+PARSER_CASES = [
+    ("snap_header", b"# Directed graph\n# Nodes: 3 Edges: 2\n0\t1\n1\t2\n", True, None),
+    ("header_then_blank", b"# h\n\n  # h2\n0\t1\n", True, None),
+    ("comment_after_edges", b"0\t1\n# later\n1\t2\n", False, None),
+    ("trailing_comment", b"0\t1 # x\n", False, ":1: expected"),
+    ("crlf_and_blank_lines", b"0\t1\r\n\r\n  \r\n1\t2\r\n", True, None),
+    ("spaces_as_separator", b"  0   1  \n1 2\n", True, None),
+    ("one_token", b"0\t1\n2\n", False, ":2: expected"),
+    ("one_token_only", b"2\n", False, ":1: expected"),
+    ("three_tokens", b"0\t1\t2\n", False, ":1: expected"),
+    ("float_id", b"0\t2.5\n", False, ":1: node ids must be base-10"),
+    ("underscore_id", b"0\t1_0\n", False, None),
+    ("plus_sign", b"0\t+1\n", True, None),
+    ("leading_zeros", b"0\t007\n", True, None),
+    ("negative_zero", b"1\t-0\n", True, None),
+    ("negative_id", b"0\t1\n2\t-3\n", False, ":2: node ids must be nonnegative"),
+    ("int64_overflow", b"0\t1\n0\t99999999999999999999\n", False, ":2: node ids must be below"),
+    ("int64_max", b"0\t9223372036854775807\n", True, "node count"),
+    ("non_utf8", b"0\t1\n1\t\xff2\n", False, ":2: not valid UTF-8"),
+    ("non_utf8_comment", b"# caf\xe9\n0\t1\n", False, ":1: not valid UTF-8"),
+    ("utf8_comment", "# café\n0\t1\n".encode(), True, None),
+    ("empty_file", b"", False, "empty graph"),
+    ("only_comments", b"# a\n# b\n", False, "empty graph"),
+    ("single_line", b"3\t4\n", True, None),
+    ("no_final_newline", b"0\t1\n1\t2", True, None),
+    ("only_self_loops", b"1\t1\n", True, "no edges left"),
+]
+
+
+def _open_text(path):
+    return open(path, encoding="utf-8", errors="surrogateescape")
+
+
+def _bulk(path):
+    with _open_text(path) as fh:
+        return graph._load_edges_bulk(fh)
+
+
+def _lines(path):
+    with _open_text(path) as fh:
+        return graph._parse_edge_lines(fh, path)
+
+
+def _graph_or_error(build):
+    try:
+        return build()
+    except InputError as exc:
+        return str(exc)
+
+
+class TestParserEquivalence:
+    @pytest.mark.parametrize("directed", [False, True])
+    @pytest.mark.parametrize("case,data,bulk,error", PARSER_CASES,
+                             ids=[c[0] for c in PARSER_CASES])
+    def test_bulk_and_line_parsers_agree(self, tmp_path, case, data, bulk, error,
+                                         directed):
+        f = tmp_path / "g.tsv"
+        f.write_bytes(data)
+        fast = _bulk(f)
+        assert (fast is not None) == bulk
+        lines = _graph_or_error(lambda: _lines(f))
+        if fast is not None:
+            assert np.array_equal(fast, lines) and fast.dtype == lines.dtype
+        loaded = _graph_or_error(lambda: load_edge_list(f, directed))
+        by_lines = (lines if isinstance(lines, str)
+                    else _graph_or_error(lambda: Graph.from_edges(lines, directed)))
+        if error is None:
+            assert isinstance(loaded, Graph) and isinstance(by_lines, Graph)
+            for name in ("edges", "slot_ends", "_indptr", "_indices"):
+                assert np.array_equal(getattr(loaded, name), getattr(by_lines, name))
+            assert loaded.node_count == by_lines.node_count
+            assert loaded.self_loops_dropped == by_lines.self_loops_dropped
+        else:
+            assert loaded == by_lines
+            assert error in loaded
+
+    def test_random_token_files(self, tmp_path):
+        # Whatever the bulk parser accepts, the line parser accepts with the
+        # same ids.
+        ids = ["0", "1", "42", "+3", "007", "-0"]
+        odd = ["-2", "1_0", "2.5", "1e3", "0x1", "#", "#c", "\u0663", "\ufeff1",
+               "9" * 20, ""]
+        seps = [" ", "\t", "  \t", "\x0b", "\xa0", "\u2028"]
+        ends = ["\n", "\r\n", "\r", "\n\n", " \n"]
+        rng = np.random.default_rng(5)
+        f = tmp_path / "g.tsv"
+        bulk_files = 0
+        for _ in range(300):
+            lines = []
+            for _ in range(int(rng.integers(1, 5))):
+                k = 2 if rng.random() < 0.9 else int(rng.choice([1, 3]))
+                picks = [odd[int(rng.integers(len(odd)))] if rng.random() < 0.03
+                         else ids[int(rng.integers(len(ids)))] for _ in range(k)]
+                sep = seps[int(rng.integers(len(seps)))]
+                lines.append(sep.join(picks) + ends[int(rng.integers(len(ends)))])
+            f.write_text("".join(lines), encoding="utf-8", newline="")
+            fast = _bulk(f)
+            if fast is not None:
+                bulk_files += 1
+                assert np.array_equal(fast, _lines(f)), lines
+        assert bulk_files > 100
+
+    def test_well_formed_file_skips_line_parser(self, tmp_path, monkeypatch):
+        def refuse(fh, path):
+            raise AssertionError("line parser reached")
+
+        monkeypatch.setattr(graph, "_parse_edge_lines", refuse)
+        rng = np.random.default_rng(3)
+        g = random_undirected_graph(rng, 60)
+        f = tmp_path / "g.tsv"
+        f.write_text("# FromNodeId\tToNodeId\n\n" + "".join(
+            f"{v}\t{u}\r\n" for u, v in g.edges.tolist()), encoding="utf-8")
+        loaded = load_edge_list(f, directed=False)
+        assert np.array_equal(loaded.edges, g.edges)
+
+
+    @pytest.mark.parametrize("data,edges,error", [
+        (b"# h\n0\t1\n1\t2\n", [(0, 1), (1, 2)], None),
+        (b"0\t1\n# mid\n1\t2\n", [(0, 1), (1, 2)], None),
+        (b"0\t1\n1\t2\t3\n", None, ":2: expected"),
+    ], ids=["bulk", "line_parser", "error"])
+    def test_pipe_input(self, data, edges, error):
+        # a pipe cannot seek back for the line parser
+        if not os.path.isdir("/dev/fd"):
+            pytest.skip("no /dev/fd")
+        r, w = os.pipe()
+        try:
+            os.write(w, data)
+            os.close(w)
+            path = f"/dev/fd/{r}"
+            if error is None:
+                g = load_edge_list(path, directed=False)
+                assert g.edges.tolist() == [list(e) for e in edges]
+            else:
+                with pytest.raises(InputError, match=error):
+                    load_edge_list(path, directed=False)
+        finally:
+            os.close(r)
+
+
+class TestBuildMatchesReference:
+    ARRAYS = ("edges", "slot_ends", "_indptr", "_indices", "_slot_key")
+    DIRECTED_ARRAYS = ("pair_class", "_class_col")
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_random_graphs(self, directed):
+        rng = np.random.default_rng(11)
+        classes = set()
+        for trial in range(200):
+            n = int(rng.integers(2, 30))
+            raw = rng.integers(0, n, size=(int(rng.integers(1, 80)), 2))
+            # duplicate rows and reversed copies of some rows; self-loops
+            # come from the draws
+            extra = raw[rng.random(raw.shape[0]) < 0.3]
+            raw = np.concatenate([raw, extra, extra[:, ::-1]])
+            if np.all(raw[:, 0] == raw[:, 1]):
+                continue
+            node_count = None if trial % 2 else n + int(rng.integers(0, 4))
+            g = Graph.from_edges(raw, directed, node_count)
+            ref = reference_graph_arrays(raw, directed, node_count)
+            names = self.ARRAYS + (self.DIRECTED_ARRAYS if directed else ("_entry_slot",))
+            for name in names:
+                got, want = getattr(g, name), ref[name]
+                assert got.dtype == want.dtype, name
+                assert np.array_equal(got, want), (trial, name)
+            assert g.self_loops_dropped == int(np.sum(raw[:, 0] == raw[:, 1]))
+            if directed:
+                classes.update(g.pair_class.tolist())
+        if directed:
+            assert classes == {BIDIRECTIONAL, UNI_INCOMING, UNI_OUTGOING}
 
 
 class TestNodeCountLimit:

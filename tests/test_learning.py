@@ -17,6 +17,7 @@ from jwprop import (
     grad_undirected,
     training_loss,
 )
+from jwprop.learning import SlotWork
 
 from _oracles import (
     directed_graph_with_isolated_tail,
@@ -258,3 +259,54 @@ class TestApplyGradientStep:
         after = consistency_value(g, out, p_t)
         assert after > before
         assert np.sign(out.values[0] - w.values[0]) == np.sign(p_t[0] * p_t[1])
+
+
+class TestSlotWork:
+    """Gradients, consistency and the update step give the same bits with a
+    reused, dirty set of work arrays as with fresh ones."""
+
+    @staticmethod
+    def _dirty(g):
+        work = SlotWork(g.slot_count)
+        for buf in vars(work).values():
+            buf.fill(np.nan if buf.dtype.kind == "f" else True)
+        return work
+
+    @pytest.mark.parametrize("reg", ALL_REGS)
+    @pytest.mark.parametrize("directed,fn", [(False, grad_undirected),
+                                             (True, grad_directed),
+                                             (False, grad_rw_undirected)])
+    def test_dirty_work_gives_same_gradient(self, reg, directed, fn):
+        rng = np.random.default_rng(8)
+        g = random_directed_graph(rng, 12) if directed else random_undirected_graph(rng, 12)
+        w = random_weights(rng, g)
+        q = rng.normal(size=g.node_count)
+        p_t = rng.normal(size=g.node_count)
+        labels = random_labels(rng, g.node_count, 3, 3)
+        fresh = fn(g, w, q, p_t, labels, 0.7, reg)
+        reused = fn(g, w, q, p_t, labels, 0.7, reg, work=self._dirty(g))
+        assert np.array_equal(fresh, reused)
+        work = self._dirty(g)
+        assert (consistency_value(g, w, p_t, work)
+                == consistency_value(g, w, p_t))
+        step = apply_gradient_step(w, fresh, 0.1)
+        in_place = EdgeWeights(w.values.copy(), w.clamp_bound)
+        out = apply_gradient_step(in_place, fresh, 0.1, work, out=in_place.values)
+        assert out.values is in_place.values
+        assert np.array_equal(step.values, out.values)
+
+    @pytest.mark.parametrize("directed,fn", [(False, grad_undirected),
+                                             (True, grad_directed),
+                                             (False, grad_rw_undirected)])
+    def test_score_vector_length_checked(self, directed, fn):
+        # the gathers clip out-of-range indices instead of raising
+        rng = np.random.default_rng(9)
+        g = random_directed_graph(rng, 8) if directed else random_undirected_graph(rng, 8)
+        w = random_weights(rng, g)
+        short = np.ones(g.node_count - 1)
+        labels = LabelSet.of([0], [1])
+        with pytest.raises(InputError, match="score vector"):
+            fn(g, w, np.zeros(g.node_count), short, labels, 1.0,
+               p_next=np.zeros(g.node_count))
+        with pytest.raises(InputError, match="score vector"):
+            consistency_value(g, w, short)

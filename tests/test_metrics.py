@@ -91,6 +91,18 @@ class TestRankAndWrite:
         ids, _, _ = read_scores(f)
         assert list(ids) == [41, 7]
 
+    def test_rows_match_per_row_format(self, tmp_path):
+        rng = np.random.default_rng(4)
+        p = np.concatenate([rng.normal(size=40) * 10.0 ** rng.integers(-300, 300, 40),
+                            [0.0, -0.0, 0.1, 1 / 3, 5e-324, -1.7976931348623157e308]])
+        ids = rng.permutation(1000)[:p.size]
+        f = tmp_path / "scores.tsv"
+        rank_and_write(p, ids, f)
+        order = np.lexsort((ids, -p))
+        want = "".join(f"{ids[i]}\t{float(p[i])!r}\t{1 if p[i] > 0 else -1}\n"
+                       for i in order)
+        assert f.read_bytes() == want.encode()
+
     def test_rewrite_is_idempotent(self, tmp_path):
         rng = np.random.default_rng(2)
         p = np.round(rng.normal(size=50), 2)  # duplicated values likely
