@@ -15,6 +15,7 @@ from .engine import (
     RunResult,
     convergence_metric,
     run,
+    truth_class_slots,
     weight_class_means,
     write_diagnostics,
 )

@@ -11,6 +11,10 @@ Every method belongs to one propagation family (undirected LBP, directed
 LBP, random walk), named in ``METHOD_TABLE``.  ``run`` resolves the
 family's priors, default weights, step and gradient once, before the loop;
 the steps live in ``propagation`` and their gradients in ``learning``.
+What stays fixed across alternations is also computed before the loop and
+passed in: the ground-truth slot classes behind ``weight_class_means``, and
+the random walk's inverse weighted degrees, which are recomputed only after
+a weight update and shared by the step and the gradient.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ from .learning import (
 )
 from .propagation import (
     LabelSet,
+    _inverse_degrees,
     assign_priors,
     lbp_step_directed,
     lbp_step_undirected,
@@ -173,9 +178,9 @@ def convergence_metric(p_new: np.ndarray, p_old: np.ndarray) -> float:
     return float(np.sum(np.abs(p_new - p_old))) / denom
 
 
-def weight_class_means(g: Graph, w: EdgeWeights, truth: LabelSet) -> tuple[float, float]:
-    """Mean weight over homogeneous and heterogeneous slots under ground
-    truth; NaN for classes with no member slots."""
+def truth_class_slots(g: Graph, truth: LabelSet) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the homogeneous and heterogeneous slots under ground
+    truth: both endpoints labeled, with equal or with opposite labels."""
     y = np.zeros(g.node_count, dtype=np.int8)
     y[truth.positive_array()] = 1
     y[truth.negative_array()] = -1
@@ -183,8 +188,18 @@ def weight_class_means(g: Graph, w: EdgeWeights, truth: LabelSet) -> tuple[float
     known = (y[u] != 0) & (y[v] != 0)
     homo = known & (y[u] == y[v])
     hetero = known & (y[u] != y[v])
-    hm = float(np.mean(w.values[homo])) if homo.any() else math.nan
-    ht = float(np.mean(w.values[hetero])) if hetero.any() else math.nan
+    return np.flatnonzero(homo), np.flatnonzero(hetero)
+
+
+def weight_class_means(g: Graph, w: EdgeWeights, truth: LabelSet,
+                       class_slots: tuple[np.ndarray, np.ndarray] | None = None
+                       ) -> tuple[float, float]:
+    """Mean weight over homogeneous and heterogeneous slots under ground
+    truth; NaN for classes with no member slots.  ``class_slots`` passes in
+    ``truth_class_slots(g, truth)`` when the caller already has it."""
+    homo, hetero = truth_class_slots(g, truth) if class_slots is None else class_slots
+    hm = float(np.mean(w.values[homo])) if homo.size else math.nan
+    ht = float(np.mean(w.values[hetero])) if hetero.size else math.nan
     return hm, ht
 
 
@@ -257,9 +272,14 @@ def run(g: Graph, labels: LabelSet, cfg: JwpConfig,
     # updated in place, after the diagnostics that read the weights this
     # alternation propagated with.
     work = SlotWork(g.slot_count)
+    class_slots = (truth_class_slots(g, truth)
+                   if truth is not None and collect_diagnostics else None)
+    # The random walk's inverse weighted degrees, for the step and the
+    # gradient of the weights they were computed from.
+    rw_degrees = {"inv_degrees": _inverse_degrees(g, w)} if family == "rw" else {}
     for t in range(1, cfg.max_alternations + 1):
         tic = time.perf_counter()
-        p = step(g, w, q, p_prev)
+        p = step(g, w, q, p_prev, **rw_degrees)
         if not np.all(np.isfinite(p)):
             raise NumericalError(f"non-finite posteriors at alternation {t}")
         metric = convergence_metric(p, p_prev)
@@ -272,12 +292,14 @@ def run(g: Graph, labels: LabelSet, cfg: JwpConfig,
         grad_inf = math.nan
         if learn and not converged and t < cfg.max_alternations:
             grad = gradient(g, w, q, p_prev, labels, lam, cfg.regularizer,
-                            p_next=p, work=work)
+                            p_next=p, work=work, **rw_degrees)
             grad_inf = float(np.max(np.abs(grad))) if grad.size else 0.0
             w = apply_gradient_step(w, grad, cfg.gamma, work, out=w.values)
+            if rw_degrees:
+                rw_degrees["inv_degrees"] = _inverse_degrees(g, w)
         if collect_diagnostics:
-            hm, ht = weight_class_means(g, w, truth) if truth is not None \
-                else (math.nan, math.nan)
+            hm, ht = (weight_class_means(g, w, truth, class_slots)
+                      if truth is not None else (math.nan, math.nan))
             diags.append(AlternationDiag(
                 t=t,
                 conv_metric=metric,

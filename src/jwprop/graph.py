@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse import csgraph
+from scipy.sparse import _sparsetools, csgraph
 
 from .errors import InputError, is_utf8, numbered_lines
 
@@ -61,6 +61,39 @@ def _row_starts(sorted_keys: np.ndarray, n: int) -> np.ndarray:
     return np.searchsorted(sorted_keys, np.arange(n + 1, dtype=np.int64) * n)
 
 
+def csr_index_dtype(nnz: int, n_cols: int) -> type:
+    """Index type of a CSR with ``nnz`` entries and ``n_cols`` columns:
+    int32 while both are below 2**31, as scipy picks, else int64."""
+    return np.int32 if max(nnz, n_cols) < 2 ** 31 else np.int64
+
+
+def _csr_matvec(indptr, indices, data, x, y):
+    """y += A x for the CSR matrix A = (data, indices, indptr), with one row
+    per entry of y and one column per entry of x.
+
+    scipy's ``csr_matvec`` kernel adds row i's terms onto y[i] in entry
+    order, as ``csr_matrix @ x`` does onto zeros.  It checks no bounds:
+    the caller checks the lengths of data, x and y.
+    """
+    _sparsetools.csr_matvec(y.size, x.size, indptr, indices, data, x, y)
+
+
+def _symmetric_matvec(indptr, indices, data, x) -> np.ndarray:
+    """S x for S = U + U^T, where U is the strictly upper triangular CSR
+    (data, indices, indptr) of a square matrix.
+
+    ``csc_matvec`` reads U's CSR as the CSC of U^T and scatters U^T x into
+    zeros, then ``csr_matvec`` adds U x on top.  Row i thus sums its
+    columns below i first and then those above it, each in ascending
+    order: the terms and order of a full symmetric CSR of S, so the result
+    equals ``csr_matrix(S) @ x`` bit for bit.  No bounds checks.
+    """
+    y = np.zeros(x.size)
+    _sparsetools.csc_matvec(x.size, x.size, indptr, indices, data, x, y)
+    _sparsetools.csr_matvec(x.size, x.size, indptr, indices, data, x, y)
+    return y
+
+
 class Graph:
     """Immutable sparse graph over dense node ids [0, node_count).
 
@@ -81,6 +114,15 @@ class Graph:
         sits in row u, column ``pair_class * node_count + v``.
     self_loops_dropped : int
         Count of self-loop lines discarded during construction.
+
+    ``_csr_indptr`` and ``_csr_indices`` (private) hold the propagation
+    step's CSR.  Its entry k is slot k, so the weight values are its data
+    as they stand, and its indices are int32 while the entry and column
+    counts are below 2**31, else int64 (``csr_index_dtype``).  Undirected:
+    the strictly upper triangular slot CSR U, row u holding slot (u, v) at
+    column v, with W = U + U^T.  Directed: the n x 3n step matrix above;
+    the int64 ``_indptr``, ``_indices`` and ``_class_col`` of the same rows
+    serve the gradient and the spectral-radius bound.
     """
 
     def __init__(self, node_count: int, edges: np.ndarray, directed: bool,
@@ -93,13 +135,6 @@ class Graph:
             self._build_directed()
         else:
             self._build_undirected()
-        # Contiguous copies of the two slot_ends columns: the gradients
-        # gather per-slot endpoint scores through them every alternation,
-        # and a strided column view reads twice the index memory.
-        self._slot_u = np.ascontiguousarray(self.slot_ends[:, 0])
-        self._slot_v = np.ascontiguousarray(self.slot_ends[:, 1])
-        key = self._slot_u * self.node_count + self._slot_v
-        self._slot_key = key  # lex-sorted by construction
         self._rho_bound: float | None = None
 
     @classmethod
@@ -144,21 +179,27 @@ class Graph:
 
     # -- derived structure ------------------------------------------------
 
+    def _set_slot_columns(self):
+        # Contiguous copies of the two slot_ends columns: the gradients
+        # gather per-slot endpoint scores through them every alternation,
+        # and a strided column view reads twice the index memory.
+        self._slot_u = np.ascontiguousarray(self.slot_ends[:, 0])
+        self._slot_v = np.ascontiguousarray(self.slot_ends[:, 1])
+        key = self._slot_u * self.node_count + self._slot_v
+        self._slot_key = key  # lex-sorted by construction
+
     def _build_undirected(self):
-        n = self.node_count
-        e = self.edges  # lex sorted unique rows, u < v
-        self.slot_ends = e
+        self.slot_ends = self.edges  # lex sorted unique rows, u < v
         self.pair_class = None
-        # Edge s is two adjacency entries, (u, v) and (v, u).  All 2E entry
-        # keys row * n + col are distinct, so sorting them gives CSR order.
-        m = e.shape[0]
-        key = np.concatenate([e[:, 0] * n + e[:, 1], e[:, 1] * n + e[:, 0]])
-        order = np.argsort(key)
-        key = key[order]
-        self._indptr = _row_starts(key, n)
-        self._indices = key % n
-        order[order >= m] -= m
-        self._entry_slot = order
+        self._set_slot_columns()
+        # Upper-triangular slot CSR: row u holds slot (u, v) at column v.
+        # The slots are sorted row-major, so entry k is slot k and the
+        # weight values are this CSR's data as they stand.
+        n = self.node_count
+        idx = csr_index_dtype(self.slot_count, n)
+        self._csr_indptr = np.searchsorted(
+            self._slot_u, np.arange(n + 1, dtype=np.int64)).astype(idx)
+        self._csr_indices = self._slot_v.astype(idx)
 
     def _build_directed(self):
         n = self.node_count
@@ -177,13 +218,19 @@ class Graph:
         ).astype(np.uint8)
         self.slot_ends = np.empty((pairs.size, 2), dtype=np.int64)
         np.divmod(pairs, n, out=(self.slot_ends[:, 0], self.slot_ends[:, 1]))
+        self._set_slot_columns()
         # Row-major sorted pairs double as the full CSR adjacency: entry k of
         # the concatenated rows is exactly slot k, so the weight values are
         # the CSR data as they stand.
         self._indptr = _row_starts(pairs, n)
-        self._indices = self.slot_ends[:, 1]
+        self._indices = self._slot_v
         # Column of slot (u, v) in the n x 3n directed step matrix.
         self._class_col = self.pair_class.astype(np.int64) * n + self._indices
+        # The step's CSR: the same rows with class columns, indices cast
+        # once to the narrowest type sparsetools takes.
+        idx = csr_index_dtype(self.slot_count, 3 * n)
+        self._csr_indptr = self._indptr.astype(idx)
+        self._csr_indices = self._class_col.astype(idx)
 
     # -- queries -----------------------------------------------------------
 
@@ -199,7 +246,9 @@ class Graph:
     @property
     def degrees(self) -> np.ndarray:
         """Adjacency-row lengths (connected-neighbor counts for directed)."""
-        return np.diff(self._indptr)
+        if self.directed:
+            return np.diff(self._indptr)
+        return np.bincount(self.slot_ends.ravel(), minlength=self.node_count)
 
     def edge_slot(self, u: int, v: int) -> int:
         """Weight-slot index of the ordered pair (u, v); undirected pairs
@@ -229,14 +278,15 @@ class Graph:
         graph.
         """
         if self._rho_bound is None:
-            n = self.node_count
-            adj = sparse.csr_matrix(
-                (np.ones(self._indices.size), self._indices, self._indptr),
-                shape=(n, n), copy=False)
-            x = np.ones(n)
+            ones = np.ones(self.slot_count)
+            x = np.ones(self.node_count)
             best = math.inf
             for _ in range(_RHO_BOUND_MAX_STEPS + 1):
-                ax = adj @ x
+                if self.directed:
+                    ax = np.zeros(x.size)
+                    _csr_matvec(self._indptr, self._indices, ones, x, ax)
+                else:
+                    ax = _symmetric_matvec(self._csr_indptr, self._csr_indices, ones, x)
                 best = min(best, float(np.max(ax / x)))
                 # NumPy reductions rather than a BLAS dot, which hands long
                 # vectors to a thread pool that stalls for milliseconds per

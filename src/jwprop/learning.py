@@ -179,22 +179,26 @@ def grad_rw_undirected(g: Graph, w: EdgeWeights, q: np.ndarray, p_t: np.ndarray,
                        regularizer: RegularizerKind = RegularizerKind.CONSISTENCY,
                        restart: float = 0.0,
                        p_next: np.ndarray | None = None,
-                       work: SlotWork | None = None) -> np.ndarray:
+                       work: SlotWork | None = None,
+                       inv_degrees: np.ndarray | None = None) -> np.ndarray:
     """Gradient for the both-label random walk ("rw-b").
 
     The degree normalization is treated as constant within the alternation,
     so a slot's loss contribution is the plain undirected one scaled by the
     receiving labeled node's inverse weighted degree and the non-restart
     mass.  ``p_next`` defaults to one "rw-b" step from ``p_t``.
+    ``inv_degrees`` passes in the inverse weighted degrees of ``w``, as the
+    step that made ``p_next`` used them.
     """
     if g.directed:
         raise InputError("grad_rw_undirected expects an undirected graph")
     _check_vectors(g, w, q, p_t)
+    inv = _inverse_degrees(g, w) if inv_degrees is None else inv_degrees
+    _check_vectors(g, w, inv)
     if p_next is None:
-        p_next = rw_step(g, w, q, p_t, "rw-b", restart)
+        p_next = rw_step(g, w, q, p_t, "rw-b", restart, inv)
     work = work or SlotWork(g.slot_count)
     err = _residuals(p_next, labels, g.node_count)
-    inv = _inverse_degrees(g, w)
     u, v = g._slot_u, g._slot_v
     pu, pv = _gather(p_t, u, work.a), _gather(p_t, v, work.b)
     # (1 - restart) * (err_u * pv * inv_u + err_v * pu * inv_v)

@@ -2,6 +2,12 @@
 
 All steps are Jacobi-style: the next score vector is computed entirely from
 the previous one, so a step is a data-parallel map over adjacency rows.
+Each step multiplies through the graph's prebuilt CSR (``Graph._csr_*``),
+whose data array is the weight vector itself: nothing is gathered, cast or
+constructed per call.  The undirected steps apply W = U + U^T from the
+upper-triangular slot CSR U in two passes that add each row's terms in the
+order a full symmetric CSR would.  The raw kernels check no bounds, so every
+step checks its vector lengths first.
 """
 
 from __future__ import annotations
@@ -9,10 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .errors import InputError, numbered_lines
-from .graph import EdgeWeights, Graph
+from .graph import EdgeWeights, Graph, _csr_matvec, _symmetric_matvec
 
 RW_VARIANTS = ("rw-n", "rw-p", "rw-b")
 
@@ -87,21 +92,14 @@ def _check_vectors(g: Graph, w: EdgeWeights, *vecs):
             )
 
 
-def _matvec(indptr, indices, data, p) -> np.ndarray:
-    n_rows = len(indptr) - 1
-    m = sparse.csr_matrix((data, indices, indptr), shape=(n_rows, p.shape[0]),
-                          copy=False)
-    return m @ p
-
-
 def lbp_step_undirected(g: Graph, w: EdgeWeights, q: np.ndarray,
                         p: np.ndarray) -> np.ndarray:
     """One additive propagation step q + W p on an undirected graph."""
     if g.directed:
         raise InputError("lbp_step_undirected expects an undirected graph")
     _check_vectors(g, w, q, p)
-    data = w.values[g._entry_slot]
-    return q + _matvec(g._indptr, g._indices, data, p)
+    y = _symmetric_matvec(g._csr_indptr, g._csr_indices, w.values, p)
+    return np.add(q, y, out=y)
 
 
 def _class_parts(p: np.ndarray) -> np.ndarray:
@@ -124,7 +122,9 @@ def lbp_step_directed(g: Graph, w: EdgeWeights, q: np.ndarray,
     if not g.directed:
         raise InputError("lbp_step_directed expects a directed graph")
     _check_vectors(g, w, q, p)
-    return q + _matvec(g._indptr, g._class_col, w.values, _class_parts(p))
+    y = np.zeros(g.node_count)
+    _csr_matvec(g._csr_indptr, g._csr_indices, w.values, _class_parts(p), y)
+    return np.add(q, y, out=y)
 
 
 def weighted_degrees(g: Graph, w: EdgeWeights) -> np.ndarray:
@@ -144,7 +144,8 @@ def _inverse_degrees(g: Graph, w: EdgeWeights) -> np.ndarray:
 
 
 def rw_step(g: Graph, w: EdgeWeights, q: np.ndarray, p: np.ndarray,
-            variant: str, restart: float) -> np.ndarray:
+            variant: str, restart: float,
+            inv_degrees: np.ndarray | None = None) -> np.ndarray:
     """One random-walk propagation step on an undirected graph.
 
     Each node collects degree-normalized score from its neighbors and mixes
@@ -152,7 +153,8 @@ def rw_step(g: Graph, w: EdgeWeights, q: np.ndarray, p: np.ndarray,
     ("rw-b") normalizes by the receiver's weighted degree; the single-label
     variants ("rw-n", "rw-p") normalize by the sender's.  Learned weights may
     be negative, so degrees sum |w|; a node with zero weighted degree keeps
-    restart * q.
+    restart * q.  ``inv_degrees`` passes in the inverse weighted degrees of
+    ``w`` when the caller already has them.
     """
     if g.directed:
         raise InputError("random-walk propagation supports undirected graphs only")
@@ -161,13 +163,16 @@ def rw_step(g: Graph, w: EdgeWeights, q: np.ndarray, p: np.ndarray,
     if not 0.0 <= restart <= 1.0:
         raise InputError("restart probability must lie in [0, 1]")
     _check_vectors(g, w, q, p)
-    inv = _inverse_degrees(g, w)
-    data = w.values[g._entry_slot]
+    inv = _inverse_degrees(g, w) if inv_degrees is None else inv_degrees
+    _check_vectors(g, w, inv)
     if variant == "rw-b":
-        moved = _matvec(g._indptr, g._indices, data, p) * inv
+        moved = _symmetric_matvec(g._csr_indptr, g._csr_indices, w.values, p)
+        moved *= inv
     else:
-        moved = _matvec(g._indptr, g._indices, data, p * inv)
-    return (1.0 - restart) * moved + restart * q
+        moved = _symmetric_matvec(g._csr_indptr, g._csr_indices, w.values, p * inv)
+    moved *= 1.0 - restart
+    moved += restart * q
+    return moved
 
 
 def classify(p: np.ndarray) -> np.ndarray:

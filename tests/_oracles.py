@@ -6,6 +6,7 @@ they validate.
 """
 
 import numpy as np
+from scipy import sparse
 
 from jwprop import EdgeWeights, Graph, LabelSet, RegularizerKind
 
@@ -16,6 +17,72 @@ def dense_undirected_matrix(g: Graph, w: EdgeWeights) -> np.ndarray:
     for s, (u, v) in enumerate(g.slot_ends):
         W[u, v] = W[v, u] = w.values[s]
     return W
+
+
+def scipy_symmetric_matrix(g: Graph, data) -> sparse.csr_matrix:
+    """Full symmetric CSR with ``data[s]`` at (u, v) and (v, u) for every
+    undirected slot s, built from ``slot_ends`` by public scipy alone.  Its
+    rows come out with ascending columns, so ``@`` adds each row's terms in
+    ascending column order."""
+    u, v = g.slot_ends[:, 0], g.slot_ends[:, 1]
+    return sparse.csr_matrix(
+        (np.concatenate([data, data]),
+         (np.concatenate([u, v]), np.concatenate([v, u]))),
+        shape=(g.node_count, g.node_count))
+
+
+def scipy_undirected_step(g, w, q, p):
+    return q + scipy_symmetric_matrix(g, w.values) @ p
+
+
+def scipy_rw_step(g, w, q, p, variant, restart):
+    """Random-walk step over ``scipy_symmetric_matrix``; weighted degrees
+    are |W| times the ones vector."""
+    W = scipy_symmetric_matrix(g, w.values)
+    d = scipy_symmetric_matrix(g, np.abs(w.values)) @ np.ones(g.node_count)
+    inv = np.zeros_like(d)
+    inv[d > 0] = 1.0 / d[d > 0]
+    moved = (W @ p) * inv if variant == "rw-b" else W @ (p * inv)
+    return (1.0 - restart) * moved + restart * q
+
+
+def scipy_directed_step(g, w, q, p):
+    """The directed step as one ``csr_matrix`` product: row u holds slot
+    (u, v) at column ``pair_class * n + v``, in slot order, and the input
+    is p, its negative part and its positive part."""
+    n = g.node_count
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(g.slot_ends[:, 0], minlength=n), out=indptr[1:])
+    cols = g.pair_class.astype(np.int64) * n + g.slot_ends[:, 1]
+    m = sparse.csr_matrix((w.values, cols, indptr), shape=(n, 3 * n))
+    return q + m @ np.concatenate([p, np.minimum(p, 0.0), np.maximum(p, 0.0)])
+
+
+def scipy_slot_adjacency(g: Graph) -> sparse.csr_matrix:
+    """0/1 CSR with a 1 at (u, v) for every stored slot, and at (v, u) too
+    for an undirected one."""
+    if not g.directed:
+        return scipy_symmetric_matrix(g, np.ones(g.slot_count))
+    return sparse.csr_matrix(
+        (np.ones(g.slot_count), (g.slot_ends[:, 0], g.slot_ends[:, 1])),
+        shape=(g.node_count, g.node_count))
+
+
+def scipy_spectral_radius_bound(g: Graph, rtol=1e-2, max_steps=30) -> float:
+    """``Graph.spectral_radius_bound``'s iteration over
+    ``scipy_slot_adjacency``."""
+    A = scipy_slot_adjacency(g)
+    x = np.ones(g.node_count)
+    best = np.inf
+    for _ in range(max_steps + 1):
+        ax = A @ x
+        best = min(best, float(np.max(ax / x)))
+        rayleigh = float(np.sum(x * ax)) / float(np.sum(x * x))
+        if best - rayleigh <= rtol * best:
+            break
+        x = ax + x
+        x /= x.max()
+    return best
 
 
 def dense_slot_adjacency(g: Graph) -> np.ndarray:
@@ -147,9 +214,10 @@ def directed_graph_with_isolated_tail() -> Graph:
 
 
 def reference_graph_arrays(edges, directed, node_count=None) -> dict:
-    """Graph arrays by the original construction: np.unique over rows, a
-    lexsort of the undirected adjacency entries, and np.unique over the
-    directed ordered pairs."""
+    """Graph arrays by the original construction: np.unique over rows and
+    over the directed ordered pairs, with CSR row pointers from bincounts.
+    The step's CSR (``_csr_indptr``, ``_csr_indices``) holds slot k as entry
+    k, with int32 indices (every graph here is far below 2**31 entries)."""
     e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     e = e[e[:, 0] != e[:, 1]]
     if not directed:
@@ -157,6 +225,12 @@ def reference_graph_arrays(edges, directed, node_count=None) -> dict:
     e = np.unique(e, axis=0)
     n = int(e.max()) + 1 if node_count is None else node_count
     out = {"edges": e}
+
+    def row_pointers(rows):
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        return indptr
+
     if directed:
         key_sorted = np.sort(e[:, 0] * n + e[:, 1])
         pairs = np.unique(np.concatenate([e, e[:, ::-1]], axis=0), axis=0)
@@ -168,19 +242,15 @@ def reference_graph_arrays(edges, directed, node_count=None) -> dict:
         fwd = contains(pairs[:, 0] * n + pairs[:, 1])
         bwd = contains(pairs[:, 1] * n + pairs[:, 0])
         pair_class = np.where(fwd & bwd, 0, np.where(fwd, 2, 1)).astype(np.uint8)
+        class_col = pair_class.astype(np.int64) * n + pairs[:, 1]
         out.update(slot_ends=pairs, pair_class=pair_class, _indices=pairs[:, 1],
-                   _class_col=pair_class.astype(np.int64) * n + pairs[:, 1])
-        rows = pairs[:, 0]
+                   _class_col=class_col, _indptr=row_pointers(pairs[:, 0]))
+        rows, cols = pairs[:, 0], class_col
     else:
-        s = np.arange(e.shape[0], dtype=np.int64)
-        rows = np.concatenate([e[:, 0], e[:, 1]])
-        cols = np.concatenate([e[:, 1], e[:, 0]])
-        slot = np.concatenate([s, s])
-        order = np.lexsort((cols, rows))
-        rows = rows[order]
-        out.update(slot_ends=e, _indices=cols[order], _entry_slot=slot[order])
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    out["_indptr"] = indptr
+        # upper triangle only: row u holds slot (u, v) at column v
+        out["slot_ends"] = e
+        rows, cols = e[:, 0], e[:, 1]
+    out["_csr_indptr"] = row_pointers(rows).astype(np.int32)
+    out["_csr_indices"] = cols.astype(np.int32)
     out["_slot_key"] = out["slot_ends"][:, 0] * n + out["slot_ends"][:, 1]
     return out

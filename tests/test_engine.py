@@ -20,10 +20,12 @@ from jwprop import (
     lbp_step_undirected,
     run,
     rw_step,
+    truth_class_slots,
     weight_class_means,
     write_diagnostics,
 )
-from jwprop.engine import METHOD_NAMES, METHOD_TABLE, method_for
+from jwprop import engine, propagation
+from jwprop.engine import DIAG_COLUMNS, METHOD_NAMES, METHOD_TABLE, method_for
 
 from _oracles import (
     dense_slot_adjacency,
@@ -274,6 +276,78 @@ class TestWeightTrend:
         assert hetero < r.w0
         # the diagnostics carry the same means per alternation
         assert r.diagnostics[-1].mean_hetero_weight == pytest.approx(hetero)
+
+
+def mask_class_means(g, w, truth):
+    """Homogeneous and heterogeneous mean weights through boolean masks
+    rebuilt from the labels on every call."""
+    y = np.zeros(g.node_count, dtype=np.int8)
+    y[truth.positive_array()] = 1
+    y[truth.negative_array()] = -1
+    u, v = g.slot_ends[:, 0], g.slot_ends[:, 1]
+    known = (y[u] != 0) & (y[v] != 0)
+    homo = known & (y[u] == y[v])
+    hetero = known & (y[u] != y[v])
+    hm = float(np.mean(w.values[homo])) if homo.any() else math.nan
+    ht = float(np.mean(w.values[hetero])) if hetero.any() else math.nan
+    return hm, ht
+
+
+def same_floats(a, b):
+    return all(x == y or (math.isnan(x) and math.isnan(y)) for x, y in zip(a, b))
+
+
+class TestPerRunInvariants:
+    SPEC = SynthSpec(node_count=150, attachment=3, seed=4, attack_edges=200,
+                     train_pos=15, train_neg=15)
+
+    def test_precomputed_class_slots_give_mask_means(self):
+        rng = np.random.default_rng(12)
+        g, truth, _ = build_sybil_benchmark(self.SPEC)
+        one_class = LabelSet(truth.positives, frozenset())  # no hetero slot
+        for labels in (truth, one_class, LabelSet.of([0], [])):
+            slots = truth_class_slots(g, labels)
+            for _ in range(5):
+                w = EdgeWeights(rng.uniform(-1, 1, g.slot_count))
+                want = mask_class_means(g, w, labels)
+                assert same_floats(weight_class_means(g, w, labels, slots), want)
+                assert same_floats(weight_class_means(g, w, labels), want)
+        assert math.isnan(weight_class_means(g, w, one_class)[1])
+        assert all(map(math.isnan, weight_class_means(g, w, LabelSet.of([0], []))))
+
+    @pytest.mark.parametrize("method", [Method.LBP_JWP_U, Method.RW_JWP_U])
+    def test_diagnostics_match_the_mask_path(self, monkeypatch, method):
+        g, truth, train = build_sybil_benchmark(self.SPEC)
+        cfg = JwpConfig(method=method, lam=1.0, gamma=0.1)
+        fast = run(g, train, cfg, truth=truth)
+        monkeypatch.setattr(engine, "weight_class_means",
+                            lambda g, w, truth, *_: mask_class_means(g, w, truth))
+        slow = run(g, train, cfg, truth=truth)
+        assert len(fast.diagnostics) == len(slow.diagnostics) > 1
+        for a, b in zip(fast.diagnostics, slow.diagnostics):
+            cols = [c for c in DIAG_COLUMNS if c != "wall_ms"]
+            assert same_floats([getattr(a, c) for c in cols],
+                               [getattr(b, c) for c in cols])
+        assert np.array_equal(fast.posteriors, slow.posteriors)
+
+    @pytest.mark.parametrize("method", [Method.RW_N, Method.RW_P, Method.RW_B,
+                                        Method.RW_JWP_U])
+    def test_weighted_degrees_once_per_weight_vector(self, monkeypatch, method):
+        g, truth, train = build_sybil_benchmark(self.SPEC)
+        calls = []
+        real = propagation.weighted_degrees
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(propagation, "weighted_degrees", counted)
+        cfg = JwpConfig(method=method, lam=1.0, gamma=0.1, tolerance=1e-300,
+                        max_alternations=15)
+        r = run(g, train, cfg, truth=truth)
+        assert r.alternations == 15
+        updates = r.alternations - 1 if METHOD_TABLE[method][2] else 0
+        assert len(calls) == updates + 1
 
 
 class TestDiagnostics:

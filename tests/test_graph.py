@@ -168,7 +168,10 @@ class TestParserEquivalence:
                     else _graph_or_error(lambda: Graph.from_edges(lines, directed)))
         if error is None:
             assert isinstance(loaded, Graph) and isinstance(by_lines, Graph)
-            for name in ("edges", "slot_ends", "_indptr", "_indices"):
+            names = ("edges", "slot_ends", "_csr_indptr", "_csr_indices")
+            if directed:
+                names += ("_indptr", "_indices")
+            for name in names:
                 assert np.array_equal(getattr(loaded, name), getattr(by_lines, name))
             assert loaded.node_count == by_lines.node_count
             assert loaded.self_loops_dropped == by_lines.self_loops_dropped
@@ -241,8 +244,8 @@ class TestParserEquivalence:
 
 
 class TestBuildMatchesReference:
-    ARRAYS = ("edges", "slot_ends", "_indptr", "_indices", "_slot_key")
-    DIRECTED_ARRAYS = ("pair_class", "_class_col")
+    ARRAYS = ("edges", "slot_ends", "_csr_indptr", "_csr_indices", "_slot_key")
+    DIRECTED_ARRAYS = ("pair_class", "_class_col", "_indptr", "_indices")
 
     @pytest.mark.parametrize("directed", [False, True])
     def test_random_graphs(self, directed):
@@ -260,7 +263,7 @@ class TestBuildMatchesReference:
             node_count = None if trial % 2 else n + int(rng.integers(0, 4))
             g = Graph.from_edges(raw, directed, node_count)
             ref = reference_graph_arrays(raw, directed, node_count)
-            names = self.ARRAYS + (self.DIRECTED_ARRAYS if directed else ("_entry_slot",))
+            names = self.ARRAYS + (self.DIRECTED_ARRAYS if directed else ())
             for name in names:
                 got, want = getattr(g, name), ref[name]
                 assert got.dtype == want.dtype, name

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.sparse import _sparsetools
 
 from jwprop import (
     BIDIRECTIONAL,
@@ -21,6 +22,8 @@ from jwprop import (
     weighted_degrees,
     write_labels,
 )
+from jwprop.graph import csr_index_dtype
+from jwprop.propagation import RW_VARIANTS, _inverse_degrees
 
 from _oracles import (
     dense_directed_step,
@@ -29,6 +32,10 @@ from _oracles import (
     random_directed_graph,
     random_undirected_graph,
     random_weights,
+    scipy_directed_step,
+    scipy_rw_step,
+    scipy_spectral_radius_bound,
+    scipy_undirected_step,
 )
 
 finite_vec = st.lists(
@@ -319,6 +326,109 @@ class TestRwStep:
         w = EdgeWeights.uniform(g, 0.5)
         with pytest.raises(InputError):
             rw_step(g, w, np.zeros(2), np.zeros(2), "rw-b", 1.5)
+
+
+def raw_pair_graphs(directed, count=200, seed=21):
+    """Seeded random graphs from raw pairs: duplicate rows, reversed copies
+    and self-loops; isolated nodes, and trailing ones past the largest id
+    on every other graph.  The first graph is a single edge."""
+    rng = np.random.default_rng(seed)
+    yield Graph.from_edges([(0, 1)], directed)
+    for trial in range(count - 1):
+        n = int(rng.integers(2, 40))
+        raw = rng.integers(0, n, size=(int(rng.integers(1, 100)), 2))
+        extra = raw[rng.random(raw.shape[0]) < 0.3]
+        raw = np.concatenate([raw, extra, extra[:, ::-1], [(0, 1)]])
+        node_count = None if trial % 2 else n + int(rng.integers(1, 4))
+        yield Graph.from_edges(raw, directed, node_count)
+
+
+class TestPrebuiltCsrSteps:
+    """The steps and the spectral-radius bound run on the graph's prebuilt
+    CSR through raw sparsetools kernels; each must equal, bit for bit, the
+    same product through a public scipy csr_matrix."""
+
+    def test_undirected_steps_and_bound_match_scipy(self):
+        rng = np.random.default_rng(22)
+        for g in raw_pair_graphs(directed=False):
+            n = g.node_count
+            w = EdgeWeights(rng.uniform(-1.0, 1.0, g.slot_count))
+            q = rng.uniform(-1, 1, n)
+            p = rng.uniform(-1, 1, n)
+            assert np.array_equal(lbp_step_undirected(g, w, q, p),
+                                  scipy_undirected_step(g, w, q, p))
+            for variant in RW_VARIANTS:
+                assert np.array_equal(rw_step(g, w, q, p, variant, 0.15),
+                                      scipy_rw_step(g, w, q, p, variant, 0.15))
+            assert g.spectral_radius_bound() == scipy_spectral_radius_bound(g)
+
+    def test_directed_step_and_bound_match_scipy(self):
+        rng = np.random.default_rng(23)
+        for g in raw_pair_graphs(directed=True):
+            n = g.node_count
+            w = EdgeWeights(rng.uniform(-1.0, 1.0, g.slot_count))
+            q = rng.uniform(-1, 1, n)
+            p = rng.uniform(-1, 1, n)
+            assert np.array_equal(lbp_step_directed(g, w, q, p),
+                                  scipy_directed_step(g, w, q, p))
+            assert g.spectral_radius_bound() == scipy_spectral_radius_bound(g)
+
+    def test_given_inverse_degrees_change_nothing(self):
+        rng = np.random.default_rng(24)
+        g = random_undirected_graph(rng, 25)
+        w = random_weights(rng, g)
+        q = rng.uniform(-1, 1, 25)
+        p = rng.uniform(-1, 1, 25)
+        inv = _inverse_degrees(g, w)
+        for variant in RW_VARIANTS:
+            assert np.array_equal(rw_step(g, w, q, p, variant, 0.15, inv),
+                                  rw_step(g, w, q, p, variant, 0.15))
+        with pytest.raises(InputError):
+            rw_step(g, w, q, p, "rw-b", 0.15, inv[:-1])
+
+    def test_sparsetools_kernels_add_into_y(self):
+        # The steps rely on both kernels adding onto y as it stands, row
+        # i's terms one at a time in entry order, starting from y[i].
+        # A = [[1, 2], [0, 3]] as CSR; the same arrays read as CSC are A^T.
+        indptr = np.array([0, 2, 3], dtype=np.int32)
+        indices = np.array([0, 1, 1], dtype=np.int32)
+        data = np.array([1.0, 2.0, 3.0])
+        x = np.array([1.0, 10.0])
+        y = np.array([100.0, 200.0])
+        _sparsetools.csr_matvec(2, 2, indptr, indices, data, x, y)
+        assert y.tolist() == [121.0, 230.0]
+        y = np.array([100.0, 200.0])
+        _sparsetools.csc_matvec(2, 2, indptr, indices, data, x, y)
+        assert y.tolist() == [101.0, 232.0]
+        # Accumulation order: at 1e16 the float spacing is 2, so adding 1.0
+        # twice onto y[0] rounds away both times, where adding 1.0 + 1.0
+        # would not.  Here the CSR is one row with two entries, and the
+        # CSC one column with two entries in row 0.
+        ones = np.ones(2)
+        two = np.array([0, 2], dtype=np.int32)
+        y = np.array([1e16])
+        _sparsetools.csr_matvec(1, 2, two, np.array([0, 1], dtype=np.int32),
+                                ones, ones, y)
+        assert y.tolist() == [1e16]
+        y = np.array([1e16, 0.0])
+        _sparsetools.csc_matvec(2, 1, two, np.array([0, 0], dtype=np.int32),
+                                ones, ones[:1], y)
+        assert y.tolist() == [1e16, 0.0]
+
+    def test_index_dtype_choice(self):
+        top = 2 ** 31 - 1
+        assert csr_index_dtype(0, 1) is np.int32
+        assert csr_index_dtype(top, top) is np.int32
+        assert csr_index_dtype(top + 1, 10) is np.int64
+        assert csr_index_dtype(10, top + 1) is np.int64
+        assert csr_index_dtype(2 ** 40, 2 ** 40) is np.int64
+
+    def test_graph_uses_chosen_index_dtype(self):
+        g = Graph.from_edges([(0, 1), (1, 2)], directed=False)
+        d = Graph.from_edges([(0, 1), (1, 2)], directed=True)
+        for graph in (g, d):
+            assert graph._csr_indptr.dtype == np.int32
+            assert graph._csr_indices.dtype == np.int32
 
 
 class TestLabelFiles:
