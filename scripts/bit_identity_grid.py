@@ -4,15 +4,18 @@ change to the kernels leaves every bit of every result where it was.
 
 The grid is every method x every regularizer x gamma in {0.01, 1} x seeds
 0-2 (192 runs) on the planted-Sybil benchmark, with ground-truth
-diagnostics on.  The undirected methods run on the benchmark graph, the
-directed ones on a 0.6-keep ``directed_sample`` of it.  The hash covers each
-run's posteriors, weights and diagnostics except ``wall_ms``, in grid order.
+diagnostics on, at lam = 1 by default.  The undirected methods run on the
+benchmark graph, the directed ones on a 0.6-keep ``directed_sample`` of it.
+The hash covers each run's posteriors, weights and diagnostics except
+``wall_ms``, in grid order.
 
     PYTHONPATH=src python scripts/bit_identity_grid.py
 
 Run it on two checkouts (point PYTHONPATH at each ``src``) and compare the
 printed hashes; ``--per-run`` prints one hash per run to find the first
-that differs.
+that differs.  At lam = 1 the factor -lam of the consistency gradient is
+exact, so a reordering of (-lam * p_u) * p_v goes unseen; ``--lam auto``
+runs the grid at each graph's default lam = min(1, 10 / average degree).
 """
 
 import argparse
@@ -56,9 +59,12 @@ def main() -> int:
     ap.add_argument("--m", type=int, default=10)
     ap.add_argument("--attack-edges", type=int, default=2500)
     ap.add_argument("--train-per-class", type=int, default=50)
+    ap.add_argument("--lam", choices=("1.0", "auto"), default="1.0",
+                    help="weight of the regularizer; auto resolves it per graph")
     ap.add_argument("--per-run", action="store_true",
                     help="also print one hash per run")
     args = ap.parse_args()
+    lam = None if args.lam == "auto" else float(args.lam)
 
     total = hashlib.sha256()
     count = 0
@@ -73,7 +79,7 @@ def main() -> int:
             graph = gd if method in (Method.LBP_D, Method.LBP_JWP_D) else g
             for reg in RegularizerKind:
                 for gamma in GAMMAS:
-                    cfg = JwpConfig(method=method, regularizer=reg, lam=1.0,
+                    cfg = JwpConfig(method=method, regularizer=reg, lam=lam,
                                     gamma=gamma)
                     digest = run_digest(run(graph, train, cfg, truth=truth))
                     total.update(digest)

@@ -12,9 +12,18 @@ LBP, random walk), named in ``METHOD_TABLE``.  ``run`` resolves the
 family's priors, default weights, step and gradient once, before the loop;
 the steps live in ``propagation`` and their gradients in ``learning``.
 What stays fixed across alternations is also computed before the loop and
-passed in: the ground-truth slot classes behind ``weight_class_means``, and
-the random walk's inverse weighted degrees, which are recomputed only after
-a weight update and shared by the step and the gradient.
+passed in: the ground-truth slot classes behind ``weight_class_means``, the
+labeled slots that carry the gradient's loss term, and the random walk's
+inverse weighted degrees, which are recomputed only after a weight update
+and shared by the step and the gradient.
+
+One alternation runs: step, convergence check, gradient (its consistency
+term reads the endpoint scores of the previous score vector), one gather
+of the new score vector's endpoint scores into the same pair of work
+arrays, the loss and consistency diagnostics under the weights just
+propagated with, the weight update in place, and the class means.  The
+kept endpoint scores serve the next alternation's gradient, so each score
+vector is gathered once (the priors once more, before the first gradient).
 """
 
 from __future__ import annotations
@@ -30,8 +39,10 @@ import numpy as np
 from .errors import InputError, NumericalError
 from .graph import EdgeWeights, Graph
 from .learning import (
+    LabeledSlots,
     RegularizerKind,
     SlotWork,
+    _gather_ends,
     apply_gradient_step,
     consistency_value,
     grad_directed,
@@ -274,6 +285,11 @@ def run(g: Graph, labels: LabelSet, cfg: JwpConfig,
     work = SlotWork(g.slot_count)
     class_slots = (truth_class_slots(g, truth)
                    if truth is not None and collect_diagnostics else None)
+    labeled = LabeledSlots(g, labels) if learn else None
+    # The endpoint scores of the latest score vector, kept in work.a and
+    # work.b for the diagnostics and the next consistency gradient.
+    keep_ends = learn and cfg.regularizer is RegularizerKind.CONSISTENCY
+    ends = _gather_ends(g, w, q, work) if keep_ends else None
     # The random walk's inverse weighted degrees, for the step and the
     # gradient of the weights they were computed from.
     rw_degrees = {"inv_degrees": _inverse_degrees(g, w)} if family == "rw" else {}
@@ -285,15 +301,20 @@ def run(g: Graph, labels: LabelSet, cfg: JwpConfig,
         metric = convergence_metric(p, p_prev)
         alternations = t
         converged = metric < cfg.tolerance
+        update = learn and not converged and t < cfg.max_alternations
+        grad_inf = math.nan
+        if update:
+            grad = gradient(g, w, q, p_prev, labels, lam, cfg.regularizer,
+                            p_next=p, work=work, ends=ends, labeled=labeled,
+                            **rw_degrees)
+            grad_inf = float(np.max(np.abs(grad))) if grad.size else 0.0
+        if collect_diagnostics or (keep_ends and update):
+            ends = _gather_ends(g, w, p, work)
         if collect_diagnostics:
             with np.errstate(over="ignore"):  # inf diagnostics on divergence
                 loss_val = training_loss(p, labels)
-                cons_val = consistency_value(g, w, p, work)
-        grad_inf = math.nan
-        if learn and not converged and t < cfg.max_alternations:
-            grad = gradient(g, w, q, p_prev, labels, lam, cfg.regularizer,
-                            p_next=p, work=work, **rw_degrees)
-            grad_inf = float(np.max(np.abs(grad))) if grad.size else 0.0
+                cons_val = consistency_value(g, w, p, work, ends=ends)
+        if update:
             w = apply_gradient_step(w, grad, cfg.gamma, work, out=w.values)
             if rw_degrees:
                 rw_degrees["inv_degrees"] = _inverse_degrees(g, w)

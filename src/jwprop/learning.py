@@ -6,6 +6,15 @@ rewards weights whose sign agrees with the product of the endpoint scores;
 l1/l2 are the conventional penalties; "none" drops the term.  Gradients are
 closed-form because the current score vector is held fixed while the next
 one is linear in the weights.
+
+Each gradient writes the regularizer's term over every slot, then adds the
+loss term on the labeled slots only (``LabeledSlots``): the residual
+p_next - y is zero off the labeled nodes, so the loss term is zero on every
+other slot.  The consistency term and ``consistency_value`` read a score
+vector's endpoint scores p[u] and p[v] per slot.  ``engine.run`` gathers
+them once per score vector (``_gather_ends``) and passes them to both, so an
+alternation passes over all slots once per score vector; a standalone call
+gathers what it is not given.
 """
 
 from __future__ import annotations
@@ -49,6 +58,13 @@ class SlotWork:
     ``apply_gradient_step``, allocated once per run and reused by every
     alternation.
 
+    ``a`` and ``b`` hold the endpoint scores p[u] and p[v] of one score
+    vector (``_gather_ends``); ``engine.run`` keeps them from the
+    diagnostics of one alternation to the gradient of the next, so nothing
+    else writes there.  ``c`` is scratch for ``consistency_value`` and
+    ``apply_gradient_step``, ``grad`` receives the gradient and ``mask``
+    the update's finiteness test.
+
     Fresh slot-sized temporaries on every call cost page faults: glibc
     serves blocks above its mmap threshold by mmap and returns them on
     free, so each one is faulted in again.  A gradient written here stays
@@ -60,8 +76,30 @@ class SlotWork:
         self.a = np.empty(slot_count)
         self.b = np.empty(slot_count)
         self.c = np.empty(slot_count)
-        self.d = np.empty(slot_count)
         self.mask = np.empty(slot_count, dtype=bool)
+
+
+class LabeledSlots:
+    """The slots whose loss term can be nonzero, found once per run.
+
+    Undirected: the slots with a labeled endpoint.  Directed: the slots
+    whose row owner is labeled, the only endpoint whose next score the
+    slot's weight moves.  ``idx`` holds the slot indices in ascending
+    order, ``u`` and ``v`` their endpoints and, for a directed graph,
+    ``col`` their columns in the step's n x 3n matrix.
+    """
+
+    def __init__(self, g: Graph, labels: LabelSet):
+        is_labeled = np.zeros(g.node_count, dtype=bool)
+        is_labeled[labels.positive_array()] = True
+        is_labeled[labels.negative_array()] = True
+        mask = is_labeled[g._slot_u]
+        if not g.directed:
+            mask |= is_labeled[g._slot_v]
+        self.idx = np.flatnonzero(mask)
+        self.u = g._slot_u[self.idx]
+        self.v = g._slot_v[self.idx]
+        self.col = g._class_col[self.idx] if g.directed else None
 
 
 def _gather(values: np.ndarray, idx: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -70,14 +108,23 @@ def _gather(values: np.ndarray, idx: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.take(values, idx, out=out, mode="clip")
 
 
+def _gather_ends(g: Graph, w: EdgeWeights, p: np.ndarray,
+                 work: SlotWork) -> tuple[np.ndarray, np.ndarray]:
+    """p[u] and p[v] per slot, in ``work.a`` and ``work.b``."""
+    _check_vectors(g, w, p)
+    return _gather(p, g._slot_u, work.a), _gather(p, g._slot_v, work.b)
+
+
 def consistency_value(g: Graph, w: EdgeWeights, p: np.ndarray,
-                      work: SlotWork | None = None) -> float:
+                      work: SlotWork | None = None, *,
+                      ends: tuple[np.ndarray, np.ndarray] | None = None) -> float:
     """Sum of p_u * p_v * w over stored slots (per edge when undirected,
-    per ordered pair when directed)."""
+    per ordered pair when directed).  ``ends`` passes in p's endpoint
+    scores as ``_gather_ends`` returns them."""
     _check_vectors(g, w, p)
     work = work or SlotWork(g.slot_count)
-    prod = _gather(p, g._slot_u, work.a)
-    prod *= _gather(p, g._slot_v, work.b)
+    pu, pv = ends if ends is not None else _gather_ends(g, w, p, work)
+    prod = np.multiply(pu, pv, out=work.c)
     prod *= w.values
     return float(np.sum(prod))
 
@@ -93,37 +140,43 @@ def _residuals(p_next: np.ndarray, labels: LabelSet, n: int) -> np.ndarray:
     return err
 
 
-def _add_regularizer_grad(grad: np.ndarray, kind: RegularizerKind, lam: float,
-                          w_vals: np.ndarray, pu: np.ndarray, pv: np.ndarray):
-    # Adds the regularizer's gradient to grad.  pu and pv hold the endpoint
-    # scores p_t[u] and p_t[v] for the consistency term; pu is overwritten.
+def _regularizer_grad(g: Graph, w: EdgeWeights, p_t: np.ndarray,
+                      kind: RegularizerKind, lam: float, work: SlotWork,
+                      ends: tuple[np.ndarray, np.ndarray] | None) -> np.ndarray:
+    # Writes the regularizer's gradient over every slot into work.grad.
+    # Only the consistency term reads the endpoint scores p_t[u], p_t[v];
+    # they are gathered here unless passed in as ends.
+    grad = work.grad
     if kind is RegularizerKind.CONSISTENCY:
-        pu *= -lam
-        pu *= pv
-        grad += pu
+        pu, pv = ends if ends is not None else _gather_ends(g, w, p_t, work)
+        np.multiply(pu, -lam, out=grad)
+        grad *= pv
     elif kind is RegularizerKind.L1:
         # subgradient 0 at w == 0
-        np.sign(w_vals, out=pu)
-        pu *= lam
-        grad += pu
+        np.sign(w.values, out=grad)
+        grad *= lam
     elif kind is RegularizerKind.L2:
-        np.multiply(w_vals, 2.0 * lam, out=pu)
-        grad += pu
+        np.multiply(w.values, 2.0 * lam, out=grad)
     else:
-        grad += 0.0
+        grad.fill(0.0)
+    return grad
 
 
 def grad_undirected(g: Graph, w: EdgeWeights, q: np.ndarray, p_t: np.ndarray,
                     labels: LabelSet, lam: float,
                     regularizer: RegularizerKind = RegularizerKind.CONSISTENCY,
                     p_next: np.ndarray | None = None,
-                    work: SlotWork | None = None) -> np.ndarray:
+                    work: SlotWork | None = None, *,
+                    ends: tuple[np.ndarray, np.ndarray] | None = None,
+                    labeled: LabeledSlots | None = None) -> np.ndarray:
     """Objective gradient per undirected weight slot.
 
     Both labeled endpoints of an edge contribute to the shared slot:
     (p_next_u - y_u) * p_t_v when u is labeled, and symmetrically for v,
     plus the regularizer term.  ``p_next`` defaults to one propagation step
-    from ``p_t`` under the current weights.
+    from ``p_t`` under the current weights.  ``ends`` passes in p_t's
+    endpoint scores (``_gather_ends``), ``labeled`` the
+    ``LabeledSlots(g, labels)``.
     """
     if g.directed:
         raise InputError("grad_undirected expects an undirected graph")
@@ -131,15 +184,17 @@ def grad_undirected(g: Graph, w: EdgeWeights, q: np.ndarray, p_t: np.ndarray,
     if p_next is None:
         p_next = lbp_step_undirected(g, w, q, p_t)
     work = work or SlotWork(g.slot_count)
+    labeled = labeled or LabeledSlots(g, labels)
     err = _residuals(p_next, labels, g.node_count)
-    u, v = g._slot_u, g._slot_v
-    pu, pv = _gather(p_t, u, work.a), _gather(p_t, v, work.b)
-    grad = _gather(err, u, work.grad)
-    grad *= pv
-    term = _gather(err, v, work.c)
-    term *= pu
-    grad += term
-    _add_regularizer_grad(grad, regularizer, lam, w.values, pu, pv)
+    u, v = labeled.u, labeled.v
+    # err_u * p_t_v + err_v * p_t_u on the labeled slots
+    loss = err[u]
+    loss *= p_t[v]
+    term = err[v]
+    term *= p_t[u]
+    loss += term
+    grad = _regularizer_grad(g, w, p_t, regularizer, lam, work, ends)
+    grad[labeled.idx] = loss + grad[labeled.idx]
     return grad
 
 
@@ -147,14 +202,16 @@ def grad_directed(g: Graph, w: EdgeWeights, q: np.ndarray, p_t: np.ndarray,
                   labels: LabelSet, lam: float,
                   regularizer: RegularizerKind = RegularizerKind.CONSISTENCY,
                   p_next: np.ndarray | None = None,
-                  work: SlotWork | None = None) -> np.ndarray:
+                  work: SlotWork | None = None, *,
+                  ends: tuple[np.ndarray, np.ndarray] | None = None,
+                  labeled: LabeledSlots | None = None) -> np.ndarray:
     """Objective gradient per ordered-pair slot of a directed graph.
 
     Only the row owner u of slot (u, v) contributes loss signal, scaled by
     the part of p_t_v that the pair class lets through (full score for
     bidirectional pairs, negative part for incoming-only, positive part for
     outgoing-only): the entry of the step's input vector in slot (u, v)'s
-    column.
+    column.  ``ends`` and ``labeled`` are as for ``grad_undirected``.
     """
     if not g.directed:
         raise InputError("grad_directed expects a directed graph")
@@ -162,15 +219,12 @@ def grad_directed(g: Graph, w: EdgeWeights, q: np.ndarray, p_t: np.ndarray,
     if p_next is None:
         p_next = lbp_step_directed(g, w, q, p_t)
     work = work or SlotWork(g.slot_count)
+    labeled = labeled or LabeledSlots(g, labels)
     err = _residuals(p_next, labels, g.node_count)
-    src = g._slot_u
-    grad = _gather(err, src, work.grad)
-    grad *= _gather(_class_parts(p_t), g._class_col, work.a)
-    pu, pv = work.a, work.b
-    if regularizer is RegularizerKind.CONSISTENCY:
-        _gather(p_t, src, pu)
-        _gather(p_t, g._slot_v, pv)
-    _add_regularizer_grad(grad, regularizer, lam, w.values, pu, pv)
+    loss = err[labeled.u]
+    loss *= _class_parts(p_t)[labeled.col]
+    grad = _regularizer_grad(g, w, p_t, regularizer, lam, work, ends)
+    grad[labeled.idx] = loss + grad[labeled.idx]
     return grad
 
 
@@ -180,7 +234,9 @@ def grad_rw_undirected(g: Graph, w: EdgeWeights, q: np.ndarray, p_t: np.ndarray,
                        restart: float = 0.0,
                        p_next: np.ndarray | None = None,
                        work: SlotWork | None = None,
-                       inv_degrees: np.ndarray | None = None) -> np.ndarray:
+                       inv_degrees: np.ndarray | None = None, *,
+                       ends: tuple[np.ndarray, np.ndarray] | None = None,
+                       labeled: LabeledSlots | None = None) -> np.ndarray:
     """Gradient for the both-label random walk ("rw-b").
 
     The degree normalization is treated as constant within the alternation,
@@ -188,7 +244,8 @@ def grad_rw_undirected(g: Graph, w: EdgeWeights, q: np.ndarray, p_t: np.ndarray,
     receiving labeled node's inverse weighted degree and the non-restart
     mass.  ``p_next`` defaults to one "rw-b" step from ``p_t``.
     ``inv_degrees`` passes in the inverse weighted degrees of ``w``, as the
-    step that made ``p_next`` used them.
+    step that made ``p_next`` used them.  ``ends`` and ``labeled`` are as
+    for ``grad_undirected``.
     """
     if g.directed:
         raise InputError("grad_rw_undirected expects an undirected graph")
@@ -198,19 +255,21 @@ def grad_rw_undirected(g: Graph, w: EdgeWeights, q: np.ndarray, p_t: np.ndarray,
     if p_next is None:
         p_next = rw_step(g, w, q, p_t, "rw-b", restart, inv)
     work = work or SlotWork(g.slot_count)
+    labeled = labeled or LabeledSlots(g, labels)
     err = _residuals(p_next, labels, g.node_count)
-    u, v = g._slot_u, g._slot_v
-    pu, pv = _gather(p_t, u, work.a), _gather(p_t, v, work.b)
-    # (1 - restart) * (err_u * pv * inv_u + err_v * pu * inv_v)
-    grad = _gather(err, u, work.grad)
-    grad *= pv
-    grad *= _gather(inv, u, work.c)
-    term = _gather(err, v, work.c)
-    term *= pu
-    term *= _gather(inv, v, work.d)
-    grad += term
-    grad *= 1.0 - restart
-    _add_regularizer_grad(grad, regularizer, lam, w.values, pu, pv)
+    u, v = labeled.u, labeled.v
+    # (1 - restart) * (err_u * pv * inv_u + err_v * pu * inv_v) on the
+    # labeled slots
+    loss = err[u]
+    loss *= p_t[v]
+    loss *= inv[u]
+    term = err[v]
+    term *= p_t[u]
+    term *= inv[v]
+    loss += term
+    loss *= 1.0 - restart
+    grad = _regularizer_grad(g, w, p_t, regularizer, lam, work, ends)
+    grad[labeled.idx] = loss + grad[labeled.idx]
     return grad
 
 
@@ -234,7 +293,7 @@ def apply_gradient_step(w: EdgeWeights, grad: np.ndarray, gamma: float,
         bad = int(np.flatnonzero(~finite)[0])
         raise NumericalError(f"non-finite gradient entry at slot {bad}")
     bound = w.clamp_bound
-    step = np.multiply(grad, gamma, out=work.a)
+    step = np.multiply(grad, gamma, out=work.c)
     vals = np.subtract(w.values, step, out=out)
     np.clip(vals, -bound, bound, out=vals)
     return EdgeWeights(vals, bound)

@@ -13,6 +13,7 @@ step checks its vector lengths first.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -45,12 +46,24 @@ class LabelSet:
         return len(self.positives) + len(self.negatives)
 
     def positive_array(self) -> np.ndarray:
-        return np.fromiter(sorted(self.positives), dtype=np.int64,
-                           count=len(self.positives))
+        """The positive ids in ascending order, built once per label set
+        and read-only."""
+        return self._sorted_ids[0]
 
     def negative_array(self) -> np.ndarray:
-        return np.fromiter(sorted(self.negatives), dtype=np.int64,
-                           count=len(self.negatives))
+        """The negative ids in ascending order, built once per label set
+        and read-only."""
+        return self._sorted_ids[1]
+
+    @cached_property
+    def _sorted_ids(self) -> tuple[np.ndarray, np.ndarray]:
+        # cached_property writes the instance __dict__ directly, which the
+        # frozen dataclass allows; equality and hashing see only the fields.
+        arrays = tuple(np.fromiter(sorted(ids), dtype=np.int64, count=len(ids))
+                       for ids in (self.positives, self.negatives))
+        for arr in arrays:
+            arr.flags.writeable = False
+        return arrays
 
     def exclude(self, other: "LabelSet") -> "LabelSet":
         drop = other.positives | other.negatives
@@ -128,10 +141,17 @@ def lbp_step_directed(g: Graph, w: EdgeWeights, q: np.ndarray,
 
 
 def weighted_degrees(g: Graph, w: EdgeWeights) -> np.ndarray:
-    """Per-node sum of |weight| over incident edges (undirected graphs)."""
-    aw = np.abs(w.values)
-    return np.bincount(g.slot_ends.ravel(), weights=np.repeat(aw, 2),
-                       minlength=g.node_count)
+    """Per-node sum of |weight| over incident edges (undirected graphs).
+
+    |W| times the ones vector: each node adds the weights of its lower
+    neighbors and then of its upper ones, in ascending order, which is the
+    slot order a ``bincount`` over ``slot_ends.ravel()`` adds them in.
+    """
+    if g.directed:
+        raise InputError("weighted_degrees expects an undirected graph")
+    w.check(g)
+    return _symmetric_matvec(g._csr_indptr, g._csr_indices, np.abs(w.values),
+                             np.ones(g.node_count))
 
 
 def _inverse_degrees(g: Graph, w: EdgeWeights) -> np.ndarray:

@@ -44,36 +44,28 @@ def gen_pa(n: int, m: int, seed: int) -> Graph:
     if m < 1 or m >= n:
         raise InputError("gen_pa needs 1 <= m < n")
     rng = np.random.default_rng(seed)
-    total = m * (m - 1) // 2 + (n - m) * m
-    edges = np.empty((total, 2), dtype=np.int64)
-    # Flattened endpoint list: sampling an entry uniformly is sampling a
-    # node proportionally to its degree.
+    clique = m * (m - 1) // 2
+    total = clique + (n - m) * m
+    # Flattened endpoint list, edge by edge: sampling an entry uniformly is
+    # sampling a node proportionally to its degree.  Each edge's first entry
+    # is known up front (the seed clique's rows, then each new node m
+    # times); the targets fill the second entries as they are drawn.
     ends = np.empty(2 * total, dtype=np.int64)
-    cnt = 0
-    fill = 0
-    for i in range(m):
-        for j in range(i + 1, m):
-            edges[cnt] = (i, j)
-            ends[fill] = i
-            ends[fill + 1] = j
-            cnt += 1
-            fill += 2
-    for new in range(m, n):
+    ends[0:2 * clique:2], ends[1:2 * clique:2] = np.triu_indices(m, k=1)
+    ends[2 * clique::2] = np.repeat(np.arange(m, n, dtype=np.int64), m)
+    fill = 2 * clique
+    for _ in range(m, n):
         if fill == 0:
             # m == 1: the single seed node still has degree zero.
-            targets = {0}
+            targets = [0]
         else:
-            targets: set[int] = set()
-            while len(targets) < m:
-                draw = ends[rng.integers(0, fill, size=m - len(targets))]
-                targets.update(int(t) for t in draw)
-        for t in sorted(targets):
-            edges[cnt] = (new, t)
-            ends[fill] = new
-            ends[fill + 1] = t
-            cnt += 1
-            fill += 2
-    return Graph.from_edges(edges[:cnt], directed=False, node_count=n)
+            drawn: set[int] = set()
+            while len(drawn) < m:
+                drawn.update(ends[rng.integers(0, fill, size=m - len(drawn))].tolist())
+            targets = sorted(drawn)
+        ends[fill + 1:fill + 2 * m:2] = targets
+        fill += 2 * m
+    return Graph.from_edges(ends.reshape(-1, 2), directed=False, node_count=n)
 
 
 def directed_sample(g: Graph, keep_fraction: float, seed: int) -> Graph:
@@ -110,23 +102,20 @@ def synth_sybil_replicate(g: Graph, k: int, seed: int) -> tuple[Graph, LabelSet]
     base = g.slot_ends
     mirrored = base + n
     rng = np.random.default_rng(seed)
-    chosen: list[int] = []
-    seen: set[int] = set()
-    while len(chosen) < k:
-        batch = rng.integers(0, n * n, size=max(k - len(chosen), 1) + 16)
-        for code in batch:
-            code = int(code)
-            if code not in seen:
-                seen.add(code)
-                chosen.append(code)
-                if len(chosen) == k:
-                    break
-    if k:
-        codes = np.asarray(chosen, dtype=np.int64)
-        attack = np.stack([codes // n, codes % n + n], axis=1)
-        all_edges = np.concatenate([base, mirrored, attack], axis=0)
-    else:
-        all_edges = np.concatenate([base, mirrored], axis=0)
+    # Codes u * n + v in the order first drawn, skipping repeats; each batch
+    # draws 16 more than are still missing.
+    codes = np.empty(k, dtype=np.int64)
+    count = 0
+    while count < k:
+        batch = rng.integers(0, n * n, size=k - count + 16)
+        _, first = np.unique(batch, return_index=True)
+        first.sort()
+        fresh = batch[first]
+        fresh = fresh[~np.isin(fresh, codes[:count])][:k - count]
+        codes[count:count + fresh.size] = fresh
+        count += fresh.size
+    attack = np.stack([codes // n, codes % n + n], axis=1)
+    all_edges = np.concatenate([base, mirrored, attack], axis=0)
     truth = LabelSet(frozenset(range(n, 2 * n)), frozenset(range(n)))
     return Graph.from_edges(all_edges, directed=False, node_count=2 * n), truth
 

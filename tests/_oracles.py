@@ -254,3 +254,113 @@ def reference_graph_arrays(edges, directed, node_count=None) -> dict:
     out["_csr_indices"] = cols.astype(np.int32)
     out["_slot_key"] = out["slot_ends"][:, 0] * n + out["slot_ends"][:, 1]
     return out
+
+
+# -- full-slot gradients --------------------------------------------------------
+# The gradient formulas evaluated over every slot, each operation in the
+# order the package applies it on the slots that carry loss signal.  They
+# differ from the package only where the loss term is zero: there these
+# add (+/-0) to the regularizer term, so a zero entry may differ in sign.
+
+
+def residuals(p_next, labels, n):
+    err = np.zeros(n)
+    pos = labels.positive_array()
+    neg = labels.negative_array()
+    err[pos] = p_next[pos] - 1.0
+    err[neg] = p_next[neg] + 1.0
+    return err
+
+
+def regularizer_term(g, w, p_t, kind, lam):
+    u, v = g.slot_ends[:, 0], g.slot_ends[:, 1]
+    if kind is RegularizerKind.CONSISTENCY:
+        return p_t[u] * -lam * p_t[v]
+    if kind is RegularizerKind.L1:
+        return np.sign(w.values) * lam
+    if kind is RegularizerKind.L2:
+        return w.values * (2.0 * lam)
+    return 0.0
+
+
+def full_slot_grad_undirected(g, w, p_t, p_next, labels, lam, kind):
+    err = residuals(p_next, labels, g.node_count)
+    u, v = g.slot_ends[:, 0], g.slot_ends[:, 1]
+    loss = err[u] * p_t[v] + err[v] * p_t[u]
+    return loss + regularizer_term(g, w, p_t, kind, lam)
+
+
+def full_slot_grad_directed(g, w, p_t, p_next, labels, lam, kind):
+    n = g.node_count
+    err = residuals(p_next, labels, n)
+    u, v = g.slot_ends[:, 0], g.slot_ends[:, 1]
+    parts = np.concatenate([p_t, np.minimum(p_t, 0.0), np.maximum(p_t, 0.0)])
+    loss = err[u] * parts[g.pair_class.astype(np.int64) * n + v]
+    return loss + regularizer_term(g, w, p_t, kind, lam)
+
+
+def full_slot_grad_rw_undirected(g, w, p_t, p_next, labels, lam, kind, restart, inv):
+    err = residuals(p_next, labels, g.node_count)
+    u, v = g.slot_ends[:, 0], g.slot_ends[:, 1]
+    loss = (err[u] * p_t[v] * inv[u] + err[v] * p_t[u] * inv[v]) * (1.0 - restart)
+    return loss + regularizer_term(g, w, p_t, kind, lam)
+
+
+def bincount_weighted_degrees(g, w):
+    """Per-node sum of |w| over incident slots, as a bincount over the
+    flattened slot endpoints."""
+    return np.bincount(g.slot_ends.ravel(), weights=np.repeat(np.abs(w.values), 2),
+                       minlength=g.node_count)
+
+
+# -- synthetic generators, one python step per draw ------------------------------
+
+
+def loop_gen_pa(n, m, seed) -> np.ndarray:
+    """The preferential-attachment edge list, one edge and draw at a time."""
+    rng = np.random.default_rng(seed)
+    total = m * (m - 1) // 2 + (n - m) * m
+    edges = np.empty((total, 2), dtype=np.int64)
+    ends = np.empty(2 * total, dtype=np.int64)
+    cnt = 0
+    fill = 0
+    for i in range(m):
+        for j in range(i + 1, m):
+            edges[cnt] = (i, j)
+            ends[fill] = i
+            ends[fill + 1] = j
+            cnt += 1
+            fill += 2
+    for new in range(m, n):
+        if fill == 0:
+            targets = {0}
+        else:
+            targets = set()
+            while len(targets) < m:
+                draw = ends[rng.integers(0, fill, size=m - len(targets))]
+                targets.update(int(t) for t in draw)
+        for t in sorted(targets):
+            edges[cnt] = (new, t)
+            ends[fill] = new
+            ends[fill + 1] = t
+            cnt += 1
+            fill += 2
+    return edges[:cnt]
+
+
+def loop_attack_codes(n, k, seed) -> np.ndarray:
+    """``synth_sybil_replicate``'s attack-edge codes u * n + v, deduplicated
+    one draw at a time through a set."""
+    rng = np.random.default_rng(seed)
+    chosen: list[int] = []
+    seen: set[int] = set()
+    while len(chosen) < k:
+        batch = rng.integers(0, n * n, size=max(k - len(chosen), 1) + 16)
+        for code in batch:
+            code = int(code)
+            if code not in seen:
+                seen.add(code)
+                chosen.append(code)
+                if len(chosen) == k:
+                    break
+    return np.asarray(chosen, dtype=np.int64)

@@ -17,6 +17,7 @@ from jwprop import (
     auc,
     build_sybil_benchmark,
     convergence_metric,
+    directed_sample,
     lbp_step_undirected,
     run,
     rw_step,
@@ -24,11 +25,14 @@ from jwprop import (
     weight_class_means,
     write_diagnostics,
 )
-from jwprop import engine, propagation
+from jwprop import engine, learning, propagation
 from jwprop.engine import DIAG_COLUMNS, METHOD_NAMES, METHOD_TABLE, method_for
 
 from _oracles import (
     dense_slot_adjacency,
+    full_slot_grad_directed,
+    full_slot_grad_rw_undirected,
+    full_slot_grad_undirected,
     random_directed_graph,
     random_labels,
     random_undirected_graph,
@@ -348,6 +352,85 @@ class TestPerRunInvariants:
         assert r.alternations == 15
         updates = r.alternations - 1 if METHOD_TABLE[method][2] else 0
         assert len(calls) == updates + 1
+
+
+def oracle_gradient(oracle):
+    """A gradient for ``engine.run`` that evaluates a full-slot formula and
+    ignores the work arrays, endpoint scores and labeled slots."""
+    def fn(g, w, q, p_t, labels, lam, reg, p_next=None, *, restart=None,
+           inv_degrees=None, **_):
+        if restart is None:
+            return oracle(g, w, p_t, p_next, labels, lam, reg)
+        return oracle(g, w, p_t, p_next, labels, lam, reg, restart, inv_degrees)
+    return fn
+
+
+class TestSlotPasses:
+    """``engine.run`` gathers each score vector's endpoint scores once and
+    shares them between the consistency diagnostic and the next gradient."""
+
+    SPEC = SynthSpec(node_count=150, attachment=3, seed=6, attack_edges=200,
+                     train_pos=15, train_neg=15)
+
+    def graphs(self):
+        g, truth, train = build_sybil_benchmark(self.SPEC)
+        return g, directed_sample(g, 0.6, 6), truth, train
+
+    @pytest.mark.parametrize("reg", [RegularizerKind.CONSISTENCY, RegularizerKind.L2])
+    @pytest.mark.parametrize("method", [Method.LBP_U, Method.LBP_JWP_U,
+                                        Method.LBP_JWP_D, Method.RW_JWP_U])
+    def test_one_endpoint_gather_per_score_vector(self, monkeypatch, method, reg):
+        g, gd, truth, train = self.graphs()
+        graph = gd if method is Method.LBP_JWP_D else g
+        full = []
+        real = learning._gather
+
+        def counted(values, idx, out):
+            if idx.size == graph.slot_count:
+                full.append(idx)
+            return real(values, idx, out)
+
+        monkeypatch.setattr(learning, "_gather", counted)
+        cfg = JwpConfig(method=method, regularizer=reg, lam=0.7, gamma=0.1,
+                        tolerance=1e-300, max_alternations=15)
+        r = run(graph, train, cfg, truth=truth)
+        assert r.alternations == 15
+        learns_consistency = (METHOD_TABLE[method][2]
+                              and reg is RegularizerKind.CONSISTENCY)
+        pairs = r.alternations + (1 if learns_consistency else 0)
+        assert len(full) == 2 * pairs
+        assert all(idx is graph._slot_u for idx in full[0::2])
+        assert all(idx is graph._slot_v for idx in full[1::2])
+
+    @pytest.mark.parametrize("reg", list(RegularizerKind))
+    @pytest.mark.parametrize("method", [Method.LBP_JWP_U, Method.LBP_JWP_D,
+                                        Method.RW_JWP_U])
+    def test_run_matches_full_slot_gradients(self, monkeypatch, method, reg):
+        g, gd, truth, train = self.graphs()
+        graph = gd if method is Method.LBP_JWP_D else g
+        cfg = JwpConfig(method=method, regularizer=reg, lam=0.7, gamma=0.1,
+                        tolerance=1e-300, max_alternations=15)
+        fast = run(graph, train, cfg, truth=truth)
+        for name, oracle in (("grad_undirected", full_slot_grad_undirected),
+                             ("grad_directed", full_slot_grad_directed),
+                             ("grad_rw_undirected", full_slot_grad_rw_undirected)):
+            monkeypatch.setattr(engine, name, oracle_gradient(oracle))
+        slow = run(graph, train, cfg, truth=truth)
+        assert np.array_equal(fast.posteriors, slow.posteriors)
+        assert np.array_equal(fast.weights.values, slow.weights.values)
+        cols = [c for c in DIAG_COLUMNS if c != "wall_ms"]
+        assert len(fast.diagnostics) == len(slow.diagnostics) == 15
+        for a, b in zip(fast.diagnostics, slow.diagnostics):
+            assert same_floats([getattr(a, c) for c in cols],
+                               [getattr(b, c) for c in cols])
+
+    def test_no_diagnostics_same_results(self):
+        g, _, truth, train = self.graphs()
+        cfg = JwpConfig(method=Method.LBP_JWP_U, lam=0.7, gamma=0.1)
+        on = run(g, train, cfg, truth=truth)
+        off = run(g, train, cfg, collect_diagnostics=False)
+        assert off.posteriors.tobytes() == on.posteriors.tobytes()
+        assert off.weights.values.tobytes() == on.weights.values.tobytes()
 
 
 class TestDiagnostics:

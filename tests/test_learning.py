@@ -17,11 +17,15 @@ from jwprop import (
     grad_undirected,
     training_loss,
 )
-from jwprop.learning import SlotWork
+from jwprop.learning import LabeledSlots, SlotWork, _gather_ends
 
 from _oracles import (
+    bincount_weighted_degrees,
     directed_graph_with_isolated_tail,
     finite_difference_gradient,
+    full_slot_grad_directed,
+    full_slot_grad_rw_undirected,
+    full_slot_grad_undirected,
     objective,
     random_directed_graph,
     random_labels,
@@ -310,3 +314,121 @@ class TestSlotWork:
                p_next=np.zeros(g.node_count))
         with pytest.raises(InputError, match="score vector"):
             consistency_value(g, w, short)
+
+
+def graph_case(rng, i, directed):
+    """Graph, labels and the mask of slots that carry loss signal.
+
+    Cases cycle through: labeled isolated nodes next to random labels;
+    both endpoints of some edges labeled; only isolated nodes labeled, so
+    no slot carries loss signal; random labels."""
+    n = int(rng.integers(4, 21))
+    extra = int(rng.integers(1, 4))
+    make = random_directed_graph if directed else random_undirected_graph
+    base = make(rng, n, density=float(rng.uniform(0.05, 0.4)))
+    g = Graph.from_edges(base.edges, directed=directed, node_count=n + extra)
+    isolated = list(range(n, n + extra))
+    case = i % 4
+    if case == 0:
+        picks = [int(x) for x in rng.permutation(n)[:int(rng.integers(0, n // 2 + 1))]]
+        ids = picks + isolated
+    elif case == 1:
+        rows = rng.permutation(g.slot_count)[:int(rng.integers(1, 4))]
+        ids = list(dict.fromkeys(int(x) for x in g.slot_ends[rows].ravel()))
+    elif case == 2:
+        ids = isolated
+    else:
+        ids = [int(x) for x in rng.permutation(n + extra)[:int(rng.integers(1, n))]]
+    split = int(rng.integers(0, len(ids) + 1))
+    labels = LabelSet.of(ids[:split], ids[split:])
+    is_labeled = np.zeros(g.node_count, dtype=bool)
+    is_labeled[ids] = True
+    u, v = g.slot_ends[:, 0], g.slot_ends[:, 1]
+    mask = is_labeled[u] if directed else is_labeled[u] | is_labeled[v]
+    if case == 2:
+        assert not mask.any()
+    return g, labels, mask
+
+
+def scores_with_zeros(rng, n):
+    p = rng.normal(size=n)
+    p[rng.random(n) < 0.2] = 0.0
+    p[rng.random(n) < 0.1] = -0.0
+    return p
+
+
+class TestLabeledSlotGradients:
+    """The gradients equal the full-slot formulas bit for bit on the slots
+    that carry loss signal, and equal them in value elsewhere, where only
+    the sign of a zero may differ; passing ``ends``/``labeled`` in changes
+    no bit."""
+
+    @pytest.mark.parametrize("reg", ALL_REGS)
+    @pytest.mark.parametrize("family", ["lbp-u", "lbp-d", "rw"])
+    def test_matches_full_slot_formula(self, family, reg):
+        rng = np.random.default_rng([7, ALL_REGS.index(reg), len(family)])
+        directed = family == "lbp-d"
+        for i in range(200):
+            g, labels, mask = graph_case(rng, i, directed)
+            n = g.node_count
+            w = random_weights(rng, g)
+            w.values[rng.random(g.slot_count) < 0.1] = -0.0
+            q = rng.normal(size=n)
+            p_t, p_next = scores_with_zeros(rng, n), rng.normal(size=n)
+            lam = float(rng.uniform(0.1, 2.0))
+            if family == "rw":
+                restart = float(rng.choice([0.0, 0.15]))
+                inv = np.zeros(n)
+                d = bincount_weighted_degrees(g, w)
+                inv[d > 0] = 1.0 / d[d > 0]
+                want = full_slot_grad_rw_undirected(g, w, p_t, p_next, labels, lam,
+                                                    reg, restart, inv)
+
+                def grad(**kw):
+                    return grad_rw_undirected(g, w, q, p_t, labels, lam, reg, restart,
+                                              p_next, inv_degrees=inv, **kw).copy()
+            else:
+                oracle, fn = ((full_slot_grad_directed, grad_directed) if directed
+                              else (full_slot_grad_undirected, grad_undirected))
+                want = oracle(g, w, p_t, p_next, labels, lam, reg)
+
+                def grad(**kw):
+                    return fn(g, w, q, p_t, labels, lam, reg, p_next, **kw).copy()
+
+            alone = grad()
+            work = SlotWork(g.slot_count)
+            given = grad(work=work, ends=_gather_ends(g, w, p_t, work),
+                         labeled=LabeledSlots(g, labels))
+            assert alone.tobytes() == given.tobytes()
+            assert alone[mask].tobytes() == want[mask].tobytes()
+            assert np.array_equal(alone[~mask], want[~mask])
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_labeled_slots(self, directed):
+        rng = np.random.default_rng(31)
+        for i in range(40):
+            g, labels, mask = graph_case(rng, i, directed)
+            lab = LabeledSlots(g, labels)
+            assert np.array_equal(lab.idx, np.flatnonzero(mask))
+            assert np.array_equal(lab.u, g.slot_ends[mask, 0])
+            assert np.array_equal(lab.v, g.slot_ends[mask, 1])
+            if directed:
+                assert np.array_equal(lab.col, g._class_col[mask])
+            else:
+                assert lab.col is None
+
+    def test_consistency_value_with_given_ends(self):
+        rng = np.random.default_rng(5)
+        for directed in (False, True):
+            g, _, _ = graph_case(rng, 3, directed)
+            w = random_weights(rng, g)
+            p = rng.normal(size=g.node_count)
+            work = SlotWork(g.slot_count)
+            ends = _gather_ends(g, w, p, work)
+            kept = (ends[0].copy(), ends[1].copy())
+            u, v = g.slot_ends[:, 0], g.slot_ends[:, 1]
+            want = float(np.sum(p[u] * p[v] * w.values))
+            assert consistency_value(g, w, p, work, ends=ends) == want
+            assert consistency_value(g, w, p) == want
+            # the kept endpoint scores survive the diagnostic
+            assert np.array_equal(ends[0], kept[0]) and np.array_equal(ends[1], kept[1])

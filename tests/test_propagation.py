@@ -26,6 +26,7 @@ from jwprop.graph import csr_index_dtype
 from jwprop.propagation import RW_VARIANTS, _inverse_degrees
 
 from _oracles import (
+    bincount_weighted_degrees,
     dense_directed_step,
     dense_undirected_step,
     directed_graph_with_isolated_tail,
@@ -52,6 +53,20 @@ class TestLabelSet:
         ls = LabelSet.of([1, 2, 3], [4, 5])
         out = ls.exclude(LabelSet.of([2], [4]))
         assert out.positives == {1, 3} and out.negatives == {5}
+
+    def test_sorted_arrays_built_once_and_read_only(self):
+        ls = LabelSet.of([9, 2, 5], [7, 1])
+        pos, neg = ls.positive_array(), ls.negative_array()
+        assert pos.tolist() == [2, 5, 9] and neg.tolist() == [1, 7]
+        assert ls.positive_array() is pos and ls.negative_array() is neg
+        for arr in (pos, neg):
+            with pytest.raises(ValueError):
+                arr[0] = 3
+        assert ls == LabelSet.of([2, 5, 9], [1, 7])
+        assert hash(ls) == hash(LabelSet.of([2, 5, 9], [1, 7]))
+        empty = LabelSet.of([], [])
+        assert empty.positive_array().dtype == np.int64
+        assert empty.positive_array().size == empty.negative_array().size == 0
 
 
 class TestAssignPriors:
@@ -385,6 +400,19 @@ class TestPrebuiltCsrSteps:
                                   rw_step(g, w, q, p, variant, 0.15))
         with pytest.raises(InputError):
             rw_step(g, w, q, p, "rw-b", 0.15, inv[:-1])
+
+    def test_weighted_degrees_match_bincount(self):
+        rng = np.random.default_rng(25)
+        for g in raw_pair_graphs(False):
+            w = random_weights(rng, g)
+            w.values[rng.random(g.slot_count) < 0.1] = 0.0
+            want = bincount_weighted_degrees(g, w)
+            assert weighted_degrees(g, w).tobytes() == want.tobytes()
+        with pytest.raises(InputError):
+            weighted_degrees(g, EdgeWeights(np.ones(g.slot_count + 1)))
+        gd = directed_graph_with_isolated_tail()
+        with pytest.raises(InputError):
+            weighted_degrees(gd, EdgeWeights.uniform(gd, 0.5))
 
     def test_sparsetools_kernels_add_into_y(self):
         # The steps rely on both kernels adding onto y as it stands, row

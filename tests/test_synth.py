@@ -13,6 +13,9 @@ from jwprop import (
     sample_training,
     synth_sybil_replicate,
 )
+from jwprop import synth
+
+from _oracles import loop_attack_codes, loop_gen_pa
 
 
 def connected_component_count(g: Graph) -> int:
@@ -141,6 +144,57 @@ class TestSybilReplicate:
         a, _ = synth_sybil_replicate(base, 30, seed=5)
         b, _ = synth_sybil_replicate(base, 30, seed=5)
         assert np.array_equal(a.edges, b.edges)
+
+
+class CapturedEdges:
+    """Stands in for ``Graph`` inside ``synth`` and keeps the raw edge list
+    each generator passes to ``from_edges``."""
+
+    def __init__(self, monkeypatch):
+        self.edges = []
+        monkeypatch.setattr(synth, "Graph", self)
+
+    def from_edges(self, edges, directed, node_count=None):
+        self.edges.append(np.array(edges))
+        return Graph.from_edges(edges, directed, node_count)
+
+
+class TestSameStreamAsLoops:
+    """The vectorized generators give exactly the edge lists of the
+    one-draw-at-a-time loops, from the same random stream."""
+
+    @pytest.mark.parametrize("n,m,seed", [
+        (2000, 10, 11), (1000, 10, 0), (300, 3, 7), (50, 1, 3), (30, 2, 5),
+        (2, 1, 0), (12, 11, 4), (40, 39, 1), (25, 24, 9)])
+    def test_gen_pa(self, monkeypatch, n, m, seed):
+        captured = CapturedEdges(monkeypatch)
+        g = gen_pa(n, m, seed)
+        want = loop_gen_pa(n, m, seed)
+        assert np.array_equal(captured.edges[0], want)
+        assert g.node_count == n
+
+    def test_gen_pa_many_seeds(self, monkeypatch):
+        captured = CapturedEdges(monkeypatch)
+        rng = np.random.default_rng(3)
+        for seed in range(40):
+            n = int(rng.integers(2, 60))
+            m = int(rng.integers(1, n))
+            gen_pa(n, m, seed)
+            assert np.array_equal(captured.edges[-1], loop_gen_pa(n, m, seed))
+
+    @pytest.mark.parametrize("n,k", [(6, 0), (6, 1), (6, 30), (6, 35), (6, 36),
+                                     (2, 3), (2, 4), (40, 1500), (300, 2000)])
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_attack_edges(self, monkeypatch, n, k, seed):
+        base = gen_pa(n, 1, seed)
+        captured = CapturedEdges(monkeypatch)
+        g, _ = synth_sybil_replicate(base, k, seed)
+        codes = loop_attack_codes(n, k, seed)
+        assert codes.size == k
+        attack = np.stack([codes // n, codes % n + n], axis=1).reshape(-1, 2)
+        want = np.concatenate([base.slot_ends, base.slot_ends + n, attack])
+        assert np.array_equal(captured.edges[0], want)
+        assert g.edge_count == base.edge_count * 2 + k
 
 
 class TestSampleTraining:
