@@ -7,7 +7,7 @@ the per-edge weights, so that weights grow where endpoint scores agree and
 shrink where they conflict.
 """
 
-from .bench import BenchRecord, bench, loglog_slope, pa_nodes_for_edges, write_bench
+from .bench import bench, loglog_slope
 from .engine import (
     AlternationDiag,
     JwpConfig,

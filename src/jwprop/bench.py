@@ -79,14 +79,6 @@ def bench(methods: list[str], edge_targets: list[int], seeds: list[int],
     return records
 
 
-def write_bench(records: list[BenchRecord], path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("method\tnodes\tedges\talternations\twall_ms_total\twall_ms_per_alt\n")
-        for r in records:
-            fh.write(f"{r.method}\t{r.nodes}\t{r.edges}\t{r.alternations}"
-                     f"\t{r.wall_ms_total:.3f}\t{r.wall_ms_per_alt:.3f}\n")
-
-
 def loglog_slope(records: list[BenchRecord]) -> float:
     """Least-squares slope of log wall time against log edge count."""
     if len(records) < 2:

@@ -8,7 +8,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .bench import bench, write_bench
 from .engine import METHOD_NAMES, JwpConfig, RunResult, method_for, run, write_diagnostics
 from .errors import InputError, NumericalError
 from .graph import load_edge_list, mutual_projection_lcc, write_edge_list
@@ -109,15 +108,6 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    records = bench(args.method, args.edges_grid, args.seeds, args.alt)
-    write_bench(records, args.out)
-    for r in records:
-        print(f"{r.method}\t|V|={r.nodes}\t|E|={r.edges}\t"
-              f"{r.wall_ms_total:.1f} ms total\t{r.wall_ms_per_alt:.2f} ms/alt")
-    return 0
-
-
 def _cmd_project_mutual(args) -> int:
     g = load_edge_list(args.graph, directed=True)
     sub, remap = mutual_projection_lcc(g)
@@ -202,14 +192,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--exclude", default=None,
                    help="labels file of nodes to exclude (e.g. the training set)")
     p.set_defaults(func=_cmd_eval)
-
-    p = sub.add_parser("bench", help="wall-time scaling over synthetic graphs")
-    p.add_argument("--method", nargs="+", required=True)
-    p.add_argument("--edges-grid", nargs="+", type=int, required=True)
-    p.add_argument("--seeds", nargs="+", type=int, required=True)
-    p.add_argument("--alt", type=int, default=10)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("project-mutual",
                        help="undirected projection of reciprocated pairs, LCC only")

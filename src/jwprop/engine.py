@@ -307,7 +307,8 @@ def run(g: Graph, labels: LabelSet, cfg: JwpConfig,
             grad = gradient(g, w, q, p_prev, labels, lam, cfg.regularizer,
                             p_next=p, work=work, ends=ends, labeled=labeled,
                             **rw_degrees)
-            grad_inf = float(np.max(np.abs(grad))) if grad.size else 0.0
+            if collect_diagnostics:
+                grad_inf = float(np.max(np.abs(grad))) if grad.size else 0.0
         if collect_diagnostics or (keep_ends and update):
             ends = _gather_ends(g, w, p, work)
         if collect_diagnostics:
@@ -349,7 +350,6 @@ def write_diagnostics(diags: list[AlternationDiag], path):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\t".join(DIAG_COLUMNS) + "\n")
         for d in diags:
-            row = (d.t, d.conv_metric, d.loss, d.consistency, d.grad_inf,
-                   d.mean_homo_weight, d.mean_hetero_weight, d.wall_ms)
+            row = (getattr(d, name) for name in DIAG_COLUMNS)
             fh.write("\t".join(f"{x:.10g}" if isinstance(x, float) else str(x)
                                for x in row) + "\n")

@@ -97,44 +97,48 @@ def _symmetric_matvec(indptr, indices, data, x) -> np.ndarray:
 class Graph:
     """Immutable sparse graph over dense node ids [0, node_count).
 
-    Attributes
-    ----------
-    node_count : int
-    directed : bool
-    edges : (E, 2) int64 array
-        Deduplicated input edges.  Undirected rows are canonical (u < v).
-    slot_ends : (S, 2) int64 array
-        Endpoints per weight slot.  Undirected: one row per edge (S == E).
-        Directed: one row per ordered connected pair, lexicographically
-        sorted, so a one-way input edge contributes two slots.
-    pair_class : (S,) uint8 array or None
+    Stored arrays
+    -------------
+    ``_slot_u``, ``_slot_v`` : (S,) C-contiguous int64 arrays
+        Endpoints per weight slot, lexicographically sorted.  Undirected:
+        one slot per edge, u < v.  Directed: one slot per ordered connected
+        pair, so a one-way input arc contributes two slots.  The gradients
+        gather per-slot endpoint scores through them.
+    ``pair_class`` : (S,) uint8 array or None
         BIDIRECTIONAL / UNI_INCOMING / UNI_OUTGOING per slot (directed only).
         The values 0, 1, 2 number the column blocks of the n x 3n directed
         step matrix (full score, negative part, positive part): slot (u, v)
         sits in row u, column ``pair_class * node_count + v``.
-    self_loops_dropped : int
-        Count of self-loop lines discarded during construction.
+    ``_csr_indptr``, ``_csr_indices``
+        The propagation step's CSR.  Its entry k is slot k, so the weight
+        values are its data as they stand, and its indices are int32 while
+        the entry and column counts are below 2**31, else int64
+        (``csr_index_dtype``).  Undirected: the strictly upper triangular
+        slot CSR U, row u holding slot (u, v) at column v, with
+        W = U + U^T.  Directed: the n x 3n step matrix above.
+    ``_indptr`` : (n + 1,) int64 array (directed only)
+        The same row pointers with ``_slot_v``'s dtype, for the
+        spectral-radius bound's matvec: sparsetools wants matching index
+        types, and ``np.take`` wants ``_slot_v`` as intp.
 
-    ``_csr_indptr`` and ``_csr_indices`` (private) hold the propagation
-    step's CSR.  Its entry k is slot k, so the weight values are its data
-    as they stand, and its indices are int32 while the entry and column
-    counts are below 2**31, else int64 (``csr_index_dtype``).  Undirected:
-    the strictly upper triangular slot CSR U, row u holding slot (u, v) at
-    column v, with W = U + U^T.  Directed: the n x 3n step matrix above;
-    the int64 ``_indptr``, ``_indices`` and ``_class_col`` of the same rows
-    serve the gradient and the spectral-radius bound.
+    Derived on access: ``slot_ends`` (the two endpoint columns as one
+    (S, 2) array) and ``edges`` (the deduplicated input edges as an (E, 2)
+    array; undirected rows are canonical, u < v, and directed rows are the
+    slots whose pair class is not UNI_INCOMING).  ``self_loops_dropped``
+    counts the self-loop lines discarded during construction.
     """
 
-    def __init__(self, node_count: int, edges: np.ndarray, directed: bool,
+    def __init__(self, node_count: int, keys: np.ndarray, directed: bool,
                  self_loops_dropped: int = 0):
+        """``keys`` holds the sorted distinct input pairs as int64 keys
+        u * node_count + v, with u < v when undirected (``from_edges``)."""
         self.node_count = int(node_count)
         self.directed = bool(directed)
-        self.edges = edges
         self.self_loops_dropped = int(self_loops_dropped)
         if directed:
-            self._build_directed()
+            self._build_directed(keys)
         else:
-            self._build_undirected()
+            self._build_undirected(keys)
         self._rho_bound: float | None = None
 
     @classmethod
@@ -172,42 +176,26 @@ class Graph:
         # neighbour mask on NumPy 2.x.
         key = u * node_count + v
         key.sort()
-        key = key[_first_of_runs(key)]
-        e = np.empty((key.size, 2), dtype=np.int64)
-        np.divmod(key, node_count, out=(e[:, 0], e[:, 1]))
-        return cls(node_count, e, directed, dropped)
+        return cls(node_count, key[_first_of_runs(key)], directed, dropped)
 
     # -- derived structure ------------------------------------------------
 
-    def _set_slot_columns(self):
-        # Contiguous copies of the two slot_ends columns: the gradients
-        # gather per-slot endpoint scores through them every alternation,
-        # and a strided column view reads twice the index memory.
-        self._slot_u = np.ascontiguousarray(self.slot_ends[:, 0])
-        self._slot_v = np.ascontiguousarray(self.slot_ends[:, 1])
-        key = self._slot_u * self.node_count + self._slot_v
-        self._slot_key = key  # lex-sorted by construction
-
-    def _build_undirected(self):
-        self.slot_ends = self.edges  # lex sorted unique rows, u < v
+    def _build_undirected(self, keys: np.ndarray):
+        n = self.node_count
         self.pair_class = None
-        self._set_slot_columns()
+        self._slot_u, self._slot_v = np.divmod(keys, n)
         # Upper-triangular slot CSR: row u holds slot (u, v) at column v.
         # The slots are sorted row-major, so entry k is slot k and the
         # weight values are this CSR's data as they stand.
-        n = self.node_count
         idx = csr_index_dtype(self.slot_count, n)
-        self._csr_indptr = np.searchsorted(
-            self._slot_u, np.arange(n + 1, dtype=np.int64)).astype(idx)
+        self._csr_indptr = _row_starts(keys, n).astype(idx)
         self._csr_indices = self._slot_v.astype(idx)
 
-    def _build_directed(self):
+    def _build_directed(self, fwd: np.ndarray):
         n = self.node_count
-        e = self.edges
-        fwd = e[:, 0] * n + e[:, 1]  # sorted: the edges are lex sorted
         # Arc u->v makes the slots (u, v) and (v, u); a reciprocated pair
         # makes each of its two slots twice.
-        key = np.concatenate([fwd, e[:, 1] * n + e[:, 0]])
+        key = np.concatenate([fwd, fwd % n * n + fwd // n])
         key.sort()
         first = _first_of_runs(key)
         pairs = key[first]
@@ -216,48 +204,54 @@ class Graph:
             bidi, BIDIRECTIONAL,
             np.where(_contains_sorted(fwd, pairs), UNI_OUTGOING, UNI_INCOMING)
         ).astype(np.uint8)
-        self.slot_ends = np.empty((pairs.size, 2), dtype=np.int64)
-        np.divmod(pairs, n, out=(self.slot_ends[:, 0], self.slot_ends[:, 1]))
-        self._set_slot_columns()
+        self._slot_u, self._slot_v = np.divmod(pairs, n)
         # Row-major sorted pairs double as the full CSR adjacency: entry k of
         # the concatenated rows is exactly slot k, so the weight values are
         # the CSR data as they stand.
         self._indptr = _row_starts(pairs, n)
-        self._indices = self._slot_v
-        # Column of slot (u, v) in the n x 3n directed step matrix.
-        self._class_col = self.pair_class.astype(np.int64) * n + self._indices
-        # The step's CSR: the same rows with class columns, indices cast
-        # once to the narrowest type sparsetools takes.
+        # The step's CSR: the same rows with the class columns
+        # pair_class * n + v, in the narrowest index type sparsetools takes.
         idx = csr_index_dtype(self.slot_count, 3 * n)
         self._csr_indptr = self._indptr.astype(idx)
-        self._csr_indices = self._class_col.astype(idx)
+        self._csr_indices = self.pair_class.astype(idx) * n
+        self._csr_indices += self._slot_v
 
     # -- queries -----------------------------------------------------------
 
     @property
+    def slot_ends(self) -> np.ndarray:
+        """(S, 2) int64 endpoints per weight slot, built on each access."""
+        return np.stack([self._slot_u, self._slot_v], axis=1)
+
+    @property
+    def edges(self) -> np.ndarray:
+        """(E, 2) int64 deduplicated input edges, lexicographically sorted,
+        built on each access.  Undirected rows are canonical (u < v)."""
+        if not self.directed:
+            return self.slot_ends
+        arc = self.pair_class != UNI_INCOMING
+        return np.stack([self._slot_u[arc], self._slot_v[arc]], axis=1)
+
+    @property
     def edge_count(self) -> int:
-        """Number of stored input edges (undirected edges or directed arcs)."""
-        return self.edges.shape[0]
+        """Number of deduplicated input edges (undirected edges or directed
+        arcs)."""
+        if not self.directed:
+            return self.slot_count
+        return int(np.count_nonzero(self.pair_class != UNI_INCOMING))
 
     @property
     def slot_count(self) -> int:
-        return self.slot_ends.shape[0]
-
-    @property
-    def degrees(self) -> np.ndarray:
-        """Adjacency-row lengths (connected-neighbor counts for directed)."""
-        if self.directed:
-            return np.diff(self._indptr)
-        return np.bincount(self.slot_ends.ravel(), minlength=self.node_count)
+        return self._slot_u.size
 
     def edge_slot(self, u: int, v: int) -> int:
         """Weight-slot index of the ordered pair (u, v); undirected pairs
         resolve to the same slot in either order."""
         if not self.directed and u > v:
             u, v = v, u
-        key = u * self.node_count + v
-        idx = int(np.searchsorted(self._slot_key, key))
-        if idx >= self.slot_count or self._slot_key[idx] != key:
+        lo, hi = (int(i) for i in np.searchsorted(self._slot_u, [u, u + 1]))
+        idx = lo + int(np.searchsorted(self._slot_v[lo:hi], v))
+        if idx == hi or self._slot_v[idx] != v:
             raise KeyError(f"no edge slot for pair ({u}, {v})")
         return idx
 
@@ -284,7 +278,7 @@ class Graph:
             for _ in range(_RHO_BOUND_MAX_STEPS + 1):
                 if self.directed:
                     ax = np.zeros(x.size)
-                    _csr_matvec(self._indptr, self._indices, ones, x, ax)
+                    _csr_matvec(self._indptr, self._slot_v, ones, x, ax)
                 else:
                     ax = _symmetric_matvec(self._csr_indptr, self._csr_indices, ones, x)
                 best = min(best, float(np.max(ax / x)))
@@ -409,7 +403,7 @@ def _parse_edge_lines(fh, path) -> np.ndarray:
 
 
 def write_edge_list(g: Graph, path):
-    """Serialize the stored input edges, one "u<TAB>v" line per edge."""
+    """Serialize the deduplicated input edges, one "u<TAB>v" line per edge."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("".join(f"{u}\t{v}\n" for u, v in g.edges.tolist()))
 

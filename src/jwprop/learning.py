@@ -99,7 +99,7 @@ class LabeledSlots:
         self.idx = np.flatnonzero(mask)
         self.u = g._slot_u[self.idx]
         self.v = g._slot_v[self.idx]
-        self.col = g._class_col[self.idx] if g.directed else None
+        self.col = g._csr_indices[self.idx] if g.directed else None
 
 
 def _gather(values: np.ndarray, idx: np.ndarray, out: np.ndarray) -> np.ndarray:

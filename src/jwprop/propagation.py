@@ -144,8 +144,9 @@ def weighted_degrees(g: Graph, w: EdgeWeights) -> np.ndarray:
     """Per-node sum of |weight| over incident edges (undirected graphs).
 
     |W| times the ones vector: each node adds the weights of its lower
-    neighbors and then of its upper ones, in ascending order, which is the
-    slot order a ``bincount`` over ``slot_ends.ravel()`` adds them in.
+    neighbors and then of its upper ones, in ascending order.  That is the
+    slot order a weighted ``bincount`` over the interleaved slot endpoints
+    (u0, v0, u1, v1, ...) adds them in.
     """
     if g.directed:
         raise InputError("weighted_degrees expects an undirected graph")

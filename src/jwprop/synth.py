@@ -24,15 +24,12 @@ class SynthSpec:
     attachment: int  # edges added per new node
     seed: int = 0
     attack_edges: int = 0
-    noise_percent: float = 0.0
     train_pos: int = 0
     train_neg: int = 0
 
     def __post_init__(self):
         if self.attachment < 1 or self.attachment >= self.node_count:
             raise InputError("attachment parameter must satisfy 1 <= m < n")
-        if not 0.0 <= self.noise_percent <= 100.0:
-            raise InputError("noise percentage must lie in [0, 100]")
         if self.attack_edges < 0:
             raise InputError("attack edge count must be nonnegative")
 
@@ -153,12 +150,10 @@ def inject_noise(train: LabelSet, alpha_percent: float, seed: int) -> LabelSet:
 
 
 def build_sybil_benchmark(spec: SynthSpec) -> tuple[Graph, LabelSet, LabelSet]:
-    """Full benchmark: replicated PA graph, ground truth, and a (possibly
-    noisy) training sample.  Sub-seeds are derived as seed+1 / +2 / +3 for
-    replication, training sampling, and noise."""
+    """Full benchmark: replicated PA graph, ground truth, and a training
+    sample.  Sub-seeds are derived as seed+1 / +2 for replication and
+    training sampling."""
     base = gen_pa(spec.node_count, spec.attachment, spec.seed)
     g, truth = synth_sybil_replicate(base, spec.attack_edges, spec.seed + 1)
     train = sample_training(truth, spec.train_pos, spec.train_neg, spec.seed + 2)
-    if spec.noise_percent > 0:
-        train = inject_noise(train, spec.noise_percent, spec.seed + 3)
     return g, truth, train

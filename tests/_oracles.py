@@ -217,7 +217,9 @@ def reference_graph_arrays(edges, directed, node_count=None) -> dict:
     """Graph arrays by the original construction: np.unique over rows and
     over the directed ordered pairs, with CSR row pointers from bincounts.
     The step's CSR (``_csr_indptr``, ``_csr_indices``) holds slot k as entry
-    k, with int32 indices (every graph here is far below 2**31 entries)."""
+    k, with int32 indices (every graph here is far below 2**31 entries).
+    ``class_col`` holds each directed slot's int64 column in the n x 3n
+    step matrix."""
     e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     e = e[e[:, 0] != e[:, 1]]
     if not directed:
@@ -243,8 +245,8 @@ def reference_graph_arrays(edges, directed, node_count=None) -> dict:
         bwd = contains(pairs[:, 1] * n + pairs[:, 0])
         pair_class = np.where(fwd & bwd, 0, np.where(fwd, 2, 1)).astype(np.uint8)
         class_col = pair_class.astype(np.int64) * n + pairs[:, 1]
-        out.update(slot_ends=pairs, pair_class=pair_class, _indices=pairs[:, 1],
-                   _class_col=class_col, _indptr=row_pointers(pairs[:, 0]))
+        out.update(slot_ends=pairs, pair_class=pair_class, class_col=class_col,
+                   _indptr=row_pointers(pairs[:, 0]))
         rows, cols = pairs[:, 0], class_col
     else:
         # upper triangle only: row u holds slot (u, v) at column v
@@ -252,7 +254,8 @@ def reference_graph_arrays(edges, directed, node_count=None) -> dict:
         rows, cols = e[:, 0], e[:, 1]
     out["_csr_indptr"] = row_pointers(rows).astype(np.int32)
     out["_csr_indices"] = cols.astype(np.int32)
-    out["_slot_key"] = out["slot_ends"][:, 0] * n + out["slot_ends"][:, 1]
+    out["_slot_u"] = np.ascontiguousarray(out["slot_ends"][:, 0])
+    out["_slot_v"] = np.ascontiguousarray(out["slot_ends"][:, 1])
     return out
 
 

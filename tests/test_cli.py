@@ -92,18 +92,6 @@ class TestProjectMutual:
         assert remap.read_text() == "0\t0\n1\t1\n"
 
 
-class TestBench:
-    def test_single_cell(self, tmp_path):
-        out = tmp_path / "bench.tsv"
-        rc = run_cli("bench", "--method", "lbp", "--edges-grid", 2000,
-                     "--seeds", 0, "--alt", 3, "--out", out)
-        assert rc == 0
-        lines = out.read_text().splitlines()
-        assert len(lines) == 2  # header + one record
-        row = lines[1].split("\t")
-        assert row[0] == "lbp" and int(row[3]) == 3
-
-
 class TestExitCodes:
     def test_missing_file_is_input_error(self, tmp_path):
         rc = run_cli("run", "--graph", tmp_path / "nope.tsv", "--undirected",

@@ -52,7 +52,7 @@ class TestLoadEdgeList:
         g = load_edge_list(f, directed=False)
         assert g.node_count == 3
         assert g.slot_count == 3
-        assert list(g.degrees) == [2, 2, 2]
+        assert np.bincount(g.slot_ends.ravel()).tolist() == [2, 2, 2]
 
     def test_comments_and_blank_lines(self, tmp_path):
         f = tmp_path / "g.tsv"
@@ -168,9 +168,10 @@ class TestParserEquivalence:
                     else _graph_or_error(lambda: Graph.from_edges(lines, directed)))
         if error is None:
             assert isinstance(loaded, Graph) and isinstance(by_lines, Graph)
-            names = ("edges", "slot_ends", "_csr_indptr", "_csr_indices")
+            names = ("edges", "slot_ends", "_slot_u", "_slot_v", "_csr_indptr",
+                     "_csr_indices")
             if directed:
-                names += ("_indptr", "_indices")
+                names += ("pair_class", "_indptr")
             for name in names:
                 assert np.array_equal(getattr(loaded, name), getattr(by_lines, name))
             assert loaded.node_count == by_lines.node_count
@@ -244,13 +245,18 @@ class TestParserEquivalence:
 
 
 class TestBuildMatchesReference:
-    ARRAYS = ("edges", "slot_ends", "_csr_indptr", "_csr_indices", "_slot_key")
-    DIRECTED_ARRAYS = ("pair_class", "_class_col", "_indptr", "_indices")
+    ARRAYS = ("edges", "slot_ends", "_slot_u", "_slot_v", "_csr_indptr",
+              "_csr_indices")
+    DIRECTED_ARRAYS = ("pair_class", "_indptr")
+    # Every array a graph stores; edges and slot_ends are derived.
+    STORED = {"_slot_u", "_slot_v", "_csr_indptr", "_csr_indices"}
+    DIRECTED_STORED = {"pair_class", "_indptr"}
 
     @pytest.mark.parametrize("directed", [False, True])
     def test_random_graphs(self, directed):
         rng = np.random.default_rng(11)
         classes = set()
+        empty_rows = 0
         for trial in range(200):
             n = int(rng.integers(2, 30))
             raw = rng.integers(0, n, size=(int(rng.integers(1, 80)), 2))
@@ -269,8 +275,28 @@ class TestBuildMatchesReference:
                 assert got.dtype == want.dtype, name
                 assert np.array_equal(got, want), (trial, name)
             assert g.self_loops_dropped == int(np.sum(raw[:, 0] == raw[:, 1]))
+            stored = {k for k, x in vars(g).items() if isinstance(x, np.ndarray)}
+            assert stored == self.STORED | (self.DIRECTED_STORED if directed else set())
+            for col in (g._slot_u, g._slot_v):
+                assert col.dtype == np.int64 and col.flags.c_contiguous
             if directed:
                 classes.update(g.pair_class.tolist())
+            # edge_slot over every ordered node pair: each slot in both
+            # orders when undirected, KeyError on absent pairs, including
+            # every pair from a row with no slots.
+            slot_of = {(int(u), int(v)): s for s, (u, v) in enumerate(ref["slot_ends"])}
+            if not directed:
+                slot_of.update({(v, u): s for (u, v), s in slot_of.items()})
+            for u in range(g.node_count):
+                if not np.any(ref["slot_ends"][:, 0] == u):
+                    empty_rows += 1
+                for v in range(g.node_count):
+                    if (u, v) in slot_of:
+                        assert g.edge_slot(u, v) == slot_of[(u, v)], (trial, u, v)
+                    else:
+                        with pytest.raises(KeyError):
+                            g.edge_slot(u, v)
+        assert empty_rows > 0
         if directed:
             assert classes == {BIDIRECTIONAL, UNI_INCOMING, UNI_OUTGOING}
 

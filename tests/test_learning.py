@@ -31,6 +31,7 @@ from _oracles import (
     random_labels,
     random_undirected_graph,
     random_weights,
+    reference_graph_arrays,
 )
 
 ALL_REGS = list(RegularizerKind)
@@ -413,7 +414,8 @@ class TestLabeledSlotGradients:
             assert np.array_equal(lab.u, g.slot_ends[mask, 0])
             assert np.array_equal(lab.v, g.slot_ends[mask, 1])
             if directed:
-                assert np.array_equal(lab.col, g._class_col[mask])
+                ref = reference_graph_arrays(g.edges, True, g.node_count)
+                assert np.array_equal(lab.col, ref["class_col"][mask])
             else:
                 assert lab.col is None
 

@@ -256,11 +256,11 @@ class TestSynthSpec:
         with pytest.raises(InputError):
             SynthSpec(node_count=10, attachment=10)
         with pytest.raises(InputError):
-            SynthSpec(node_count=10, attachment=2, noise_percent=120)
+            SynthSpec(node_count=10, attachment=2, attack_edges=-1)
 
     def test_build_pipeline_deterministic(self):
         spec = SynthSpec(node_count=100, attachment=3, seed=0, attack_edges=50,
-                         train_pos=10, train_neg=10, noise_percent=20.0)
+                         train_pos=10, train_neg=10)
         g1, t1, l1 = __import__("jwprop").build_sybil_benchmark(spec)
         g2, t2, l2 = __import__("jwprop").build_sybil_benchmark(spec)
         assert np.array_equal(g1.edges, g2.edges)
