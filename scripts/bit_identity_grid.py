@@ -9,6 +9,13 @@ benchmark graph, the directed ones on a 0.6-keep ``directed_sample`` of it.
 The hash covers each run's posteriors, weights and diagnostics except
 ``wall_ms``, in grid order.
 
+A second hash covers the edge-list reader.  Each grid graph (the benchmark
+graph and its directed sample) is written with ``write_edge_list``, once as
+it is and once with a '#' header line and CRLF line ends, and read back
+with ``load_edge_list`` in its direction.  The hash covers every array the
+loaded graph stores, with its name and dtype, and its node and dropped
+self-loop counts.
+
     PYTHONPATH=src python scripts/bit_identity_grid.py
 
 Run it on two checkouts (point PYTHONPATH at each ``src``) and compare the
@@ -22,6 +29,8 @@ import argparse
 import hashlib
 import struct
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
@@ -32,7 +41,9 @@ from jwprop import (
     SynthSpec,
     build_sybil_benchmark,
     directed_sample,
+    load_edge_list,
     run,
+    write_edge_list,
 )
 
 GAMMAS = (0.01, 1.0)
@@ -53,6 +64,31 @@ def run_digest(result) -> bytes:
     return h.digest()
 
 
+def graph_digest(g) -> bytes:
+    h = hashlib.sha256()
+    for name, value in sorted(vars(g).items()):
+        if isinstance(value, np.ndarray):
+            h.update(f"{name}:{value.dtype.str}:".encode())
+            h.update(value.tobytes())
+    h.update(struct.pack("<qq", g.node_count, g.self_loops_dropped))
+    return h.digest()
+
+
+def load_digest(g) -> bytes:
+    """Hash of ``g`` written and read back, plain and with a header and
+    CRLF line ends."""
+    h = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as workdir:
+        plain = Path(workdir) / "plain.tsv"
+        write_edge_list(g, plain)
+        crlf = Path(workdir) / "crlf.tsv"
+        crlf.write_bytes(b"# FromNodeId\tToNodeId\r\n"
+                         + plain.read_bytes().replace(b"\n", b"\r\n"))
+        for path in (plain, crlf):
+            h.update(graph_digest(load_edge_list(path, g.directed)))
+    return h.digest()
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--nodes", type=int, default=1000)
@@ -67,6 +103,7 @@ def main() -> int:
     lam = None if args.lam == "auto" else float(args.lam)
 
     total = hashlib.sha256()
+    loads = hashlib.sha256()
     count = 0
     for seed in SEEDS:
         spec = SynthSpec(node_count=args.nodes, attachment=args.m, seed=seed,
@@ -75,6 +112,8 @@ def main() -> int:
                          train_neg=args.train_per_class)
         g, truth, train = build_sybil_benchmark(spec)
         gd = directed_sample(g, DIRECTED_KEEP, seed)
+        for graph in (g, gd):
+            loads.update(load_digest(graph))
         for method in Method:
             graph = gd if method in (Method.LBP_D, Method.LBP_JWP_D) else g
             for reg in RegularizerKind:
@@ -88,6 +127,7 @@ def main() -> int:
                         print(f"{seed}\t{method.value}\t{reg.value}\t{gamma:g}\t"
                               f"{digest.hex()}")
     print(f"{count} runs  sha256 {total.hexdigest()}")
+    print(f"{2 * len(SEEDS)} graphs loaded  sha256 {loads.hexdigest()}")
     return 0
 
 

@@ -39,7 +39,7 @@ from .learning import (
     grad_undirected,
     training_loss,
 )
-from .metrics import AucReport, auc, rank_and_write, read_scores, scores_vector
+from .metrics import AucReport, auc, auc_of_rows, rank_and_write, read_scores
 from .propagation import (
     LabelSet,
     assign_priors,

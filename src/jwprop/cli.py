@@ -12,7 +12,7 @@ from .engine import METHOD_NAMES, JwpConfig, RunResult, method_for, run, write_d
 from .errors import InputError, NumericalError
 from .graph import load_edge_list, mutual_projection_lcc, write_edge_list
 from .learning import RegularizerKind
-from .metrics import auc, rank_and_write, read_scores, scores_vector
+from .metrics import auc_of_rows, rank_and_write, read_scores
 from .propagation import read_labels, write_labels
 from .synth import (
     directed_sample,
@@ -103,7 +103,7 @@ def _cmd_eval(args) -> int:
     truth = read_labels(args.truth)
     if args.exclude:
         truth = truth.exclude(read_labels(args.exclude))
-    report = auc(scores_vector(ids, vals, truth), truth)
+    report = auc_of_rows(ids, vals, truth)
     print(f"AUC\t{report.auc:.6f}")
     return 0
 

@@ -122,7 +122,8 @@ class JwpConfig:
     belief propagation, so the scores approach the fixed point of
     p = q + W p instead of growing along the dominant eigenvector.  For the
     random-walk methods, w0 = 1 / average degree and clamp_bound = 0.5.
-    A given or resolved w0 must satisfy |w0| <= clamp_bound.
+    A given or resolved w0 must satisfy |w0| <= clamp_bound.  Every float
+    field must be finite, and a given lam or clamp_bound nonnegative.
     """
 
     method: Method = Method.LBP_JWP_U
@@ -137,8 +138,16 @@ class JwpConfig:
     restart: float = 0.15
 
     def __post_init__(self):
+        for name in ("theta", "lam", "gamma", "w0", "clamp_bound", "tolerance"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise InputError(f"{name} must be finite, got {value}")
         if self.theta <= 0:
             raise InputError("theta must be positive")
+        if self.lam is not None and self.lam < 0:
+            raise InputError("lam must be nonnegative")
+        if self.clamp_bound is not None and self.clamp_bound < 0:
+            raise InputError("clamp_bound must be nonnegative")
         if self.gamma < 0:
             raise InputError("gamma must be nonnegative")
         if self.tolerance <= 0:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import io
 import math
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -41,18 +42,30 @@ MAX_NODE_COUNT = math.isqrt(2 ** 63)
 _MAX_INT64 = 2 ** 63 - 1
 
 
-def _contains_sorted(haystack: np.ndarray, needles: np.ndarray) -> np.ndarray:
-    idx = np.searchsorted(haystack, needles)
-    idx_c = np.minimum(idx, len(haystack) - 1)
-    return (idx < len(haystack)) & (haystack[idx_c] == needles)
-
-
 def _first_of_runs(sorted_keys: np.ndarray) -> np.ndarray:
     """Mask of the first entry of each run of equal values."""
     first = np.empty(sorted_keys.size, dtype=bool)
     first[:1] = True
     np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=first[1:])
     return first
+
+
+def _classify_pairs(tagged: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """int64 pair keys u * n + v and uint8 pair classes of the directed
+    slots, from their sorted distinct tagged keys (``Graph.__init__``).
+
+    A pair's keys differ in the origin bit alone, so each run of equal pair
+    keys holds one key, or two when both arcs are input edges.  A lone
+    key's origin bit tells which arc it comes from:
+    UNI_INCOMING + 1 == UNI_OUTGOING.
+    """
+    start = np.flatnonzero(_first_of_runs(tagged >> 1))
+    pairs = tagged[start]
+    pair_class = (pairs & 1).astype(np.uint8)
+    pair_class += UNI_INCOMING
+    pair_class[np.diff(start, append=tagged.size) == 2] = BIDIRECTIONAL
+    pairs >>= 1
+    return pairs.view(np.int64), pair_class
 
 
 def _row_starts(sorted_keys: np.ndarray, n: int) -> np.ndarray:
@@ -130,8 +143,11 @@ class Graph:
 
     def __init__(self, node_count: int, keys: np.ndarray, directed: bool,
                  self_loops_dropped: int = 0):
-        """``keys`` holds the sorted distinct input pairs as int64 keys
-        u * node_count + v, with u < v when undirected (``from_edges``)."""
+        """``keys`` are sorted and distinct (``from_edges``).  Undirected:
+        one int64 key u * node_count + v per input pair, u < v.  Directed:
+        one uint64 key (u * node_count + v) * 2 + origin per slot (u, v)
+        and arc it comes from, origin 1 for the input arc u->v and 0 for
+        the input arc v->u."""
         self.node_count = int(node_count)
         self.directed = bool(directed)
         self.self_loops_dropped = int(self_loops_dropped)
@@ -174,9 +190,18 @@ class Graph:
         # Sorted distinct keys u * n + v are the lexicographically sorted
         # distinct pairs.  1-D np.unique costs far more than np.sort plus a
         # neighbour mask on NumPy 2.x.
-        key = u * node_count + v
+        if directed:
+            # Arc u->v makes the slots (u, v) and (v, u): one sort orders
+            # both, each key tagged with the arc it comes from (__init__).
+            key = np.concatenate([u * node_count + v, v * node_count + u])
+            key = key.view(np.uint64)
+            key <<= 1
+            key[:u.size] |= 1
+        else:
+            key = u * node_count + v
         key.sort()
-        return cls(node_count, key[_first_of_runs(key)], directed, dropped)
+        key = key[_first_of_runs(key)]  # frees the sorted copy before the build
+        return cls(node_count, key, directed, dropped)
 
     # -- derived structure ------------------------------------------------
 
@@ -191,19 +216,12 @@ class Graph:
         self._csr_indptr = _row_starts(keys, n).astype(idx)
         self._csr_indices = self._slot_v.astype(idx)
 
-    def _build_directed(self, fwd: np.ndarray):
+    def _build_directed(self, tagged: np.ndarray):
         n = self.node_count
-        # Arc u->v makes the slots (u, v) and (v, u); a reciprocated pair
-        # makes each of its two slots twice.
-        key = np.concatenate([fwd, fwd % n * n + fwd // n])
-        key.sort()
-        first = _first_of_runs(key)
-        pairs = key[first]
-        bidi = np.diff(np.flatnonzero(first), append=key.size) == 2
-        self.pair_class = np.where(
-            bidi, BIDIRECTIONAL,
-            np.where(_contains_sorted(fwd, pairs), UNI_OUTGOING, UNI_INCOMING)
-        ).astype(np.uint8)
+        # Headroom: below MAX_NODE_COUNT a pair key u * n + v is at most
+        # n * n - 1 < 2**63, so its tagged key 2 * (u * n + v) + origin fits
+        # in uint64, and shifting the tag out leaves a valid int64 key.
+        pairs, self.pair_class = _classify_pairs(tagged)
         self._slot_u, self._slot_v = np.divmod(pairs, n)
         # Row-major sorted pairs double as the full CSR adjacency: entry k of
         # the concatenated rows is exactly slot k, so the weight values are
@@ -326,35 +344,66 @@ class EdgeWeights:
 def load_edge_list(path, directed: bool) -> Graph:
     """Parse an edge list ("u<TAB>v" per line) into a Graph.
 
-    Lines that are blank or start with '#' are ignored.  Self-loops are
-    dropped and counted on the returned graph; duplicate pairs collapse to
-    one edge.  Node ids must be nonnegative base-10 integers below 2**63;
-    node_count becomes max id + 1.
+    ``path`` is anything ``open`` takes: a str, bytes or path-like name, or
+    an integer file descriptor.  Lines that are blank or start with '#' are
+    ignored.  Self-loops are dropped and counted on the returned graph;
+    duplicate pairs collapse to one edge.  Node ids must be nonnegative
+    base-10 integers below 2**63; node_count becomes max id + 1.
 
-    The fast path skips the leading '#' lines (SNAP-style headers) and
-    parses the rest of the open UTF-8 handle in bulk with ``np.loadtxt``.
-    Any file it does not accept as it stands -- a comment after the first
-    edge, a line without exactly two ids, an id that is not a plain decimal
-    int64 (such as ``1_0``, which ``int`` accepts), a negative id, bytes
-    that are not UTF-8, or no edges at all -- is read again from the start
-    and parsed line by line.  That slow path accepts ids as ``int`` does
+    The fast path (``_load_edges_bulk``) skips the leading '#' lines
+    (SNAP-style headers) and parses the rest in bulk with ``np.loadtxt``,
+    which gets the file's name rather than the open handle where it can:
+    numpy iterates a handle one line at a time in Python.  Any file it does
+    not accept as it stands -- a comment after the first edge, a line
+    without exactly two ids, an id that is not a plain decimal int64 (such
+    as ``1_0``, which ``int`` accepts), a negative id, bytes that are not
+    UTF-8, or no edges at all -- is read again from the start and parsed
+    line by line.  That slow path accepts ids as ``int`` does
     and raises an ``InputError`` naming the first bad line.  Input from a
     pipe is read into memory first, so that it can be read twice.
     """
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        if not fh.seekable():  # a pipe: keep a copy the line parser can reread
-            fh = io.StringIO(fh.read())
-        edges = _load_edges_bulk(fh)
+        if fh.seekable():
+            name = _loadtxt_name(path)
+        else:  # a pipe: keep a copy the line parser can reread
+            fh, name = io.StringIO(fh.read()), None
+        edges = _load_edges_bulk(fh, name)
         if edges is None:
             fh.seek(0)
             edges = _parse_edge_lines(fh, path)
     return Graph.from_edges(edges, directed)
 
 
-def _load_edges_bulk(fh) -> np.ndarray | None:
-    """(E, 2) int64 ids parsed by ``np.loadtxt`` from a seekable text
-    handle, or None where the line parser must decide."""
-    start = 0
+# File name endings that np.loadtxt opens through a decompressor.
+_DECOMPRESSED_BY_NUMPY = (".bz2", ".gz", ".lzma", ".xz")
+
+
+def _loadtxt_name(path) -> str | None:
+    """``path`` as the str name ``np.loadtxt`` reopens the file by, or None
+    where it must read the open handle instead: for a file descriptor, and
+    for a name that numpy would take for a URL or decompress."""
+    if isinstance(path, int):
+        return None
+    name = os.fsdecode(path)
+    if "://" in name or name.endswith(_DECOMPRESSED_BY_NUMPY):
+        return None
+    return name
+
+
+def _load_edges_bulk(fh, name: str | None) -> np.ndarray | None:
+    """(E, 2) int64 ids parsed by ``np.loadtxt``, or None where the line
+    parser must decide.
+
+    ``fh`` is a seekable text handle at the start of the input; the leading
+    blank and '#' lines are scanned on it.  ``np.loadtxt`` skips the same
+    lines and reads the rest from ``name``, the same file by name, when one
+    is given (``_loadtxt_name``), else from ``fh``.  Given a handle, numpy
+    iterates it one line at a time in Python; given a name, it reads the
+    file in chunks straight into its C tokenizer, in about half the time
+    on large files.  A byte that is not UTF-8 then raises ``UnicodeDecodeError``,
+    a ``ValueError`` like every parse failure here.
+    """
+    header, start = 0, 0
     while True:
         text = fh.readline()
         stripped = text.strip()
@@ -362,13 +411,17 @@ def _load_edges_bulk(fh) -> np.ndarray | None:
             break
         if not is_utf8(text):
             return None
-        start = fh.tell()
-    fh.seek(start)
+        header, start = header + 1, fh.tell()
+    source, skip = name, header
+    if name is None:
+        fh.seek(start)
+        source, skip = fh, 0
     try:
         with warnings.catch_warnings():
             # an empty remainder warns "input contained no data"
             warnings.simplefilter("ignore", UserWarning)
-            edges = np.loadtxt(fh, dtype=np.int64, ndmin=2, comments=None)
+            edges = np.loadtxt(source, dtype=np.int64, ndmin=2, comments=None,
+                               skiprows=skip, encoding="utf-8")
     except ValueError:
         return None
     if edges.shape[1] != 2 or edges.size == 0 or int(edges.min()) < 0:

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, numbered_lines
+from .graph import MAX_NODE_COUNT
 from .propagation import LabelSet, classify
 
 
@@ -27,11 +28,32 @@ def auc(scores: np.ndarray, truth: LabelSet) -> AucReport:
     a sort-and-group pass, so the result matches brute-force pairwise
     counting bit for bit.
     """
-    pos = truth.positive_array()
-    neg = truth.negative_array()
+    return _ranked_pairs(scores[truth.positive_array()],
+                         scores[truth.negative_array()])
+
+
+def auc_of_rows(ids: np.ndarray, vals: np.ndarray, truth: LabelSet) -> AucReport:
+    """``auc`` of score rows as ``read_scores`` returns them: node ``ids[i]``
+    scored ``vals[i]``, each id at most once.  Every node of ``truth`` needs
+    a row.  Scores are looked up among the sorted ids, so no array is sized
+    by a node id."""
+    order = np.argsort(ids)
+    sorted_ids = ids[order]
+    pos, neg = truth.positive_array(), truth.negative_array()
+    nodes = np.concatenate([pos, neg])
+    missing = nodes[~np.isin(nodes, sorted_ids, kind="sort")]
+    if missing.size:
+        raise InputError(f"score file is missing {missing.size} labeled nodes "
+                         f"(e.g. node {missing.min()})")
+    scores = vals[order[np.searchsorted(sorted_ids, nodes)]]
+    return _ranked_pairs(scores[:pos.size], scores[pos.size:])
+
+
+def _ranked_pairs(pos: np.ndarray, neg: np.ndarray) -> AucReport:
+    """AUC of the positives' scores ``pos`` against the negatives' ``neg``."""
     if pos.size == 0 or neg.size == 0:
         raise InputError("AUC needs at least one positive and one negative test node")
-    s = np.concatenate([scores[pos], scores[neg]])
+    s = np.concatenate([pos, neg])
     is_pos = np.zeros(s.size, dtype=bool)
     is_pos[:pos.size] = True
     order = np.argsort(s, kind="stable")
@@ -72,8 +94,13 @@ def rank_and_write(p: np.ndarray, remap: np.ndarray | None, path):
 
 
 def read_scores(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read a score file back as (ids, posteriors, predicted labels)."""
+    """Read a score file back as (ids, posteriors, predicted labels).
+
+    Node ids must be distinct, nonnegative and below ``MAX_NODE_COUNT``,
+    the node-count limit of every graph.
+    """
     ids, vals, preds = [], [], []
+    line_of = {}
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in numbered_lines(fh, path):
             text = line.strip()
@@ -83,24 +110,18 @@ def read_scores(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             if len(parts) != 3:
                 raise InputError(f"{path}:{lineno}: expected 'node<TAB>score<TAB>label'")
             try:
-                ids.append(int(parts[0]))
-                vals.append(float(parts[1]))
-                preds.append(int(parts[2]))
+                node, val, pred = int(parts[0]), float(parts[1]), int(parts[2])
             except ValueError:
                 raise InputError(f"{path}:{lineno}: malformed score row") from None
+            if not 0 <= node < MAX_NODE_COUNT:
+                raise InputError(f"{path}:{lineno}: node id {node} is outside "
+                                 f"[0, {MAX_NODE_COUNT})")
+            first = line_of.setdefault(node, lineno)
+            if first != lineno:
+                raise InputError(f"{path}:{lineno}: node {node} was already "
+                                 f"scored on line {first}")
+            ids.append(node)
+            vals.append(val)
+            preds.append(pred)
     return (np.asarray(ids, dtype=np.int64), np.asarray(vals),
             np.asarray(preds, dtype=np.int64))
-
-
-def scores_vector(ids: np.ndarray, vals: np.ndarray, truth: LabelSet) -> np.ndarray:
-    """Dense score vector covering the truth's node ids, for auc()."""
-    needed = truth.positives | truth.negatives
-    have = set(int(i) for i in ids)
-    missing = needed - have
-    if missing:
-        raise InputError(f"score file is missing {len(missing)} labeled nodes "
-                         f"(e.g. node {min(missing)})")
-    size = max(max(needed), int(ids.max())) + 1
-    out = np.zeros(size)
-    out[ids] = vals
-    return out

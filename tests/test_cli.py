@@ -165,6 +165,65 @@ class TestExitCodes:
         assert rc == 2
 
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--tol", "nan", "tolerance must be finite"),
+        ("--tol", "inf", "tolerance must be finite"),
+        ("--clamp", "-0.1", "clamp_bound must be nonnegative"),
+        ("--clamp", "nan", "clamp_bound must be finite"),
+        ("--lambda", "-1", "lam must be nonnegative"),
+        ("--lambda", "nan", "lam must be finite"),
+        ("--theta", "nan", "theta must be finite"),
+        ("--gamma", "nan", "gamma must be finite"),
+        ("--gamma", "inf", "gamma must be finite"),
+        ("--w0", "nan", "w0 must be finite"),
+    ])
+    def test_bad_float_option_is_input_error(self, tmp_path, capsys, flag, value,
+                                             message):
+        g = tmp_path / "g.tsv"
+        g.write_text("0\t1\n1\t2\n")
+        train = tmp_path / "t.tsv"
+        train.write_text("0\t1\n2\t-1\n")
+        rc = run_cli("run", "--graph", g, "--undirected", "--train", train,
+                     "--method", "lbp-jwp", f"{flag}={value}",
+                     "--out", tmp_path / "o.tsv")
+        assert rc == 2
+        assert message in capsys.readouterr().err
+
+
+class TestEvalScoreFile:
+    # node 0 positive, nodes 1 and 2 negative; the scores rank them perfectly
+    ROWS = "0\t0.9\t1\n1\t-0.5\t-1\n2\t-0.7\t-1\n"
+
+    def run_eval(self, tmp_path, rows):
+        scores = tmp_path / "s.tsv"
+        scores.write_text(rows)
+        truth = tmp_path / "truth.tsv"
+        truth.write_text("0\t1\n1\t-1\n2\t-1\n")
+        return run_cli("eval", "--scores", scores, "--truth", truth)
+
+    def test_valid_file(self, tmp_path, capsys):
+        assert self.run_eval(tmp_path, self.ROWS) == 0
+        assert capsys.readouterr().out == "AUC\t1.000000\n"
+
+    def test_negative_id_is_input_error(self, tmp_path, capsys):
+        # it once overwrote the score of the last node
+        assert self.run_eval(tmp_path, self.ROWS + "-1\t-0.9\t-1\n") == 2
+        assert "s.tsv:4: node id -1 is outside" in capsys.readouterr().err
+
+    def test_repeated_id_is_input_error(self, tmp_path, capsys):
+        assert self.run_eval(tmp_path, self.ROWS + "0\t-0.9\t-1\n") == 2
+        assert "s.tsv:4: node 0 was already scored on line 1" in capsys.readouterr().err
+
+    def test_missing_labeled_node_is_input_error(self, tmp_path, capsys):
+        assert self.run_eval(tmp_path, "0\t0.9\t1\n1\t-0.5\t-1\n") == 2
+        assert "missing 1 labeled nodes (e.g. node 2)" in capsys.readouterr().err
+
+    def test_huge_id_is_input_error(self, tmp_path, capsys):
+        # it once sized a dense score vector by the id
+        assert self.run_eval(tmp_path, self.ROWS + "99999999999999\t0.1\t1\n") == 2
+        assert "s.tsv:4: node id 99999999999999 is outside" in capsys.readouterr().err
+
+
 def test_run_reports_resolved_clamp(tmp_path, capsys):
     g = tmp_path / "g.tsv"
     g.write_text("0\t1\n1\t2\n0\t2\n")

@@ -10,6 +10,8 @@ from jwprop import (
     UNI_OUTGOING,
     Graph,
     InputError,
+    directed_sample,
+    gen_pa,
     load_edge_list,
     mutual_projection_lcc,
     write_edge_list,
@@ -134,8 +136,9 @@ def _open_text(path):
 
 
 def _bulk(path):
+    # as load_edge_list calls it for a file that can seek
     with _open_text(path) as fh:
-        return graph._load_edges_bulk(fh)
+        return graph._load_edges_bulk(fh, graph._loadtxt_name(path))
 
 
 def _lines(path):
@@ -219,6 +222,59 @@ class TestParserEquivalence:
         loaded = load_edge_list(f, directed=False)
         assert np.array_equal(loaded.edges, g.edges)
 
+    def test_well_formed_file_is_read_by_name(self, tmp_path, monkeypatch):
+        # np.loadtxt iterates a handle line by line in Python, but reads a
+        # named file in chunks
+        received = []
+        loadtxt = np.loadtxt
+
+        def spy(fname, *args, **kwargs):
+            received.append(fname)
+            return loadtxt(fname, *args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", spy)
+        f = tmp_path / "g.tsv"
+        f.write_bytes(b"# FromNodeId\tToNodeId\r\n0\t1\r\n1\t2\r\n")
+        g = load_edge_list(f, directed=True)
+        assert g.edges.tolist() == [[0, 1], [1, 2]]
+        assert received == [str(f)]
+
+    def test_path_types_give_one_graph(self, tmp_path):
+        rng = np.random.default_rng(8)
+        g = random_directed_graph(rng, 40)
+        f = tmp_path / "g.tsv"
+        f.write_text("# h\n" + "".join(f"{u}\t{v}\n" for u, v in g.edges.tolist()),
+                     encoding="utf-8")
+        fd = os.open(f, os.O_RDONLY)  # load_edge_list closes it
+        graphs = [load_edge_list(path, directed=True)
+                  for path in (str(f), f, os.fsencode(f), fd)]
+        for other in graphs[1:]:
+            for name in ("_slot_u", "_slot_v", "pair_class", "_indptr",
+                         "_csr_indptr", "_csr_indices"):
+                assert np.array_equal(getattr(other, name), getattr(graphs[0], name))
+            assert other.node_count == graphs[0].node_count == g.node_count
+        assert np.array_equal(graphs[0].edges, g.edges)
+
+    @pytest.mark.parametrize("path,name", [
+        ("g.tsv", "g.tsv"),
+        (b"g.tsv", "g.tsv"),
+        (3, None),
+        ("g.tsv.gz", None),
+        ("g.xz", None),
+        ("http://host/g.tsv", None),
+    ], ids=["str", "bytes", "fd", "gz", "xz", "url"])
+    def test_loadtxt_name(self, path, name):
+        assert graph._loadtxt_name(path) == name
+
+    def test_compressed_name_is_not_decompressed(self, tmp_path):
+        # numpy would gunzip a file named *.gz; the line parser reads bytes
+        import gzip
+
+        f = tmp_path / "g.tsv.gz"
+        f.write_bytes(gzip.compress(b"0\t1\n1\t2\n"))
+        with pytest.raises(InputError, match="not valid UTF-8"):
+            load_edge_list(f, directed=False)
+
 
     @pytest.mark.parametrize("data,edges,error", [
         (b"# h\n0\t1\n1\t2\n", [(0, 1), (1, 2)], None),
@@ -299,6 +355,31 @@ class TestBuildMatchesReference:
         assert empty_rows > 0
         if directed:
             assert classes == {BIDIRECTIONAL, UNI_INCOMING, UNI_OUTGOING}
+
+    @pytest.mark.parametrize("explicit_count", [False, True])
+    def test_directed_sample_at_scale(self, explicit_count):
+        # a directed sample of a 3000-node graph, thousands of slots in each
+        # pair class, plus duplicated and reversed rows
+        base = gen_pa(3000, 4, seed=5)
+        arcs = directed_sample(base, 0.6, seed=5).edges
+        rng = np.random.default_rng(5)
+        dup = arcs[rng.random(arcs.shape[0]) < 0.1]
+        rev = arcs[rng.random(arcs.shape[0]) < 0.1][:, ::-1]
+        raw = np.concatenate([arcs, dup, rev, dup[:50]])
+        raw = raw[rng.permutation(raw.shape[0])]
+        node_count = 3010 if explicit_count else None
+        g = Graph.from_edges(raw, True, node_count)
+        ref = reference_graph_arrays(raw, True, node_count)
+        for name in self.ARRAYS + self.DIRECTED_ARRAYS:
+            got, want = getattr(g, name), ref[name]
+            assert got.dtype == want.dtype, name
+            assert np.array_equal(got, want), name
+        stored = {k for k, x in vars(g).items() if isinstance(x, np.ndarray)}
+        assert stored == self.STORED | self.DIRECTED_STORED
+        assert g.node_count == (3010 if explicit_count else 3000)
+        assert g.self_loops_dropped == 0
+        counts = np.bincount(g.pair_class, minlength=3)
+        assert counts.min() > 1000, counts
 
 
 class TestNodeCountLimit:

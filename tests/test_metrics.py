@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from jwprop import InputError, LabelSet, auc, rank_and_write, read_scores
+from jwprop import InputError, LabelSet, auc, auc_of_rows, rank_and_write, read_scores
 
 from _oracles import brute_force_auc, brute_force_auc_counts
 
@@ -62,6 +62,26 @@ class TestAuc:
         truth = LabelSet.of(range(10), range(10, 30))
         swapped = LabelSet.of(range(10, 30), range(10))
         assert auc(scores, truth).auc == pytest.approx(auc(-scores, swapped).auc)
+
+
+class TestAucOfRows:
+    def test_matches_dense_scores(self):
+        # rows in any order, extra unlabeled rows, ties
+        rng = np.random.default_rng(6)
+        for _ in range(50):
+            n = int(rng.integers(3, 200))
+            scores = np.round(rng.normal(size=n), 1)
+            labeled = rng.permutation(n)[:int(rng.integers(2, n + 1))]
+            half = labeled.size // 2
+            truth = LabelSet.of(labeled[:half], labeled[half:])
+            rows = rng.permutation(n)
+            assert auc_of_rows(rows, scores[rows], truth) == auc(scores, truth)
+
+    def test_sparse_ids(self):
+        ids = np.array([10 ** 12, 3, 2 ** 40])
+        report = auc_of_rows(ids, np.array([0.9, 0.1, 0.5]),
+                             LabelSet.of([10 ** 12], [3, 2 ** 40]))
+        assert report.auc == 1.0
 
 
 class TestRankAndWrite:
