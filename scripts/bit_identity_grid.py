@@ -16,6 +16,12 @@ with ``load_edge_list`` in its direction.  The hash covers every array the
 loaded graph stores, with its name and dtype, and its node and dropped
 self-loop counts.
 
+A third hash covers the generators: every array of each grid graph as
+``build_sybil_benchmark`` and ``directed_sample`` make it, hashed the same
+way.  A change to a generator then moves this hash (and the run hashes)
+and leaves the load hash to show the reader; a change to the kernels moves
+the run hash alone.
+
     PYTHONPATH=src python scripts/bit_identity_grid.py
 
 Run it on two checkouts (point PYTHONPATH at each ``src``) and compare the
@@ -104,6 +110,7 @@ def main() -> int:
 
     total = hashlib.sha256()
     loads = hashlib.sha256()
+    graphs = hashlib.sha256()
     count = 0
     for seed in SEEDS:
         spec = SynthSpec(node_count=args.nodes, attachment=args.m, seed=seed,
@@ -113,6 +120,7 @@ def main() -> int:
         g, truth, train = build_sybil_benchmark(spec)
         gd = directed_sample(g, DIRECTED_KEEP, seed)
         for graph in (g, gd):
+            graphs.update(graph_digest(graph))
             loads.update(load_digest(graph))
         for method in Method:
             graph = gd if method in (Method.LBP_D, Method.LBP_JWP_D) else g
@@ -128,6 +136,7 @@ def main() -> int:
                               f"{digest.hex()}")
     print(f"{count} runs  sha256 {total.hexdigest()}")
     print(f"{2 * len(SEEDS)} graphs loaded  sha256 {loads.hexdigest()}")
+    print(f"{2 * len(SEEDS)} graphs generated  sha256 {graphs.hexdigest()}")
     return 0
 
 

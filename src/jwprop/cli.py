@@ -63,10 +63,14 @@ def _cmd_gen_pa(args) -> int:
     if (args.directed_keep is None) != (args.out_directed is None):
         raise InputError("--directed-keep and --out-directed must be given together")
     g = gen_pa(args.nodes, args.m, args.seed)
-    write_edge_list(g, args.out)
-    print(f"nodes={g.node_count} edges={g.edge_count} out={args.out}")
+    # Both graphs are made before either is written, so a bad
+    # --directed-keep leaves no file behind.
+    d = None
     if args.directed_keep is not None:
         d = directed_sample(g, args.directed_keep, args.seed)
+    write_edge_list(g, args.out)
+    print(f"nodes={g.node_count} edges={g.edge_count} out={args.out}")
+    if d is not None:
         write_edge_list(d, args.out_directed)
         print(f"directed edges={d.edge_count} out={args.out_directed}")
     return 0

@@ -21,9 +21,10 @@ One alternation runs: step, convergence check, gradient (its consistency
 term reads the endpoint scores of the previous score vector), one gather
 of the new score vector's endpoint scores into the same pair of work
 arrays, the loss and consistency diagnostics under the weights just
-propagated with, the weight update in place, and the class means.  The
-kept endpoint scores serve the next alternation's gradient, so each score
-vector is gathered once (the priors once more, before the first gradient).
+propagated with, the weight update in place, and the class means, which
+are recomputed only when the weights changed.  The kept endpoint scores
+serve the next alternation's gradient, so each score vector is gathered
+once (the priors once more, before the first gradient).
 """
 
 from __future__ import annotations
@@ -204,11 +205,10 @@ def truth_class_slots(g: Graph, truth: LabelSet) -> tuple[np.ndarray, np.ndarray
     y = np.zeros(g.node_count, dtype=np.int8)
     y[truth.positive_array()] = 1
     y[truth.negative_array()] = -1
-    u, v = g._slot_u, g._slot_v
-    known = (y[u] != 0) & (y[v] != 0)
-    homo = known & (y[u] == y[v])
-    hetero = known & (y[u] != y[v])
-    return np.flatnonzero(homo), np.flatnonzero(hetero)
+    # int8 labels in {-1, 0, 1}: the product is 1 for a homogeneous slot,
+    # -1 for a heterogeneous one and 0 when an endpoint is unlabeled.
+    same = y[g._slot_u] * y[g._slot_v]
+    return np.flatnonzero(same > 0), np.flatnonzero(same < 0)
 
 
 def weight_class_means(g: Graph, w: EdgeWeights, truth: LabelSet,
@@ -302,6 +302,8 @@ def run(g: Graph, labels: LabelSet, cfg: JwpConfig,
     # The random walk's inverse weighted degrees, for the step and the
     # gradient of the weights they were computed from.
     rw_degrees = {"inv_degrees": _inverse_degrees(g, w)} if family == "rw" else {}
+    # Mean weights per truth class, recomputed only after a weight update.
+    class_means = None
     for t in range(1, cfg.max_alternations + 1):
         tic = time.perf_counter()
         p = step(g, w, q, p_prev, **rw_degrees)
@@ -317,7 +319,8 @@ def run(g: Graph, labels: LabelSet, cfg: JwpConfig,
                             p_next=p, work=work, ends=ends, labeled=labeled,
                             **rw_degrees)
             if collect_diagnostics:
-                grad_inf = float(np.max(np.abs(grad))) if grad.size else 0.0
+                grad_inf = (float(abs(max(np.max(grad), -np.min(grad))))
+                            if grad.size else 0.0)
         if collect_diagnostics or (keep_ends and update):
             ends = _gather_ends(g, w, p, work)
         if collect_diagnostics:
@@ -328,9 +331,12 @@ def run(g: Graph, labels: LabelSet, cfg: JwpConfig,
             w = apply_gradient_step(w, grad, cfg.gamma, work, out=w.values)
             if rw_degrees:
                 rw_degrees["inv_degrees"] = _inverse_degrees(g, w)
+            class_means = None
         if collect_diagnostics:
-            hm, ht = (weight_class_means(g, w, truth, class_slots)
-                      if truth is not None else (math.nan, math.nan))
+            if class_means is None:
+                class_means = (weight_class_means(g, w, truth, class_slots)
+                               if truth is not None else (math.nan, math.nan))
+            hm, ht = class_means
             diags.append(AlternationDiag(
                 t=t,
                 conv_metric=metric,

@@ -190,6 +190,33 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("command,args,message", [
+        ("gen-pa", ["--nodes", "20", "--m", "2", "--seed", "-1"], "seed must be nonnegative"),
+        ("gen-pa", ["--nodes", "20", "--m", "2", "--directed-keep", "nan",
+                    "--out-directed", "{dir}/d.tsv"], "keep_fraction"),
+        ("synth-sybil", ["--graph", "{dir}/g.tsv", "--attack-edges", "2", "--seed", "-1",
+                         "--out-graph", "{dir}/out.tsv", "--out-truth", "{dir}/truth.tsv"],
+         "seed must be nonnegative"),
+        ("sample-train", ["--truth", "{dir}/labels.tsv", "--pos", "1", "--neg", "1",
+                          "--seed", "-3"], "seed must be nonnegative"),
+        ("sample-train", ["--truth", "{dir}/labels.tsv", "--pos", "-1", "--neg", "1"],
+         "training counts must be nonnegative"),
+        ("noise", ["--train", "{dir}/labels.tsv", "--alpha", "50", "--seed", "-1"],
+         "seed must be nonnegative"),
+    ])
+    def test_bad_generator_input_is_input_error(self, tmp_path, capsys, command, args,
+                                                message):
+        (tmp_path / "g.tsv").write_text("0\t1\n1\t2\n")
+        (tmp_path / "labels.tsv").write_text("0\t1\n1\t1\n2\t-1\n3\t-1\n")
+        out = tmp_path / "out.tsv"
+        if command != "synth-sybil":
+            args = args + ["--out", str(out)]
+        rc = run_cli(command, *(a.format(dir=tmp_path) for a in args))
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestEvalScoreFile:
     # node 0 positive, nodes 1 and 2 negative; the scores rank them perfectly
     ROWS = "0\t0.9\t1\n1\t-0.5\t-1\n2\t-0.7\t-1\n"

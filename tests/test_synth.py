@@ -1,5 +1,9 @@
+import itertools
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from scipy import stats
 from scipy.sparse import csgraph, csr_matrix
 
 from jwprop import (
@@ -159,14 +163,146 @@ class CapturedEdges:
         return Graph.from_edges(edges, directed, node_count)
 
 
+def assert_pa_contract(g: Graph, n: int, m: int) -> None:
+    """Nodes [0, m) form a clique and each later node has exactly m edges,
+    to distinct nodes below it; nothing was dropped or merged."""
+    assert g.node_count == n
+    assert g.self_loops_dropped == 0
+    assert g.edge_count == m * (m - 1) // 2 + (n - m) * m
+    lo, hi = g.edges[:, 0], g.edges[:, 1]
+    assert np.all(lo < hi)
+    lower = np.bincount(hi, minlength=n)  # edges to lower nodes, per node
+    assert np.array_equal(lower, np.minimum(np.arange(n), m))
+
+
+def attachments(g: Graph, m: int) -> tuple:
+    """Each new node's sorted tuple of lower neighbours, in node order."""
+    e = g.edges[np.lexsort((g.edges[:, 0], g.edges[:, 1]))]
+    return tuple(tuple(row) for row in e[e[:, 1] >= m, 0].reshape(-1, m).tolist())
+
+
+def exact_pa_distribution(n: int, m: int) -> dict:
+    """Probability of every outcome of ``attachments`` when each new node
+    takes the first m distinct nodes of a sequence of draws proportional to
+    degree, enumerated exactly."""
+    clique = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    states = {(): Fraction(1)}
+    for t in range(m, n):
+        nxt = {}
+        for outcome, prob in states.items():
+            deg = [0] * t
+            for i, j in clique + [(a, s) for a, row in enumerate(outcome, m)
+                                  for s in row]:
+                deg[i] += 1
+                deg[j] += 1
+            total = sum(deg)
+            for subset in itertools.combinations(range(t), m):
+                if total == 0:  # m == 1, node 1: node 0 is the only choice
+                    p = Fraction(1)
+                else:
+                    p = Fraction(0)
+                    for order in itertools.permutations(subset):
+                        left, q = total, Fraction(1)
+                        for node in order:
+                            q *= Fraction(deg[node], left)
+                            left -= deg[node]
+                        p += q
+                if p:
+                    nxt[outcome + (subset,)] = prob * p
+        states = nxt
+    return states
+
+
+class TestGenPaContract:
+    CHUNK = synth.PA_CHUNK
+
+    @pytest.mark.parametrize("n,m,seed", [
+        (2000, 10, 11), (1000, 10, 0), (300, 3, 7), (50, 1, 3), (30, 2, 5),
+        (2, 1, 0), (12, 11, 4), (40, 39, 1), (25, 24, 9),
+        # chunk boundaries: n, and the n - m new nodes, at B - 1, B, B + 1
+        (CHUNK - 1, 3, 2), (CHUNK, 3, 2), (CHUNK + 1, 3, 2),
+        (CHUNK + 2, 3, 2), (CHUNK + 3, 3, 2), (CHUNK + 4, 3, 2),
+        (CHUNK + 1, 1, 6), (CHUNK + 2, 1, 6), (CHUNK + 3, 1, 6),
+        (4 * CHUNK + 7, 5, 8), (3 * CHUNK, 1, 8)])
+    def test_contract(self, n, m, seed):
+        g = gen_pa(n, m, seed)
+        assert_pa_contract(g, n, m)
+        assert connected_component_count(g) == 1
+        assert np.array_equal(gen_pa(n, m, seed).edges, g.edges)
+
+    def test_contract_many_seeds(self):
+        rng = np.random.default_rng(3)
+        for seed in range(40):
+            n = int(rng.integers(2, 60))
+            m = int(rng.integers(1, n))
+            assert_pa_contract(gen_pa(n, m, seed), n, m)
+
+    @pytest.mark.parametrize("n,m", [(300, 3), (2 * CHUNK + 9, 1)])
+    def test_other_seed_differs(self, n, m):
+        a = gen_pa(n, m, seed=1).edges
+        assert np.array_equal(a, gen_pa(n, m, seed=1).edges)
+        assert not np.array_equal(a, gen_pa(n, m, seed=2).edges)
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(InputError, match="seed"):
+            gen_pa(10, 2, seed=-1)
+
+
+class TestGenPaDistribution:
+    """The chunked draws have the distribution of drawing one entry at a
+    time.  Seeds, sample sizes and thresholds were fixed before the first
+    run."""
+
+    @pytest.mark.parametrize("generator", ["gen_pa", "chunk_2", "loop"])
+    def test_exact_small_case(self, monkeypatch, generator):
+        # n = 5, m = 2 has 18 outcomes, the rarest of probability 1/30;
+        # 1500 seeds give every cell an expectation of at least 50.
+        n, m, draws = 5, 2, 1500
+        if generator.startswith("chunk_"):
+            monkeypatch.setattr(synth, "PA_CHUNK", int(generator[-1]))
+        make = ((lambda seed: Graph.from_edges(loop_gen_pa(n, m, seed), False, n))
+                if generator == "loop" else (lambda seed: gen_pa(n, m, seed)))
+        exact = exact_pa_distribution(n, m)
+        assert sum(exact.values()) == 1 and len(exact) == 18
+        counts = dict.fromkeys(exact, 0)
+        for seed in range(draws):
+            outcome = attachments(make(seed), m)
+            assert outcome in counts
+            counts[outcome] += 1
+        observed = np.array([counts[k] for k in exact])
+        expected = np.array([float(p) * draws for p in exact.values()])
+        stat = float(np.sum((observed - expected) ** 2 / expected))
+        assert stats.chi2.sf(stat, len(exact) - 1) > 1e-3
+
+    def test_degrees_match_loop_at_scale(self):
+        # Mean max degree and mean degree of node 0 over 50 seeds at
+        # (2000, 5); each difference of means must lie within 4 standard
+        # errors.
+        n, m, seeds = 2000, 5, range(50)
+
+        def degree_stats(edges):
+            deg = np.bincount(np.asarray(edges).ravel(), minlength=n)
+            return deg.max(), deg[0]
+
+        new = np.array([degree_stats(gen_pa(n, m, s).edges) for s in seeds], float)
+        old = np.array([degree_stats(loop_gen_pa(n, m, s)) for s in seeds], float)
+        se = np.sqrt(new.var(axis=0, ddof=1) / len(new)
+                     + old.var(axis=0, ddof=1) / len(old))
+        z = np.abs(new.mean(axis=0) - old.mean(axis=0)) / se
+        assert np.all(z < 4.0), (new.mean(axis=0), old.mean(axis=0), z)
+
+
 class TestSameStreamAsLoops:
     """The vectorized generators give exactly the edge lists of the
-    one-draw-at-a-time loops, from the same random stream."""
+    one-draw-at-a-time loops, from the same random stream.  ``gen_pa`` does
+    so with one-row chunks: each node then draws its m pointers in one call
+    and redraws its repeats in one call per pass, as the loop does."""
 
     @pytest.mark.parametrize("n,m,seed", [
         (2000, 10, 11), (1000, 10, 0), (300, 3, 7), (50, 1, 3), (30, 2, 5),
         (2, 1, 0), (12, 11, 4), (40, 39, 1), (25, 24, 9)])
     def test_gen_pa(self, monkeypatch, n, m, seed):
+        monkeypatch.setattr(synth, "PA_CHUNK", 1)
         captured = CapturedEdges(monkeypatch)
         g = gen_pa(n, m, seed)
         want = loop_gen_pa(n, m, seed)
@@ -174,6 +310,7 @@ class TestSameStreamAsLoops:
         assert g.node_count == n
 
     def test_gen_pa_many_seeds(self, monkeypatch):
+        monkeypatch.setattr(synth, "PA_CHUNK", 1)
         captured = CapturedEdges(monkeypatch)
         rng = np.random.default_rng(3)
         for seed in range(40):
@@ -257,6 +394,12 @@ class TestSynthSpec:
             SynthSpec(node_count=10, attachment=10)
         with pytest.raises(InputError):
             SynthSpec(node_count=10, attachment=2, attack_edges=-1)
+        with pytest.raises(InputError):
+            SynthSpec(node_count=10, attachment=2, seed=-1)
+        with pytest.raises(InputError):
+            SynthSpec(node_count=10, attachment=2, train_pos=-1)
+        with pytest.raises(InputError):
+            SynthSpec(node_count=10, attachment=2, train_neg=-1)
 
     def test_build_pipeline_deterministic(self):
         spec = SynthSpec(node_count=100, attachment=3, seed=0, attack_edges=50,
