@@ -18,9 +18,9 @@ self-loop counts.
 
 A third hash covers the generators: every array of each grid graph as
 ``build_sybil_benchmark`` and ``directed_sample`` make it, hashed the same
-way.  A change to a generator then moves this hash (and the run hashes)
-and leaves the load hash to show the reader; a change to the kernels moves
-the run hash alone.
+way.  A change to a generator moves all three hashes, a change to the
+reader the load hash alone, and a change to the kernels the run hash
+alone.
 
     PYTHONPATH=src python scripts/bit_identity_grid.py
 

@@ -74,8 +74,9 @@ def gen_pa(n: int, m: int, seed: int) -> Graph:
     one call per pass for all such rows.  Redraws are made only against
     final values, so each node's targets have the distribution of drawing
     one entry at a time.  ``PA_CHUNK`` fixes the order of the draws, so
-    the graph of a seed depends on it.  For m = 1, node 1 attaches to
-    node 0, the only node before it.
+    the graph of a seed depends on it; with one-row chunks, each node draws
+    m pointers and then its missing targets in one call at a time.  For
+    m = 1, node 1 attaches to node 0, the only node before it.
     """
     if m < 1 or m >= n:
         raise InputError("gen_pa needs 1 <= m < n")

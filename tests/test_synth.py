@@ -62,6 +62,8 @@ class TestGenPa:
             gen_pa(5, 0, seed=0)
         with pytest.raises(InputError):
             gen_pa(5, 5, seed=0)
+        with pytest.raises(InputError):
+            gen_pa(10, 2, seed=-1)
 
 
 class TestDirectedSample:
@@ -239,13 +241,8 @@ class TestGenPaContract:
 
     @pytest.mark.parametrize("n,m", [(300, 3), (2 * CHUNK + 9, 1)])
     def test_other_seed_differs(self, n, m):
-        a = gen_pa(n, m, seed=1).edges
-        assert np.array_equal(a, gen_pa(n, m, seed=1).edges)
-        assert not np.array_equal(a, gen_pa(n, m, seed=2).edges)
-
-    def test_rejects_negative_seed(self):
-        with pytest.raises(InputError, match="seed"):
-            gen_pa(10, 2, seed=-1)
+        assert not np.array_equal(gen_pa(n, m, seed=1).edges,
+                                  gen_pa(n, m, seed=2).edges)
 
 
 class TestGenPaDistribution:
