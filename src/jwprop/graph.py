@@ -10,19 +10,31 @@ how a neighbor's score enters the directed propagation step.
 
 Graphs are immutable once built; only the weight values bound to a graph
 change between propagation passes.
+
+Every sparse product runs on two compiled kernels of scipy's private
+``scipy.sparse._sparsetools`` extension, ``csr_matvec`` and ``csc_matvec``,
+which add into a caller's output array in a known order.  The extension is
+loaded straight from its file (``_load_sparsetools``) after a bare
+``import scipy``.  Importing ``scipy.sparse`` to reach it would run that
+package's init, which no run path needs and which cost a ``jwprop run``
+process about 0.2 s and 25 MiB of resident memory (2-core x86_64 VM).
+``scipy.sparse`` and ``csgraph`` are imported only by
+``mutual_projection_lcc``.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import io
 import math
 import os
+import sys
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import _sparsetools, csgraph
+import scipy
 
 from .errors import InputError, is_utf8, numbered_lines
 
@@ -40,6 +52,32 @@ _RHO_BOUND_MAX_STEPS = 30
 # in int64.
 MAX_NODE_COUNT = math.isqrt(2 ** 63)
 _MAX_INT64 = 2 ** 63 - 1
+
+
+def _load_sparsetools(folder):
+    """The compiled extension ``scipy.sparse._sparsetools``, loaded from its
+    file in ``folder`` without running ``scipy.sparse``'s package init.
+
+    The module gets its full dotted name in ``sys.modules``, so a later
+    ``import scipy.sparse`` in the same process uses this module rather
+    than loading the extension again.  Where ``folder`` holds no such
+    extension (scipy moved it), the module comes from the normal import.
+    """
+    name = "scipy.sparse._sparsetools"
+    found = importlib.machinery.PathFinder.find_spec("_sparsetools", [os.fspath(folder)])
+    if found is None:
+        from scipy.sparse import _sparsetools
+        return _sparsetools
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.spec_from_file_location(name, found.origin)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[name] = module
+    return module
+
+
+_sparsetools = _load_sparsetools(os.path.join(os.path.dirname(scipy.__file__), "sparse"))
 
 
 def _first_of_runs(sorted_keys: np.ndarray) -> np.ndarray:
@@ -84,9 +122,10 @@ def _csr_matvec(indptr, indices, data, x, y):
     """y += A x for the CSR matrix A = (data, indices, indptr), with one row
     per entry of y and one column per entry of x.
 
-    scipy's ``csr_matvec`` kernel adds row i's terms onto y[i] in entry
-    order, as ``csr_matrix @ x`` does onto zeros.  It checks no bounds:
-    the caller checks the lengths of data, x and y.
+    The kernel is ``csr_matvec`` of the ``_sparsetools`` extension that
+    ``_load_sparsetools`` loads, the one ``csr_matrix @ x`` runs onto
+    zeros: it adds row i's terms onto y[i] in entry order.  It checks no
+    bounds: the caller checks the lengths of data, x and y.
     """
     _sparsetools.csr_matvec(y.size, x.size, indptr, indices, data, x, y)
 
@@ -129,10 +168,6 @@ class Graph:
         (``csr_index_dtype``).  Undirected: the strictly upper triangular
         slot CSR U, row u holding slot (u, v) at column v, with
         W = U + U^T.  Directed: the n x 3n step matrix above.
-    ``_indptr`` : (n + 1,) int64 array (directed only)
-        The same row pointers with ``_slot_v``'s dtype, for the
-        spectral-radius bound's matvec: sparsetools wants matching index
-        types, and ``np.take`` wants ``_slot_v`` as intp.
 
     Derived on access: ``slot_ends`` (the two endpoint columns as one
     (S, 2) array) and ``edges`` (the deduplicated input edges as an (E, 2)
@@ -223,14 +258,12 @@ class Graph:
         # in uint64, and shifting the tag out leaves a valid int64 key.
         pairs, self.pair_class = _classify_pairs(tagged)
         self._slot_u, self._slot_v = np.divmod(pairs, n)
-        # Row-major sorted pairs double as the full CSR adjacency: entry k of
-        # the concatenated rows is exactly slot k, so the weight values are
-        # the CSR data as they stand.
-        self._indptr = _row_starts(pairs, n)
-        # The step's CSR: the same rows with the class columns
-        # pair_class * n + v, in the narrowest index type sparsetools takes.
+        # The step's CSR: row-major sorted pairs, so entry k of the
+        # concatenated rows is exactly slot k and the weight values are the
+        # CSR data as they stand, with the class columns pair_class * n + v,
+        # in the narrowest index type sparsetools takes.
         idx = csr_index_dtype(self.slot_count, 3 * n)
-        self._csr_indptr = self._indptr.astype(idx)
+        self._csr_indptr = _row_starts(pairs, n).astype(idx)
         self._csr_indices = self.pair_class.astype(idx) * n
         self._csr_indices += self._slot_v
 
@@ -295,8 +328,11 @@ class Graph:
             best = math.inf
             for _ in range(_RHO_BOUND_MAX_STEPS + 1):
                 if self.directed:
+                    # Column pair_class * n + v of the step CSR reads x[v]
+                    # from the tiled x: row u sums x over its slots (u, v).
                     ax = np.zeros(x.size)
-                    _csr_matvec(self._indptr, self._slot_v, ones, x, ax)
+                    _csr_matvec(self._csr_indptr, self._csr_indices, ones,
+                                np.tile(x, 3), ax)
                 else:
                     ax = _symmetric_matvec(self._csr_indptr, self._csr_indices, ones, x)
                 best = min(best, float(np.max(ax / x)))
@@ -475,6 +511,9 @@ def mutual_projection_lcc(g: Graph) -> tuple[Graph, np.ndarray]:
     mutual = mutual[mutual[:, 0] < mutual[:, 1]]
     if mutual.shape[0] == 0:
         raise InputError("no mutual edges: projection result is empty")
+    from scipy import sparse  # the only user of scipy.sparse's package
+    from scipy.sparse import csgraph
+
     n = g.node_count
     adj = sparse.csr_matrix(
         (np.ones(mutual.shape[0]), (mutual[:, 0], mutual[:, 1])), shape=(n, n)

@@ -34,7 +34,7 @@ class LabelSet:
         overlap = self.positives & self.negatives
         if overlap:
             raise InputError(f"labels overlap on nodes {sorted(overlap)[:5]}")
-        if any(i < 0 for i in self.positives) or any(i < 0 for i in self.negatives):
+        if min(self.positives, default=0) < 0 or min(self.negatives, default=0) < 0:
             raise InputError("label node ids must be nonnegative")
 
     @classmethod

@@ -10,6 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+# Every generator draws from numpy.random.  NumPy 2 imports it lazily, on
+# first attribute access, so without this import the first default_rng call
+# would pay for the import inside whatever its caller times.
+import numpy.random  # noqa: F401
 
 from .errors import InputError
 from .graph import Graph

@@ -245,8 +245,7 @@ def reference_graph_arrays(edges, directed, node_count=None) -> dict:
         bwd = contains(pairs[:, 1] * n + pairs[:, 0])
         pair_class = np.where(fwd & bwd, 0, np.where(fwd, 2, 1)).astype(np.uint8)
         class_col = pair_class.astype(np.int64) * n + pairs[:, 1]
-        out.update(slot_ends=pairs, pair_class=pair_class, class_col=class_col,
-                   _indptr=row_pointers(pairs[:, 0]))
+        out.update(slot_ends=pairs, pair_class=pair_class, class_col=class_col)
         rows, cols = pairs[:, 0], class_col
     else:
         # upper triangle only: row u holds slot (u, v) at column v

@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -174,7 +176,7 @@ class TestParserEquivalence:
             names = ("edges", "slot_ends", "_slot_u", "_slot_v", "_csr_indptr",
                      "_csr_indices")
             if directed:
-                names += ("pair_class", "_indptr")
+                names += ("pair_class",)
             for name in names:
                 assert np.array_equal(getattr(loaded, name), getattr(by_lines, name))
             assert loaded.node_count == by_lines.node_count
@@ -249,8 +251,8 @@ class TestParserEquivalence:
         graphs = [load_edge_list(path, directed=True)
                   for path in (str(f), f, os.fsencode(f), fd)]
         for other in graphs[1:]:
-            for name in ("_slot_u", "_slot_v", "pair_class", "_indptr",
-                         "_csr_indptr", "_csr_indices"):
+            for name in ("_slot_u", "_slot_v", "pair_class", "_csr_indptr",
+                         "_csr_indices"):
                 assert np.array_equal(getattr(other, name), getattr(graphs[0], name))
             assert other.node_count == graphs[0].node_count == g.node_count
         assert np.array_equal(graphs[0].edges, g.edges)
@@ -303,10 +305,10 @@ class TestParserEquivalence:
 class TestBuildMatchesReference:
     ARRAYS = ("edges", "slot_ends", "_slot_u", "_slot_v", "_csr_indptr",
               "_csr_indices")
-    DIRECTED_ARRAYS = ("pair_class", "_indptr")
+    DIRECTED_ARRAYS = ("pair_class",)
     # Every array a graph stores; edges and slot_ends are derived.
     STORED = {"_slot_u", "_slot_v", "_csr_indptr", "_csr_indices"}
-    DIRECTED_STORED = {"pair_class", "_indptr"}
+    DIRECTED_STORED = {"pair_class"}
 
     @pytest.mark.parametrize("directed", [False, True])
     def test_random_graphs(self, directed):
@@ -553,3 +555,57 @@ class TestMutualProjection:
         sub2, remap2 = mutual_projection_lcc(as_directed)
         assert np.array_equal(sub.edges, sub2.edges)
         assert list(remap2) == list(range(sub.node_count))
+
+
+# Runs ``python -m jwprop run`` in one fresh process after ``import jwprop``
+# and prints the scipy.sparse modules it loaded.
+_RUN_AND_LIST_MODULES = """
+import runpy, sys
+import jwprop
+from jwprop import graph
+sys.argv = ["jwprop", "run", "--graph", sys.argv[1], "--undirected", "--train",
+            sys.argv[2], "--method", "lbp-jwp", "--out", sys.argv[3]]
+try:
+    runpy.run_module("jwprop", run_name="__main__")
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+print(sorted(m for m in sys.modules if m.startswith("scipy.sparse")))
+from scipy.sparse import _sparsetools, csgraph
+print(_sparsetools is graph._sparsetools, graph._sparsetools.__name__)
+"""
+
+
+class TestSparsetoolsLoader:
+    def test_run_skips_scipy_sparse_package(self, tmp_path):
+        g = tmp_path / "g.tsv"
+        write_lines(g, [f"{u}\t{v}" for u, v in gen_pa(40, 3, 0).edges.tolist()])
+        train = tmp_path / "t.tsv"
+        write_lines(train, ["0\t1", "1\t1", "38\t-1", "39\t-1"])
+        out = tmp_path / "s.tsv"
+        src = os.path.dirname(os.path.dirname(graph.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", _RUN_AND_LIST_MODULES, str(g),
+                               str(train), str(out)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        loaded, same = proc.stdout.splitlines()[-2:]  # after the run's report
+        # only the kernel extension: no package init, no csgraph
+        assert loaded == "['scipy.sparse._sparsetools']"
+        # a later import of scipy.sparse reuses the loaded extension
+        assert same == "True scipy.sparse._sparsetools"
+        assert len(out.read_text().splitlines()) == 40
+
+    def test_loaded_module_is_the_registered_one(self):
+        assert graph._sparsetools is sys.modules["scipy.sparse._sparsetools"]
+        folder = os.path.dirname(graph._sparsetools.__file__)
+        assert graph._load_sparsetools(folder) is graph._sparsetools
+
+    def test_folder_without_extension_falls_back_to_import(self, tmp_path):
+        (tmp_path / "_sparsetools.txt").write_text("not an extension")
+        kernels = graph._load_sparsetools(tmp_path)
+        assert kernels is graph._sparsetools
+        y = np.array([1.0])
+        kernels.csr_matvec(1, 2, np.array([0, 2], dtype=np.int32),
+                           np.array([0, 1], dtype=np.int32), np.array([2.0, 3.0]),
+                           np.array([10.0, 100.0]), y)
+        assert y.tolist() == [321.0]

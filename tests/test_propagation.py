@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.sparse import _sparsetools
 
 from jwprop import (
     BIDIRECTIONAL,
@@ -22,6 +21,7 @@ from jwprop import (
     weighted_degrees,
     write_labels,
 )
+from jwprop import graph
 from jwprop.graph import csr_index_dtype
 from jwprop.propagation import RW_VARIANTS, _inverse_degrees
 
@@ -48,6 +48,16 @@ class TestLabelSet:
     def test_overlap_rejected(self):
         with pytest.raises(InputError, match="overlap"):
             LabelSet.of([1, 2], [2, 3])
+
+    @pytest.mark.parametrize("pos,neg", [([-1, 2], [3]), ([2], [0, -5]),
+                                         ([-1], [])], ids=["pos", "neg", "only"])
+    def test_negative_id_rejected(self, pos, neg):
+        with pytest.raises(InputError, match="must be nonnegative"):
+            LabelSet.of(pos, neg)
+
+    def test_empty_and_zero_ids_accepted(self):
+        assert len(LabelSet.of([], [])) == 0
+        assert len(LabelSet.of([0], [])) == len(LabelSet.of([], [0])) == 1
 
     def test_exclude(self):
         ls = LabelSet.of([1, 2, 3], [4, 5])
@@ -418,15 +428,17 @@ class TestPrebuiltCsrSteps:
         # The steps rely on both kernels adding onto y as it stands, row
         # i's terms one at a time in entry order, starting from y[i].
         # A = [[1, 2], [0, 3]] as CSR; the same arrays read as CSC are A^T.
+        # The kernels are the ones graph.py loaded and calls.
+        kernels = graph._sparsetools
         indptr = np.array([0, 2, 3], dtype=np.int32)
         indices = np.array([0, 1, 1], dtype=np.int32)
         data = np.array([1.0, 2.0, 3.0])
         x = np.array([1.0, 10.0])
         y = np.array([100.0, 200.0])
-        _sparsetools.csr_matvec(2, 2, indptr, indices, data, x, y)
+        kernels.csr_matvec(2, 2, indptr, indices, data, x, y)
         assert y.tolist() == [121.0, 230.0]
         y = np.array([100.0, 200.0])
-        _sparsetools.csc_matvec(2, 2, indptr, indices, data, x, y)
+        kernels.csc_matvec(2, 2, indptr, indices, data, x, y)
         assert y.tolist() == [101.0, 232.0]
         # Accumulation order: at 1e16 the float spacing is 2, so adding 1.0
         # twice onto y[0] rounds away both times, where adding 1.0 + 1.0
@@ -435,12 +447,12 @@ class TestPrebuiltCsrSteps:
         ones = np.ones(2)
         two = np.array([0, 2], dtype=np.int32)
         y = np.array([1e16])
-        _sparsetools.csr_matvec(1, 2, two, np.array([0, 1], dtype=np.int32),
-                                ones, ones, y)
+        kernels.csr_matvec(1, 2, two, np.array([0, 1], dtype=np.int32),
+                           ones, ones, y)
         assert y.tolist() == [1e16]
         y = np.array([1e16, 0.0])
-        _sparsetools.csc_matvec(2, 1, two, np.array([0, 0], dtype=np.int32),
-                                ones, ones[:1], y)
+        kernels.csc_matvec(2, 1, two, np.array([0, 0], dtype=np.int32),
+                           ones, ones[:1], y)
         assert y.tolist() == [1e16, 0.0]
 
     def test_index_dtype_choice(self):
