@@ -1,34 +1,40 @@
 #!/usr/bin/env python3
-"""One sha256 over the results of a fixed grid of runs, for checking that a
-change to the kernels leaves every bit of every result where it was.
+"""sha256 hashes over the results of a fixed grid of runs, for checking
+that a change to the kernels leaves every bit of every result where it was.
 
 The grid is every method x every regularizer x gamma in {0.01, 1} x seeds
 0-2 (192 runs) on the planted-Sybil benchmark, with ground-truth
-diagnostics on, at lam = 1 by default.  The undirected methods run on the
+diagnostics, at lam = 1 by default.  The undirected methods run on the
 benchmark graph, the directed ones on a 0.6-keep ``directed_sample`` of it.
-The hash covers each run's posteriors, weights and diagnostics except
-``wall_ms``, in grid order.
 
-A second hash covers the edge-list reader.  Each grid graph (the benchmark
+The results hash covers each run's posteriors, weights, alternation count
+and converged flag, and the diagnostic columns ``t``, ``conv_metric``,
+``loss`` and ``grad_inf``, bit for bit, in grid order.  The consistency
+sum and the class means are exact to rounding, not to the bit, so the
+diagnostics hash covers them as ``write_diagnostics`` writes them, at 10
+significant digits: the text it emits for each run without the
+``wall_ms`` column.
+
+A third hash covers the edge-list reader.  Each grid graph (the benchmark
 graph and its directed sample) is written with ``write_edge_list``, once as
 it is and once with a '#' header line and CRLF line ends, and read back
-with ``load_edge_list`` in its direction.  The hash covers every array the
-loaded graph stores, with its name and dtype, and its node and dropped
-self-loop counts.
+with ``load_edge_list`` in its direction.  The hash covers the arrays that
+results read (``GRAPH_ARRAYS``), with their names and dtypes, and the node
+and dropped self-loop counts.
 
-A third hash covers the generators: every array of each grid graph as
-``build_sybil_benchmark`` and ``directed_sample`` make it, hashed the same
-way.  A change to a generator moves all three hashes, a change to the
-reader the load hash alone, and a change to the kernels the run hash
-alone.
+A fourth hash covers the generators: the same arrays of each grid graph as
+``build_sybil_benchmark`` and ``directed_sample`` make it.  A change to a
+generator moves every hash, a change to the reader the load hash alone,
+and a change to the kernels the run hashes alone.
 
     PYTHONPATH=src python scripts/bit_identity_grid.py
 
 Run it on two checkouts (point PYTHONPATH at each ``src``) and compare the
-printed hashes; ``--per-run`` prints one hash per run to find the first
-that differs.  At lam = 1 the factor -lam of the consistency gradient is
-exact, so a reordering of (-lam * p_u) * p_v goes unseen; ``--lam auto``
-runs the grid at each graph's default lam = min(1, 10 / average degree).
+printed hashes; ``--per-run`` prints one results hash per run to find the
+first that differs.  At lam = 1 the factor -lam of the consistency
+gradient is exact, so a reordering of (-lam * p_u) * p_v goes unseen;
+``--lam auto`` runs the grid at each graph's default lam = min(1, 10 /
+average degree).
 """
 
 import argparse
@@ -49,15 +55,18 @@ from jwprop import (
     directed_sample,
     load_edge_list,
     run,
+    write_diagnostics,
     write_edge_list,
 )
 
 GAMMAS = (0.01, 1.0)
 SEEDS = (0, 1, 2)
 DIRECTED_KEEP = 0.6
-# AlternationDiag fields in the hash: all but the wall-clock time.
-DIAG_FIELDS = ("t", "conv_metric", "loss", "consistency", "grad_inf",
-               "mean_homo_weight", "mean_hetero_weight")
+# AlternationDiag fields in the results hash, bit for bit.
+DIAG_FIELDS = ("t", "conv_metric", "loss", "grad_inf")
+# Graph arrays in the load and generator hashes: the slot endpoints, the
+# directed pair classes and the step CSR, which is all that results read.
+GRAPH_ARRAYS = ("_slot_u", "_slot_v", "pair_class", "_csr_indptr", "_csr_indices")
 
 
 def run_digest(result) -> bytes:
@@ -70,10 +79,20 @@ def run_digest(result) -> bytes:
     return h.digest()
 
 
+def written_diagnostics(result, path: Path) -> bytes:
+    """The text ``write_diagnostics`` emits for ``result``, without its
+    ``wall_ms`` column."""
+    write_diagnostics(result.diagnostics, path)
+    rows = [line.split("\t") for line in path.read_text(encoding="utf-8").splitlines()]
+    wall = rows[0].index("wall_ms")
+    return "".join("\t".join(r[:wall] + r[wall + 1:]) + "\n" for r in rows).encode()
+
+
 def graph_digest(g) -> bytes:
     h = hashlib.sha256()
-    for name, value in sorted(vars(g).items()):
-        if isinstance(value, np.ndarray):
+    for name in GRAPH_ARRAYS:
+        value = getattr(g, name)
+        if value is not None:
             h.update(f"{name}:{value.dtype.str}:".encode())
             h.update(value.tobytes())
     h.update(struct.pack("<qq", g.node_count, g.self_loops_dropped))
@@ -108,33 +127,39 @@ def main() -> int:
     args = ap.parse_args()
     lam = None if args.lam == "auto" else float(args.lam)
 
-    total = hashlib.sha256()
+    results = hashlib.sha256()
+    written = hashlib.sha256()
     loads = hashlib.sha256()
     graphs = hashlib.sha256()
     count = 0
-    for seed in SEEDS:
-        spec = SynthSpec(node_count=args.nodes, attachment=args.m, seed=seed,
-                         attack_edges=args.attack_edges,
-                         train_pos=args.train_per_class,
-                         train_neg=args.train_per_class)
-        g, truth, train = build_sybil_benchmark(spec)
-        gd = directed_sample(g, DIRECTED_KEEP, seed)
-        for graph in (g, gd):
-            graphs.update(graph_digest(graph))
-            loads.update(load_digest(graph))
-        for method in Method:
-            graph = gd if method in (Method.LBP_D, Method.LBP_JWP_D) else g
-            for reg in RegularizerKind:
-                for gamma in GAMMAS:
-                    cfg = JwpConfig(method=method, regularizer=reg, lam=lam,
-                                    gamma=gamma)
-                    digest = run_digest(run(graph, train, cfg, truth=truth))
-                    total.update(digest)
-                    count += 1
-                    if args.per_run:
-                        print(f"{seed}\t{method.value}\t{reg.value}\t{gamma:g}\t"
-                              f"{digest.hex()}")
-    print(f"{count} runs  sha256 {total.hexdigest()}")
+    with tempfile.TemporaryDirectory() as workdir:
+        diag_path = Path(workdir) / "diag.tsv"
+        for seed in SEEDS:
+            spec = SynthSpec(node_count=args.nodes, attachment=args.m, seed=seed,
+                             attack_edges=args.attack_edges,
+                             train_pos=args.train_per_class,
+                             train_neg=args.train_per_class)
+            g, truth, train = build_sybil_benchmark(spec)
+            gd = directed_sample(g, DIRECTED_KEEP, seed)
+            for graph in (g, gd):
+                graphs.update(graph_digest(graph))
+                loads.update(load_digest(graph))
+            for method in Method:
+                graph = gd if method in (Method.LBP_D, Method.LBP_JWP_D) else g
+                for reg in RegularizerKind:
+                    for gamma in GAMMAS:
+                        cfg = JwpConfig(method=method, regularizer=reg, lam=lam,
+                                        gamma=gamma)
+                        result = run(graph, train, cfg, truth=truth)
+                        digest = run_digest(result)
+                        results.update(digest)
+                        written.update(written_diagnostics(result, diag_path))
+                        count += 1
+                        if args.per_run:
+                            print(f"{seed}\t{method.value}\t{reg.value}\t{gamma:g}\t"
+                                  f"{digest.hex()}")
+    print(f"{count} runs  results sha256 {results.hexdigest()}")
+    print(f"{count} runs  written diagnostics sha256 {written.hexdigest()}")
     print(f"{2 * len(SEEDS)} graphs loaded  sha256 {loads.hexdigest()}")
     print(f"{2 * len(SEEDS)} graphs generated  sha256 {graphs.hexdigest()}")
     return 0

@@ -20,7 +20,6 @@ from jwprop import (
     build_sybil_benchmark,
     inject_noise,
     run,
-    weight_class_means,
 )
 
 METHOD_GRID = [
@@ -65,11 +64,12 @@ def main() -> int:
             gamma = args.rw_gamma if method is Method.RW_JWP_U else args.gamma
             cfg = JwpConfig(method=method, regularizer=reg, lam=args.lam,
                             gamma=gamma)
-            result = run(g, train, cfg, truth=truth, collect_diagnostics=False)
+            result = run(g, train, cfg, truth=truth)
             aucs[name].append(auc(result.posteriors, test).auc)
             if name == "lbp-jwp-u":
-                homo, hetero = weight_class_means(g, result.weights, truth)
-                trends.append((seed, result.w0, homo, hetero))
+                last = result.diagnostics[-1]
+                trends.append((seed, result.w0, last.mean_homo_weight,
+                               last.mean_hetero_weight))
 
         for alpha in args.noise_grid:
             labels = (train if alpha == 0.0
@@ -77,7 +77,7 @@ def main() -> int:
             cfg = JwpConfig(method=Method.LBP_JWP_U,
                             regularizer=RegularizerKind.CONSISTENCY,
                             lam=args.lam, gamma=args.gamma)
-            result = run(g, labels, cfg, collect_diagnostics=False)
+            result = run(g, labels, cfg)
             noise_aucs[alpha].append(auc(result.posteriors, test).auc)
 
     print(f"\nbenchmark: {args.nodes}x2 nodes, m={args.m}, "

@@ -68,7 +68,7 @@ def bench(methods: list[str], edge_targets: list[int], seeds: list[int],
                                 max_alternations=alternations,
                                 tolerance=_NO_EARLY_STOP)
                 tic = time.perf_counter()
-                result = run(g, labels, cfg, collect_diagnostics=False)
+                result = run(g, labels, cfg)
                 times[name].append((time.perf_counter() - tic) * 1e3)
                 alts = result.alternations
         for name in methods:

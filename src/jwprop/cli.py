@@ -48,7 +48,7 @@ def _cmd_run(args) -> int:
         tolerance=args.tol,
         restart=args.restart,
     )
-    result: RunResult = run(g, labels, cfg, collect_diagnostics=args.log is not None)
+    result: RunResult = run(g, labels, cfg)
     rank_and_write(result.posteriors, None, args.out)
     if args.log:
         write_diagnostics(result.diagnostics, args.log)

@@ -17,14 +17,16 @@ labeled slots that carry the gradient's loss term, and the random walk's
 inverse weighted degrees, which are recomputed only after a weight update
 and shared by the step and the gradient.
 
-One alternation runs: step, convergence check, gradient (its consistency
-term reads the endpoint scores of the previous score vector), one gather
-of the new score vector's endpoint scores into the same pair of work
-arrays, the loss and consistency diagnostics under the weights just
-propagated with, the weight update in place, and the class means, which
-are recomputed only when the weights changed.  The kept endpoint scores
-serve the next alternation's gradient, so each score vector is gathered
-once (the priors once more, before the first gradient).
+One alternation runs: step, convergence check, gradient, the loss and
+consistency diagnostics under the weights just propagated with, the weight
+update in place, and the class means, which are recomputed only when the
+weights changed.  Every run collects these diagnostics.  Only the
+consistency gradient reads per-slot endpoint scores, those of the previous
+score vector: each such vector is gathered once into a pair of work arrays,
+the priors before the loop and, after each gradient, the new scores when
+the budget leaves room for another update.  The consistency diagnostic is
+one product through the step's CSR, and the class means gather only the two
+smaller truth classes; both are exact to rounding, not to the bit.
 """
 
 from __future__ import annotations
@@ -161,11 +163,15 @@ class JwpConfig:
 
 @dataclass(frozen=True)
 class AlternationDiag:
-    """Per-alternation diagnostics.
+    """Per-alternation diagnostics, collected on every run.
 
     ``consistency`` is evaluated with the weights used for this
     alternation's propagation; the weight means describe the weights after
-    this alternation's learning step (NaN without ground-truth labels).
+    this alternation's learning step (NaN without ground-truth labels, or
+    for a class with no slot).  ``consistency`` and the weight means are
+    exact to rounding, not to the bit: they are summed in another order
+    than slot by slot (``learning.consistency_value``,
+    ``weight_class_means``).
     """
 
     t: int
@@ -199,40 +205,54 @@ def convergence_metric(p_new: np.ndarray, p_old: np.ndarray) -> float:
     return float(np.sum(np.abs(p_new - p_old))) / denom
 
 
-def truth_class_slots(g: Graph, truth: LabelSet) -> tuple[np.ndarray, np.ndarray]:
-    """Indices of the homogeneous and heterogeneous slots under ground
-    truth: both endpoints labeled, with equal or with opposite labels."""
+def truth_class_slots(g: Graph, truth: LabelSet
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Indices of the homogeneous, the heterogeneous and the remaining
+    slots under ground truth.  A slot is homogeneous when both endpoints
+    are labeled alike, heterogeneous when they are labeled unlike, and
+    remaining when an endpoint is unlabeled; the three partition the
+    slots."""
     y = np.zeros(g.node_count, dtype=np.int8)
     y[truth.positive_array()] = 1
     y[truth.negative_array()] = -1
     # int8 labels in {-1, 0, 1}: the product is 1 for a homogeneous slot,
     # -1 for a heterogeneous one and 0 when an endpoint is unlabeled.
     same = y[g._slot_u] * y[g._slot_v]
-    return np.flatnonzero(same > 0), np.flatnonzero(same < 0)
+    return np.flatnonzero(same > 0), np.flatnonzero(same < 0), np.flatnonzero(same == 0)
 
 
 def weight_class_means(g: Graph, w: EdgeWeights, truth: LabelSet,
-                       class_slots: tuple[np.ndarray, np.ndarray] | None = None
+                       class_slots: tuple[np.ndarray, ...] | None = None
                        ) -> tuple[float, float]:
     """Mean weight over homogeneous and heterogeneous slots under ground
     truth; NaN for classes with no member slots.  ``class_slots`` passes in
-    ``truth_class_slots(g, truth)`` when the caller already has it."""
-    homo, hetero = truth_class_slots(g, truth) if class_slots is None else class_slots
-    hm = float(np.mean(w.values[homo])) if homo.size else math.nan
-    ht = float(np.mean(w.values[hetero])) if hetero.size else math.nan
-    return hm, ht
+    ``truth_class_slots(g, truth)`` when the caller already has it.
+
+    Only the two smaller of the three slot classes are gathered; the sum of
+    the largest is the sum of all weights minus theirs.  A mean is thus
+    exact to rounding, not to the bit, and the largest class's error is
+    bounded relative to the sum of all |w|, not that class's alone.
+    """
+    classes = truth_class_slots(g, truth) if class_slots is None else class_slots
+    largest = max(range(3), key=lambda i: classes[i].size)
+    sums = [0.0 if i == largest else float(np.sum(w.values[idx]))
+            for i, idx in enumerate(classes)]
+    sums[largest] = float(np.sum(w.values)) - sum(sums)
+    return tuple(s / idx.size if idx.size else math.nan
+                 for s, idx in zip(sums[:2], classes[:2]))
 
 
 def run(g: Graph, labels: LabelSet, cfg: JwpConfig,
-        truth: LabelSet | None = None, collect_diagnostics: bool = True) -> RunResult:
+        truth: LabelSet | None = None) -> RunResult:
     """Run a propagation method, optionally learning edge weights.
 
     Scores start at the priors and weights at w0.  The loop stops when the
     relative L1 change of the scores drops below the tolerance or the
     alternation budget is exhausted; in the latter case the result is
     returned with converged=False.  Under the default w0 and clamp of the
-    LBP methods every step is a contraction (see ``JwpConfig``).  Pass
-    ``truth`` to track per-class mean weights in the diagnostics.
+    LBP methods every step is a contraction (see ``JwpConfig``).  Every
+    alternation appends an ``AlternationDiag``; pass ``truth`` to track
+    per-class mean weights in them.
     """
     method = cfg.method
     _, family, learn = METHOD_TABLE[method]
@@ -292,11 +312,10 @@ def run(g: Graph, labels: LabelSet, cfg: JwpConfig,
     # updated in place, after the diagnostics that read the weights this
     # alternation propagated with.
     work = SlotWork(g.slot_count)
-    class_slots = (truth_class_slots(g, truth)
-                   if truth is not None and collect_diagnostics else None)
+    class_slots = truth_class_slots(g, truth) if truth is not None else None
     labeled = LabeledSlots(g, labels) if learn else None
-    # The endpoint scores of the latest score vector, kept in work.a and
-    # work.b for the diagnostics and the next consistency gradient.
+    # The endpoint scores of the latest score vector that a consistency
+    # gradient will read, kept in work.a and work.b.
     keep_ends = learn and cfg.regularizer is RegularizerKind.CONSISTENCY
     ends = _gather_ends(g, w, q, work) if keep_ends else None
     # The random walk's inverse weighted degrees, for the step and the
@@ -318,35 +337,33 @@ def run(g: Graph, labels: LabelSet, cfg: JwpConfig,
             grad = gradient(g, w, q, p_prev, labels, lam, cfg.regularizer,
                             p_next=p, work=work, ends=ends, labeled=labeled,
                             **rw_degrees)
-            if collect_diagnostics:
-                grad_inf = (float(abs(max(np.max(grad), -np.min(grad))))
-                            if grad.size else 0.0)
-        if collect_diagnostics or (keep_ends and update):
-            ends = _gather_ends(g, w, p, work)
-        if collect_diagnostics:
-            with np.errstate(over="ignore"):  # inf diagnostics on divergence
-                loss_val = training_loss(p, labels)
-                cons_val = consistency_value(g, w, p, work, ends=ends)
+            grad_inf = float(abs(max(np.max(grad), -np.min(grad)))) if grad.size else 0.0
+            # The next alternation's gradient reads p's endpoint scores,
+            # unless the budget leaves it no update.
+            if keep_ends and t + 1 < cfg.max_alternations:
+                ends = _gather_ends(g, w, p, work)
+        with np.errstate(over="ignore"):  # inf diagnostics on divergence
+            loss_val = training_loss(p, labels)
+            cons_val = consistency_value(g, w, p)
         if update:
             w = apply_gradient_step(w, grad, cfg.gamma, work, out=w.values)
             if rw_degrees:
                 rw_degrees["inv_degrees"] = _inverse_degrees(g, w)
             class_means = None
-        if collect_diagnostics:
-            if class_means is None:
-                class_means = (weight_class_means(g, w, truth, class_slots)
-                               if truth is not None else (math.nan, math.nan))
-            hm, ht = class_means
-            diags.append(AlternationDiag(
-                t=t,
-                conv_metric=metric,
-                loss=loss_val,
-                consistency=cons_val,
-                grad_inf=grad_inf,
-                mean_homo_weight=hm,
-                mean_hetero_weight=ht,
-                wall_ms=(time.perf_counter() - tic) * 1e3,
-            ))
+        if class_means is None:
+            class_means = (weight_class_means(g, w, truth, class_slots)
+                           if truth is not None else (math.nan, math.nan))
+        hm, ht = class_means
+        diags.append(AlternationDiag(
+            t=t,
+            conv_metric=metric,
+            loss=loss_val,
+            consistency=cons_val,
+            grad_inf=grad_inf,
+            mean_homo_weight=hm,
+            mean_hetero_weight=ht,
+            wall_ms=(time.perf_counter() - tic) * 1e3,
+        ))
         p_prev = p
         if converged:
             break

@@ -10,11 +10,15 @@ one is linear in the weights.
 Each gradient writes the regularizer's term over every slot, then adds the
 loss term on the labeled slots only (``LabeledSlots``): the residual
 p_next - y is zero off the labeled nodes, so the loss term is zero on every
-other slot.  The consistency term and ``consistency_value`` read a score
-vector's endpoint scores p[u] and p[v] per slot.  ``engine.run`` gathers
-them once per score vector (``_gather_ends``) and passes them to both, so an
-alternation passes over all slots once per score vector; a standalone call
+other slot.  The consistency term reads a score vector's endpoint scores
+p[u] and p[v] per slot.  ``engine.run`` gathers them once per score vector
+(``_gather_ends``) and passes them to the next gradient; a standalone call
 gathers what it is not given.
+
+``consistency_value`` gathers nothing: it is p . (U_w p), one product of
+the propagation step's CSR, whose data is the weight vector, with p.  Its
+terms are summed per row and then over nodes, not per slot in slot order,
+so it equals the per-slot sum to rounding, not to the bit.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .graph import EdgeWeights, Graph
+from .graph import EdgeWeights, Graph, _csr_matvec
 from .propagation import (
     LabelSet,
     _check_vectors,
@@ -54,16 +58,14 @@ def training_loss(p: np.ndarray, labels: LabelSet) -> float:
 
 
 class SlotWork:
-    """Slot-sized work arrays for the gradients, ``consistency_value`` and
-    ``apply_gradient_step``, allocated once per run and reused by every
-    alternation.
+    """Slot-sized work arrays for the gradients and ``apply_gradient_step``,
+    allocated once per run and reused by every alternation.
 
     ``a`` and ``b`` hold the endpoint scores p[u] and p[v] of one score
-    vector (``_gather_ends``); ``engine.run`` keeps them from the
-    diagnostics of one alternation to the gradient of the next, so nothing
-    else writes there.  ``c`` is scratch for ``consistency_value`` and
-    ``apply_gradient_step``, ``grad`` receives the gradient and ``mask``
-    the update's finiteness test.
+    vector (``_gather_ends``); ``engine.run`` keeps them from one
+    alternation to the consistency gradient of the next, so nothing else
+    writes there.  ``c`` is scratch for ``apply_gradient_step``, ``grad``
+    receives the gradient and ``mask`` the update's finiteness test.
 
     Fresh slot-sized temporaries on every call cost page faults: glibc
     serves blocks above its mmap threshold by mmap and returns them on
@@ -115,18 +117,22 @@ def _gather_ends(g: Graph, w: EdgeWeights, p: np.ndarray,
     return _gather(p, g._slot_u, work.a), _gather(p, g._slot_v, work.b)
 
 
-def consistency_value(g: Graph, w: EdgeWeights, p: np.ndarray,
-                      work: SlotWork | None = None, *,
-                      ends: tuple[np.ndarray, np.ndarray] | None = None) -> float:
+def consistency_value(g: Graph, w: EdgeWeights, p: np.ndarray) -> float:
     """Sum of p_u * p_v * w over stored slots (per edge when undirected,
-    per ordered pair when directed).  ``ends`` passes in p's endpoint
-    scores as ``_gather_ends`` returns them."""
+    per ordered pair when directed).
+
+    Computed as p . (U_w p) with U_w the propagation step's CSR and the
+    weights as its data: row u of U_w p sums w * p_v over u's slots.  A
+    directed graph's columns pair_class * n + v read p_v from p tiled three
+    times, as in ``Graph.spectral_radius_bound``.  Exact to rounding: the
+    terms are summed per row, then over the rows.
+    """
     _check_vectors(g, w, p)
-    work = work or SlotWork(g.slot_count)
-    pu, pv = ends if ends is not None else _gather_ends(g, w, p, work)
-    prod = np.multiply(pu, pv, out=work.c)
-    prod *= w.values
-    return float(np.sum(prod))
+    up = np.zeros(g.node_count)
+    _csr_matvec(g._csr_indptr, g._csr_indices, w.values,
+                np.tile(p, 3) if g.directed else p, up)
+    up *= p
+    return float(np.sum(up))
 
 
 def _residuals(p_next: np.ndarray, labels: LabelSet, n: int) -> np.ndarray:

@@ -5,6 +5,8 @@ direct formula transcriptions, kept separate from the sparse code paths
 they validate.
 """
 
+import math
+
 import numpy as np
 from scipy import sparse
 
@@ -366,3 +368,46 @@ def loop_attack_codes(n, k, seed) -> np.ndarray:
                 if len(chosen) == k:
                     break
     return np.asarray(chosen, dtype=np.int64)
+
+
+# A float sum of S slot terms, accumulated in any order, differs from
+# math.fsum of the same terms by at most ROUNDING_C * S * 2**-53 times the
+# sum of their absolute values: each of the at most 2S additions and
+# subtractions and the few products per term rounds once.  c = 8 was fixed
+# before the first test that uses it ran.
+ROUNDING_C = 8
+
+
+def fsum_bound(terms, slots: int) -> float:
+    return ROUNDING_C * slots * 2.0 ** -53 * math.fsum(abs(float(t)) for t in terms)
+
+
+def fsum_consistency(g: Graph, w: EdgeWeights, p) -> tuple[float, float]:
+    """math.fsum of the per-slot terms p_u * p_v * w, and the bound on a
+    float sum of them."""
+    terms = [float(p[u]) * float(p[v]) * float(x)
+             for (u, v), x in zip(g.slot_ends, w.values)]
+    return math.fsum(terms), fsum_bound(terms, g.slot_count)
+
+
+def fsum_class_means(g: Graph, w: EdgeWeights, truth: LabelSet):
+    """Homogeneous and heterogeneous mean weights as math.fsum over each
+    class's slots divided by its size (NaN when empty), each with the bound
+    on a mean whose class sum may be the total of all weights minus other
+    class sums: ``fsum_bound`` over every weight, over the class size."""
+    label = {i: 1 for i in truth.positives} | {i: -1 for i in truth.negatives}
+    homo, hetero = [], []
+    for (u, v), x in zip(g.slot_ends, w.values):
+        lu, lv = label.get(int(u)), label.get(int(v))
+        if lu is not None and lv is not None:
+            (homo if lu == lv else hetero).append(float(x))
+    total = fsum_bound(w.values, g.slot_count)
+    return tuple((math.fsum(c) / len(c), total / len(c)) if c else (math.nan, 0.0)
+                 for c in (homo, hetero))
+
+
+def within_bound(got: float, want: float, bound: float) -> bool:
+    """Both NaN, or |got - want| <= bound."""
+    if math.isnan(want):
+        return math.isnan(got)
+    return abs(got - want) <= bound

@@ -3,6 +3,7 @@ import pytest
 
 from jwprop import read_labels, read_scores
 from jwprop.cli import main
+from jwprop.engine import DIAG_COLUMNS
 
 
 def run_cli(*args):
@@ -44,6 +45,29 @@ class TestPipeline:
         out = capsys.readouterr().out.splitlines()[-1]
         assert out.startswith("AUC\t")
         assert float(out.split("\t")[1]) > 0.8
+
+    @pytest.mark.parametrize("method,direction", [("lbp-jwp", "--undirected"),
+                                                  ("rw-jwp", "--undirected"),
+                                                  ("lbp-jwp", "--directed")])
+    def test_log_leaves_scores_unchanged(self, pipeline_files, capsys, method,
+                                         direction):
+        d = pipeline_files["dir"]
+        args = ("run", "--graph", pipeline_files["graph"], direction,
+                "--train", pipeline_files["train"], "--method", method,
+                "--lambda", 0.7, "--gamma", 0.05)
+        capsys.readouterr()
+        assert run_cli(*args, "--out", d / "plain.tsv") == 0
+        plain_summary = capsys.readouterr().out
+        log = d / "log.tsv"
+        assert run_cli(*args, "--out", d / "logged.tsv", "--log", log) == 0
+        summary = capsys.readouterr().out
+        assert (d / "plain.tsv").read_bytes() == (d / "logged.tsv").read_bytes()
+        assert plain_summary.replace("plain.tsv", "logged.tsv") == summary
+        alternations = int(summary.split("alternations=")[1].split()[0])
+        rows = log.read_text().splitlines()
+        assert rows[0].split("\t") == list(DIAG_COLUMNS)
+        assert [int(row.split("\t")[0]) for row in rows[1:]] == list(
+            range(1, alternations + 1))
 
     def test_noise_command(self, pipeline_files):
         d = pipeline_files["dir"]

@@ -33,9 +33,12 @@ from _oracles import (
     full_slot_grad_directed,
     full_slot_grad_rw_undirected,
     full_slot_grad_undirected,
+    fsum_class_means,
     random_directed_graph,
     random_labels,
     random_undirected_graph,
+    random_weights,
+    within_bound,
 )
 
 
@@ -282,23 +285,11 @@ class TestWeightTrend:
         assert r.diagnostics[-1].mean_hetero_weight == pytest.approx(hetero)
 
 
-def mask_class_means(g, w, truth):
-    """Homogeneous and heterogeneous mean weights through boolean masks
-    rebuilt from the labels on every call."""
-    y = np.zeros(g.node_count, dtype=np.int8)
-    y[truth.positive_array()] = 1
-    y[truth.negative_array()] = -1
-    u, v = g.slot_ends[:, 0], g.slot_ends[:, 1]
-    known = (y[u] != 0) & (y[v] != 0)
-    homo = known & (y[u] == y[v])
-    hetero = known & (y[u] != y[v])
-    hm = float(np.mean(w.values[homo])) if homo.any() else math.nan
-    ht = float(np.mean(w.values[hetero])) if hetero.any() else math.nan
-    return hm, ht
-
-
 def same_floats(a, b):
     return all(x == y or (math.isnan(x) and math.isnan(y)) for x, y in zip(a, b))
+
+
+CLASS_COLS = ("mean_homo_weight", "mean_hetero_weight")
 
 
 class TestPerRunInvariants:
@@ -306,16 +297,39 @@ class TestPerRunInvariants:
                      train_pos=15, train_neg=15)
 
     def test_precomputed_class_slots_give_mask_means(self):
+        # Each of the three slot classes is the largest in some case: the
+        # homogeneous under full truth, the heterogeneous on a mostly
+        # bipartite graph labeled by side, the unlabeled-endpoint class
+        # under partial truth, one class, and a single labeled node (both
+        # means NaN).
         rng = np.random.default_rng(12)
         g, truth, _ = build_sybil_benchmark(self.SPEC)
+        pairs = rng.integers(0, 40, size=(300, 2)) * 2
+        pairs[:270, 1] += 1
+        bipartite = Graph.from_edges(pairs, directed=False, node_count=80)
         one_class = LabelSet(truth.positives, frozenset())  # no hetero slot
-        for labels in (truth, one_class, LabelSet.of([0], [])):
-            slots = truth_class_slots(g, labels)
+        cases = [
+            (g, truth),
+            (g, LabelSet.of([i for i in truth.positives if rng.random() < 0.3],
+                            [i for i in truth.negatives if rng.random() < 0.3])),
+            (g, one_class),
+            (g, LabelSet.of([0], [])),
+            (bipartite, LabelSet.of(range(0, 80, 2), range(1, 80, 2))),
+        ]
+        largest = set()
+        for graph, labels in cases:
+            slots = truth_class_slots(graph, labels)
+            assert np.array_equal(np.sort(np.concatenate(slots)),
+                                  np.arange(graph.slot_count))
+            largest.add(max(range(3), key=lambda i: slots[i].size))
             for _ in range(5):
-                w = EdgeWeights(rng.uniform(-1, 1, g.slot_count))
-                want = mask_class_means(g, w, labels)
-                assert same_floats(weight_class_means(g, w, labels, slots), want)
-                assert same_floats(weight_class_means(g, w, labels), want)
+                w = random_weights(rng, graph, lo=-1.0, hi=1.0)
+                got = weight_class_means(graph, w, labels, slots)
+                assert same_floats(weight_class_means(graph, w, labels), got)
+                for mean, (want, bound) in zip(got, fsum_class_means(graph, w, labels)):
+                    assert within_bound(mean, want, bound)
+        assert largest == {0, 1, 2}
+        w = random_weights(rng, g)
         assert math.isnan(weight_class_means(g, w, one_class)[1])
         assert all(map(math.isnan, weight_class_means(g, w, LabelSet.of([0], []))))
 
@@ -324,15 +338,25 @@ class TestPerRunInvariants:
         g, truth, train = build_sybil_benchmark(self.SPEC)
         cfg = JwpConfig(method=method, lam=1.0, gamma=0.1)
         fast = run(g, train, cfg, truth=truth)
-        monkeypatch.setattr(engine, "weight_class_means",
-                            lambda g, w, truth, *_: mask_class_means(g, w, truth))
+        bounds = [0.0, 0.0]
+
+        def fsum_means(g, w, truth, *_):
+            means = fsum_class_means(g, w, truth)
+            for k, (_, bound) in enumerate(means):
+                bounds[k] = max(bounds[k], bound)
+            return tuple(mean for mean, _ in means)
+
+        monkeypatch.setattr(engine, "weight_class_means", fsum_means)
         slow = run(g, train, cfg, truth=truth)
         assert len(fast.diagnostics) == len(slow.diagnostics) > 1
+        cols = [c for c in DIAG_COLUMNS if c not in CLASS_COLS + ("wall_ms",)]
         for a, b in zip(fast.diagnostics, slow.diagnostics):
-            cols = [c for c in DIAG_COLUMNS if c != "wall_ms"]
             assert same_floats([getattr(a, c) for c in cols],
                                [getattr(b, c) for c in cols])
+            for c, bound in zip(CLASS_COLS, bounds):
+                assert within_bound(getattr(a, c), getattr(b, c), bound)
         assert np.array_equal(fast.posteriors, slow.posteriors)
+        assert np.array_equal(fast.weights.values, slow.weights.values)
 
     @pytest.mark.parametrize("method", [Method.RW_N, Method.RW_P, Method.RW_B,
                                         Method.RW_JWP_U])
@@ -366,8 +390,9 @@ def oracle_gradient(oracle):
 
 
 class TestSlotPasses:
-    """``engine.run`` gathers each score vector's endpoint scores once and
-    shares them between the consistency diagnostic and the next gradient."""
+    """``engine.run`` gathers a score vector's endpoint scores only for a
+    consistency gradient that reads them, once per score vector; the
+    diagnostics gather none."""
 
     SPEC = SynthSpec(node_count=150, attachment=3, seed=6, attack_edges=200,
                      train_pos=15, train_neg=15)
@@ -397,7 +422,9 @@ class TestSlotPasses:
         assert r.alternations == 15
         learns_consistency = (METHOD_TABLE[method][2]
                               and reg is RegularizerKind.CONSISTENCY)
-        pairs = r.alternations + (1 if learns_consistency else 0)
+        # The priors, then the scores of every update but the last, which
+        # no later update reads: T - 1 pairs of gathers.
+        pairs = r.alternations - 1 if learns_consistency else 0
         assert len(full) == 2 * pairs
         assert all(idx is graph._slot_u for idx in full[0::2])
         assert all(idx is graph._slot_v for idx in full[1::2])
@@ -424,14 +451,6 @@ class TestSlotPasses:
             assert same_floats([getattr(a, c) for c in cols],
                                [getattr(b, c) for c in cols])
 
-    def test_no_diagnostics_same_results(self):
-        g, _, truth, train = self.graphs()
-        cfg = JwpConfig(method=Method.LBP_JWP_U, lam=0.7, gamma=0.1)
-        on = run(g, train, cfg, truth=truth)
-        off = run(g, train, cfg, collect_diagnostics=False)
-        assert off.posteriors.tobytes() == on.posteriors.tobytes()
-        assert off.weights.values.tobytes() == on.weights.values.tobytes()
-
 
 class TestDiagnostics:
     def test_written_file_is_tabular(self, tmp_path):
@@ -444,12 +463,6 @@ class TestDiagnostics:
         assert lines[0].split("\t")[0] == "t"
         assert len(lines) == len(r.diagnostics) + 1
         assert all(len(line.split("\t")) == 8 for line in lines)
-
-    def test_collect_flag_skips_diagnostics(self):
-        g = two_node_graph()
-        r = run(g, two_node_labels(), JwpConfig(method=Method.LBP_U),
-                collect_diagnostics=False)
-        assert r.diagnostics == []
 
 
 class TestConfigValidation:
