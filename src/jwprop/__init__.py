@@ -43,7 +43,6 @@ from .metrics import AucReport, auc, auc_of_rows, rank_and_write, read_scores
 from .propagation import (
     LabelSet,
     assign_priors,
-    classify,
     half_neg,
     half_pos,
     lbp_step_directed,

@@ -15,18 +15,18 @@ What stays fixed across alternations is also computed before the loop and
 passed in: the ground-truth slot classes behind ``weight_class_means``, the
 labeled slots that carry the gradient's loss term, and the random walk's
 inverse weighted degrees, which are recomputed only after a weight update
-and shared by the step and the gradient.
+and shared by the step and the gradient.  The slot classes and the labeled
+slots are kept with the graph for their label set (``Graph._per_labels``),
+so runs that share a graph and a label set build them once.
 
 One alternation runs: step, convergence check, gradient, the loss and
 consistency diagnostics under the weights just propagated with, the weight
 update in place, and the class means, which are recomputed only when the
-weights changed.  Every run collects these diagnostics.  Only the
-consistency gradient reads per-slot endpoint scores, those of the previous
-score vector: each such vector is gathered once into a pair of work arrays,
-the priors before the loop and, after each gradient, the new scores when
-the budget leaves room for another update.  The consistency diagnostic is
-one product through the step's CSR, and the class means gather only the two
-smaller truth classes; both are exact to rounding, not to the bit.
+weights changed.  Every run collects these diagnostics.  No alternation
+gathers a score per slot: the consistency gradient and diagnostic both go
+through the step's CSR (``learning``), and the class means gather only the
+two smaller truth classes.  The consistency diagnostic and the class means
+are exact to rounding, not to the bit.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from .learning import (
     LabeledSlots,
     RegularizerKind,
     SlotWork,
-    _gather_ends,
     apply_gradient_step,
     consistency_value,
     grad_directed,
@@ -312,12 +311,8 @@ def run(g: Graph, labels: LabelSet, cfg: JwpConfig,
     # updated in place, after the diagnostics that read the weights this
     # alternation propagated with.
     work = SlotWork(g.slot_count)
-    class_slots = truth_class_slots(g, truth) if truth is not None else None
-    labeled = LabeledSlots(g, labels) if learn else None
-    # The endpoint scores of the latest score vector that a consistency
-    # gradient will read, kept in work.a and work.b.
-    keep_ends = learn and cfg.regularizer is RegularizerKind.CONSISTENCY
-    ends = _gather_ends(g, w, q, work) if keep_ends else None
+    class_slots = g._per_labels(truth_class_slots, truth) if truth is not None else None
+    labeled = g._per_labels(LabeledSlots, labels) if learn else None
     # The random walk's inverse weighted degrees, for the step and the
     # gradient of the weights they were computed from.
     rw_degrees = {"inv_degrees": _inverse_degrees(g, w)} if family == "rw" else {}
@@ -335,13 +330,8 @@ def run(g: Graph, labels: LabelSet, cfg: JwpConfig,
         grad_inf = math.nan
         if update:
             grad = gradient(g, w, q, p_prev, labels, lam, cfg.regularizer,
-                            p_next=p, work=work, ends=ends, labeled=labeled,
-                            **rw_degrees)
+                            p_next=p, work=work, labeled=labeled, **rw_degrees)
             grad_inf = float(abs(max(np.max(grad), -np.min(grad)))) if grad.size else 0.0
-            # The next alternation's gradient reads p's endpoint scores,
-            # unless the budget leaves it no update.
-            if keep_ends and t + 1 < cfg.max_alternations:
-                ends = _gather_ends(g, w, p, work)
         with np.errstate(over="ignore"):  # inf diagnostics on divergence
             loss_val = training_loss(p, labels)
             cons_val = consistency_value(g, w, p)

@@ -11,9 +11,11 @@ how a neighbor's score enters the directed propagation step.
 Graphs are immutable once built; only the weight values bound to a graph
 change between propagation passes.
 
-Every sparse product runs on two compiled kernels of scipy's private
-``scipy.sparse._sparsetools`` extension, ``csr_matvec`` and ``csc_matvec``,
-which add into a caller's output array in a known order.  The extension is
+Every sparse product runs on compiled kernels of scipy's private
+``scipy.sparse._sparsetools`` extension: ``csr_matvec`` and ``csc_matvec``,
+which add into a caller's output array in a known order, and
+``csr_scale_rows`` and ``csr_scale_columns``, which scale a CSR's data in
+place by a factor per row or per column.  The extension is
 loaded straight from its file (``_load_sparsetools``) after a bare
 ``import scipy``.  Importing ``scipy.sparse`` to reach it would run that
 package's init, which no run path needs and which cost a ``jwprop run``
@@ -130,6 +132,16 @@ def _csr_matvec(indptr, indices, data, x, y):
     _sparsetools.csr_matvec(y.size, x.size, indptr, indices, data, x, y)
 
 
+def _csr_scale(indptr, indices, data, rows, cols):
+    """data[k] = (data[k] * rows[i]) * cols[j] in place, for each entry k
+    at row i and column j of the CSR (data, indices, indptr): the kernels
+    ``csr_scale_rows``, then ``csr_scale_columns``.  No bounds checks: rows
+    needs one entry per row and cols one per column.
+    """
+    _sparsetools.csr_scale_rows(rows.size, cols.size, indptr, indices, data, rows)
+    _sparsetools.csr_scale_columns(rows.size, cols.size, indptr, indices, data, cols)
+
+
 def _symmetric_matvec(indptr, indices, data, x) -> np.ndarray:
     """S x for S = U + U^T, where U is the strictly upper triangular CSR
     (data, indices, indptr) of a square matrix.
@@ -154,8 +166,7 @@ class Graph:
     ``_slot_u``, ``_slot_v`` : (S,) C-contiguous int64 arrays
         Endpoints per weight slot, lexicographically sorted.  Undirected:
         one slot per edge, u < v.  Directed: one slot per ordered connected
-        pair, so a one-way input arc contributes two slots.  The gradients
-        gather per-slot endpoint scores through them.
+        pair, so a one-way input arc contributes two slots.
     ``pair_class`` : (S,) uint8 array or None
         BIDIRECTIONAL / UNI_INCOMING / UNI_OUTGOING per slot (directed only).
         The values 0, 1, 2 number the column blocks of the n x 3n directed
@@ -191,6 +202,7 @@ class Graph:
         else:
             self._build_undirected(keys)
         self._rho_bound: float | None = None
+        self._label_memo: dict = {}
 
     @classmethod
     def from_edges(cls, edges, directed: bool, node_count: int | None = None) -> "Graph":
@@ -346,6 +358,16 @@ class Graph:
                 x /= x.max()
             self._rho_bound = best
         return self._rho_bound
+
+    def _per_labels(self, build, labels):
+        """``build(self, labels)``, kept with the graph: for each ``build``
+        the latest label set and what it built, so runs on one graph and
+        one label set build it once.  What is returned is shared, and no
+        caller may modify it."""
+        kept = self._label_memo.get(build)
+        if kept is None or kept[0] != labels:
+            kept = self._label_memo[build] = (labels, build(self, labels))
+        return kept[1]
 
     def average_degree(self) -> float:
         """2|E|/|V| for undirected graphs; stored ordered pairs over |V|

@@ -10,15 +10,16 @@ one is linear in the weights.
 Each gradient writes the regularizer's term over every slot, then adds the
 loss term on the labeled slots only (``LabeledSlots``): the residual
 p_next - y is zero off the labeled nodes, so the loss term is zero on every
-other slot.  The consistency term reads a score vector's endpoint scores
-p[u] and p[v] per slot.  ``engine.run`` gathers them once per score vector
-(``_gather_ends``) and passes them to the next gradient; a standalone call
-gathers what it is not given.
+other slot.
 
-``consistency_value`` gathers nothing: it is p . (U_w p), one product of
-the propagation step's CSR, whose data is the weight vector, with p.  Its
-terms are summed per row and then over nodes, not per slot in slot order,
-so it equals the per-slot sum to rounding, not to the bit.
+Nothing here gathers a score per slot through the slot endpoint columns.
+The propagation step's CSR has one entry per slot, in slot order, so the
+consistency gradient -lam * p_u * p_v is -lam scaled in place by p_u per
+row and then by p_v per column, bit for bit the per-slot product.  And
+``consistency_value`` is p . (U_w p), one product of that CSR, whose data
+is the weight vector, with p.  Its terms are summed per row and then over
+nodes, not per slot in slot order, so it equals the per-slot sum to
+rounding, not to the bit.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .graph import EdgeWeights, Graph, _csr_matvec
+from .graph import EdgeWeights, Graph, _csr_matvec, _csr_scale
 from .propagation import (
     LabelSet,
     _check_vectors,
@@ -61,11 +62,9 @@ class SlotWork:
     """Slot-sized work arrays for the gradients and ``apply_gradient_step``,
     allocated once per run and reused by every alternation.
 
-    ``a`` and ``b`` hold the endpoint scores p[u] and p[v] of one score
-    vector (``_gather_ends``); ``engine.run`` keeps them from one
-    alternation to the consistency gradient of the next, so nothing else
-    writes there.  ``c`` is scratch for ``apply_gradient_step``, ``grad``
-    receives the gradient and ``mask`` the update's finiteness test.
+    ``grad`` receives the gradient.  ``c`` and ``mask`` are read and
+    written by ``apply_gradient_step`` alone: the scaled step and the
+    finiteness test.
 
     Fresh slot-sized temporaries on every call cost page faults: glibc
     serves blocks above its mmap threshold by mmap and returns them on
@@ -75,8 +74,6 @@ class SlotWork:
 
     def __init__(self, slot_count: int):
         self.grad = np.empty(slot_count)
-        self.a = np.empty(slot_count)
-        self.b = np.empty(slot_count)
         self.c = np.empty(slot_count)
         self.mask = np.empty(slot_count, dtype=bool)
 
@@ -102,19 +99,6 @@ class LabeledSlots:
         self.u = g._slot_u[self.idx]
         self.v = g._slot_v[self.idx]
         self.col = g._csr_indices[self.idx] if g.directed else None
-
-
-def _gather(values: np.ndarray, idx: np.ndarray, out: np.ndarray) -> np.ndarray:
-    # values[idx] into out.  The graph's slot indices are in range by
-    # construction; mode="raise" would stage the result in a temporary.
-    return np.take(values, idx, out=out, mode="clip")
-
-
-def _gather_ends(g: Graph, w: EdgeWeights, p: np.ndarray,
-                 work: SlotWork) -> tuple[np.ndarray, np.ndarray]:
-    """p[u] and p[v] per slot, in ``work.a`` and ``work.b``."""
-    _check_vectors(g, w, p)
-    return _gather(p, g._slot_u, work.a), _gather(p, g._slot_v, work.b)
 
 
 def consistency_value(g: Graph, w: EdgeWeights, p: np.ndarray) -> float:
@@ -147,16 +131,15 @@ def _residuals(p_next: np.ndarray, labels: LabelSet, n: int) -> np.ndarray:
 
 
 def _regularizer_grad(g: Graph, w: EdgeWeights, p_t: np.ndarray,
-                      kind: RegularizerKind, lam: float, work: SlotWork,
-                      ends: tuple[np.ndarray, np.ndarray] | None) -> np.ndarray:
+                      kind: RegularizerKind, lam: float, work: SlotWork) -> np.ndarray:
     # Writes the regularizer's gradient over every slot into work.grad.
-    # Only the consistency term reads the endpoint scores p_t[u], p_t[v];
-    # they are gathered here unless passed in as ends.
     grad = work.grad
     if kind is RegularizerKind.CONSISTENCY:
-        pu, pv = ends if ends is not None else _gather_ends(g, w, p_t, work)
-        np.multiply(pu, -lam, out=grad)
-        grad *= pv
+        # (-lam * p_u) * p_v: slot (u, v) is the step CSR's entry in row u
+        # and column v, or pair_class * n + v when directed.
+        grad.fill(-lam)
+        _csr_scale(g._csr_indptr, g._csr_indices, grad, p_t,
+                   np.tile(p_t, 3) if g.directed else p_t)
     elif kind is RegularizerKind.L1:
         # subgradient 0 at w == 0
         np.sign(w.values, out=grad)
@@ -173,15 +156,13 @@ def grad_undirected(g: Graph, w: EdgeWeights, q: np.ndarray, p_t: np.ndarray,
                     regularizer: RegularizerKind = RegularizerKind.CONSISTENCY,
                     p_next: np.ndarray | None = None,
                     work: SlotWork | None = None, *,
-                    ends: tuple[np.ndarray, np.ndarray] | None = None,
                     labeled: LabeledSlots | None = None) -> np.ndarray:
     """Objective gradient per undirected weight slot.
 
     Both labeled endpoints of an edge contribute to the shared slot:
     (p_next_u - y_u) * p_t_v when u is labeled, and symmetrically for v,
     plus the regularizer term.  ``p_next`` defaults to one propagation step
-    from ``p_t`` under the current weights.  ``ends`` passes in p_t's
-    endpoint scores (``_gather_ends``), ``labeled`` the
+    from ``p_t`` under the current weights.  ``labeled`` passes in the
     ``LabeledSlots(g, labels)``.
     """
     if g.directed:
@@ -199,7 +180,7 @@ def grad_undirected(g: Graph, w: EdgeWeights, q: np.ndarray, p_t: np.ndarray,
     term = err[v]
     term *= p_t[u]
     loss += term
-    grad = _regularizer_grad(g, w, p_t, regularizer, lam, work, ends)
+    grad = _regularizer_grad(g, w, p_t, regularizer, lam, work)
     grad[labeled.idx] = loss + grad[labeled.idx]
     return grad
 
@@ -209,7 +190,6 @@ def grad_directed(g: Graph, w: EdgeWeights, q: np.ndarray, p_t: np.ndarray,
                   regularizer: RegularizerKind = RegularizerKind.CONSISTENCY,
                   p_next: np.ndarray | None = None,
                   work: SlotWork | None = None, *,
-                  ends: tuple[np.ndarray, np.ndarray] | None = None,
                   labeled: LabeledSlots | None = None) -> np.ndarray:
     """Objective gradient per ordered-pair slot of a directed graph.
 
@@ -217,7 +197,7 @@ def grad_directed(g: Graph, w: EdgeWeights, q: np.ndarray, p_t: np.ndarray,
     the part of p_t_v that the pair class lets through (full score for
     bidirectional pairs, negative part for incoming-only, positive part for
     outgoing-only): the entry of the step's input vector in slot (u, v)'s
-    column.  ``ends`` and ``labeled`` are as for ``grad_undirected``.
+    column.  ``labeled`` is as for ``grad_undirected``.
     """
     if not g.directed:
         raise InputError("grad_directed expects a directed graph")
@@ -229,7 +209,7 @@ def grad_directed(g: Graph, w: EdgeWeights, q: np.ndarray, p_t: np.ndarray,
     err = _residuals(p_next, labels, g.node_count)
     loss = err[labeled.u]
     loss *= _class_parts(p_t)[labeled.col]
-    grad = _regularizer_grad(g, w, p_t, regularizer, lam, work, ends)
+    grad = _regularizer_grad(g, w, p_t, regularizer, lam, work)
     grad[labeled.idx] = loss + grad[labeled.idx]
     return grad
 
@@ -241,7 +221,6 @@ def grad_rw_undirected(g: Graph, w: EdgeWeights, q: np.ndarray, p_t: np.ndarray,
                        p_next: np.ndarray | None = None,
                        work: SlotWork | None = None,
                        inv_degrees: np.ndarray | None = None, *,
-                       ends: tuple[np.ndarray, np.ndarray] | None = None,
                        labeled: LabeledSlots | None = None) -> np.ndarray:
     """Gradient for the both-label random walk ("rw-b").
 
@@ -250,8 +229,8 @@ def grad_rw_undirected(g: Graph, w: EdgeWeights, q: np.ndarray, p_t: np.ndarray,
     receiving labeled node's inverse weighted degree and the non-restart
     mass.  ``p_next`` defaults to one "rw-b" step from ``p_t``.
     ``inv_degrees`` passes in the inverse weighted degrees of ``w``, as the
-    step that made ``p_next`` used them.  ``ends`` and ``labeled`` are as
-    for ``grad_undirected``.
+    step that made ``p_next`` used them.  ``labeled`` is as for
+    ``grad_undirected``.
     """
     if g.directed:
         raise InputError("grad_rw_undirected expects an undirected graph")
@@ -274,7 +253,7 @@ def grad_rw_undirected(g: Graph, w: EdgeWeights, q: np.ndarray, p_t: np.ndarray,
     term *= inv[v]
     loss += term
     loss *= 1.0 - restart
-    grad = _regularizer_grad(g, w, p_t, regularizer, lam, work, ends)
+    grad = _regularizer_grad(g, w, p_t, regularizer, lam, work)
     grad[labeled.idx] = loss + grad[labeled.idx]
     return grad
 

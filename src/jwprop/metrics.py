@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import InputError, numbered_lines
 from .graph import MAX_NODE_COUNT
-from .propagation import LabelSet, classify
+from .propagation import LabelSet
 
 
 @dataclass(frozen=True)
@@ -76,21 +76,24 @@ def _ranked_pairs(pos: np.ndarray, neg: np.ndarray) -> AucReport:
 
 def rank_and_write(p: np.ndarray, remap: np.ndarray | None, path):
     """Write "node<TAB>posterior<TAB>predicted_label" rows sorted by
-    descending posterior, ties broken by ascending node id.
+    descending posterior, ties broken by ascending node id.  The predicted
+    label is 1 where the posterior is > 0, else -1 (also for -0.0 and NaN).
 
     ``remap`` translates dense ids back to original ids when given.
     Posteriors are printed with full round-trip precision so re-reading and
-    re-sorting reproduces the file.
+    re-sorting reproduces the file.  The sort puts NaN last, so the rows
+    labeled 1 are a leading block and each block is written with its label.
     """
     ids = np.arange(p.shape[0], dtype=np.int64) if remap is None \
         else np.asarray(remap, dtype=np.int64)
     if ids.shape != p.shape:
         raise InputError("remap length does not match the score vector")
-    pred = classify(p)
     order = np.lexsort((ids, -p))
-    rows = zip(ids[order].tolist(), p[order].tolist(), pred[order].tolist())
+    ids, vals = ids[order].tolist(), p[order].tolist()
+    k = int(np.count_nonzero(p > 0))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("".join(f"{i}\t{x!r}\t{c}\n" for i, x, c in rows))
+        fh.write("".join(f"{i}\t{x!r}\t1\n" for i, x in zip(ids[:k], vals[:k])))
+        fh.write("".join(f"{i}\t{x!r}\t-1\n" for i, x in zip(ids[k:], vals[k:])))
 
 
 def read_scores(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

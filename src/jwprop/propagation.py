@@ -196,11 +196,6 @@ def rw_step(g: Graph, w: EdgeWeights, q: np.ndarray, p: np.ndarray,
     return moved
 
 
-def classify(p: np.ndarray) -> np.ndarray:
-    """Predicted labels from posteriors: +1 where p > 0, else -1."""
-    return np.where(p > 0, 1, -1).astype(np.int64)
-
-
 # -- label files --------------------------------------------------------------
 
 

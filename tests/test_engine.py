@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from jwprop import (
     weight_class_means,
     write_diagnostics,
 )
-from jwprop import engine, learning, propagation
+from jwprop import engine, propagation
 from jwprop.engine import DIAG_COLUMNS, METHOD_NAMES, METHOD_TABLE, method_for
 
 from _oracles import (
@@ -389,10 +390,30 @@ def oracle_gradient(oracle):
     return fn
 
 
+class EndpointReads(Graph):
+    """A graph that records each read of its slot endpoint columns, the
+    index arrays of every per-slot score gather."""
+
+    @property
+    def _slot_u(self):
+        self.reads.append("u")
+        return self.__dict__["_slot_u"]
+
+    @property
+    def _slot_v(self):
+        self.reads.append("v")
+        return self.__dict__["_slot_v"]
+
+    @property
+    def slot_count(self):
+        return self.__dict__["_slot_u"].size
+
+
 class TestSlotPasses:
-    """``engine.run`` gathers a score vector's endpoint scores only for a
-    consistency gradient that reads them, once per score vector; the
-    diagnostics gather none."""
+    """No alternation of ``engine.run`` gathers scores per slot: the
+    consistency gradient and diagnostic go through the step CSR, and only
+    the per-label-set slot indices, built once per graph, read the slot
+    endpoint columns."""
 
     SPEC = SynthSpec(node_count=150, attachment=3, seed=6, attack_edges=200,
                      train_pos=15, train_neg=15)
@@ -404,30 +425,42 @@ class TestSlotPasses:
     @pytest.mark.parametrize("reg", [RegularizerKind.CONSISTENCY, RegularizerKind.L2])
     @pytest.mark.parametrize("method", [Method.LBP_U, Method.LBP_JWP_U,
                                         Method.LBP_JWP_D, Method.RW_JWP_U])
-    def test_one_endpoint_gather_per_score_vector(self, monkeypatch, method, reg):
+    def test_one_endpoint_gather_per_score_vector(self, method, reg):
         g, gd, truth, train = self.graphs()
         graph = gd if method is Method.LBP_JWP_D else g
-        full = []
-        real = learning._gather
-
-        def counted(values, idx, out):
-            if idx.size == graph.slot_count:
-                full.append(idx)
-            return real(values, idx, out)
-
-        monkeypatch.setattr(learning, "_gather", counted)
         cfg = JwpConfig(method=method, regularizer=reg, lam=0.7, gamma=0.1,
                         tolerance=1e-300, max_alternations=15)
-        r = run(graph, train, cfg, truth=truth)
-        assert r.alternations == 15
-        learns_consistency = (METHOD_TABLE[method][2]
-                              and reg is RegularizerKind.CONSISTENCY)
-        # The priors, then the scores of every update but the last, which
-        # no later update reads: T - 1 pairs of gathers.
-        pairs = r.alternations - 1 if learns_consistency else 0
-        assert len(full) == 2 * pairs
-        assert all(idx is graph._slot_u for idx in full[0::2])
-        assert all(idx is graph._slot_v for idx in full[1::2])
+        first = run(graph, train, cfg, truth=truth)
+        graph.__class__, graph.reads = EndpointReads, []
+        again = run(graph, train, cfg, truth=truth)
+        assert again.alternations == 15
+        assert graph.reads == []
+        assert np.array_equal(first.posteriors, again.posteriors)
+        assert np.array_equal(first.weights.values, again.weights.values)
+
+    def test_slot_indices_built_once_per_graph(self, monkeypatch):
+        built = []
+        for name in ("truth_class_slots", "LabeledSlots"):
+            real = getattr(engine, name)
+            monkeypatch.setattr(engine, name, lambda g, labels, real=real, name=name:
+                                built.append(name) or real(g, labels))
+        g, _, truth, train = self.graphs()
+        other = LabelSet.of(sorted(train.positives)[1:], sorted(train.negatives)[1:])
+        cfgs = [JwpConfig(method=m, lam=0.7, gamma=0.1, tolerance=1e-300)
+                for m in (Method.LBP_JWP_U, Method.RW_JWP_U)]
+        shared = [run(g, train, cfg, truth=truth) for cfg in cfgs]
+        assert sorted(built) == ["LabeledSlots", "truth_class_slots"]
+        shared.append(run(g, other, cfgs[0], truth=truth))  # another label set
+        assert sorted(built) == ["LabeledSlots", "LabeledSlots", "truth_class_slots"]
+        fresh = [run(self.graphs()[0], labels, cfg, truth=truth)
+                 for labels, cfg in ((train, cfgs[0]), (train, cfgs[1]),
+                                     (other, cfgs[0]))]
+        for a, b in zip(shared, fresh):
+            assert np.array_equal(a.posteriors, b.posteriors)
+            assert np.array_equal(a.weights.values, b.weights.values)
+            assert len(a.diagnostics) == len(b.diagnostics)
+            for da, db in zip(a.diagnostics, b.diagnostics):
+                assert same_floats(astuple(da)[:-1], astuple(db)[:-1])  # not wall_ms
 
     @pytest.mark.parametrize("reg", list(RegularizerKind))
     @pytest.mark.parametrize("method", [Method.LBP_JWP_U, Method.LBP_JWP_D,

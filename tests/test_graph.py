@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 
@@ -599,6 +600,30 @@ class TestSparsetoolsLoader:
         assert graph._sparsetools is sys.modules["scipy.sparse._sparsetools"]
         folder = os.path.dirname(graph._sparsetools.__file__)
         assert graph._load_sparsetools(folder) is graph._sparsetools
+
+    def test_both_loaders_expose_every_kernel_called(self, tmp_path):
+        # The kernels the package calls, read from its source, so that a
+        # scipy without one fails here rather than in the middle of a run.
+        src = os.path.dirname(graph.__file__)
+        called = set()
+        for name in os.listdir(src):
+            if name.endswith(".py"):
+                with open(os.path.join(src, name), encoding="utf-8") as fh:
+                    called |= set(re.findall(r"_sparsetools\.(\w+)\(", fh.read()))
+        assert called == {"csr_matvec", "csc_matvec", "csr_scale_rows",
+                          "csr_scale_columns"}
+        # the file loader, in a process where scipy.sparse's package is not
+        # imported, and the fallback to the normal import
+        probe = ("import sys; from jwprop import graph; "
+                 "print('scipy.sparse' in sys.modules, sorted(k for k in sys.argv[1:] "
+                 "if not callable(getattr(graph._sparsetools, k, None))))")
+        proc = subprocess.run([sys.executable, "-c", probe, *sorted(called)],
+                              capture_output=True, text=True, timeout=120,
+                              env=dict(os.environ, PYTHONPATH=os.path.dirname(src)))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "[]"]
+        fallback = graph._load_sparsetools(tmp_path)
+        assert all(callable(getattr(fallback, k, None)) for k in called)
 
     def test_folder_without_extension_falls_back_to_import(self, tmp_path):
         (tmp_path / "_sparsetools.txt").write_text("not an extension")

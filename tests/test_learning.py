@@ -17,7 +17,7 @@ from jwprop import (
     grad_undirected,
     training_loss,
 )
-from jwprop.learning import LabeledSlots, SlotWork, _gather_ends
+from jwprop.learning import LabeledSlots, SlotWork
 
 from _oracles import (
     bincount_weighted_degrees,
@@ -33,6 +33,7 @@ from _oracles import (
     random_undirected_graph,
     random_weights,
     reference_graph_arrays,
+    regularizer_term,
 )
 
 ALL_REGS = list(RegularizerKind)
@@ -335,16 +336,19 @@ def graph_case(rng, i, directed):
 
     Cases cycle through: labeled isolated nodes next to random labels;
     both endpoints of some edges labeled; only isolated nodes labeled, so
-    no slot carries loss signal; random labels."""
+    no slot carries loss signal; random labels.  The isolated nodes come
+    last in every other round of four cases; in the others the node ids
+    are shuffled, so rows that hold no slot sit anywhere in the step CSR."""
     n = int(rng.integers(4, 21))
     extra = int(rng.integers(1, 4))
     make = random_directed_graph if directed else random_undirected_graph
     base = make(rng, n, density=float(rng.uniform(0.05, 0.4)))
-    g = Graph.from_edges(base.edges, directed=directed, node_count=n + extra)
-    isolated = list(range(n, n + extra))
+    ids = rng.permutation(n + extra) if (i // 4) % 2 else np.arange(n + extra)
+    g = Graph.from_edges(ids[base.edges], directed=directed, node_count=n + extra)
+    isolated = [int(x) for x in ids[n:]]
     case = i % 4
     if case == 0:
-        picks = [int(x) for x in rng.permutation(n)[:int(rng.integers(0, n // 2 + 1))]]
+        picks = [int(x) for x in ids[rng.permutation(n)[:int(rng.integers(0, n // 2 + 1))]]]
         ids = picks + isolated
     elif case == 1:
         rows = rng.permutation(g.slot_count)[:int(rng.integers(1, 4))]
@@ -371,10 +375,17 @@ def scores_with_zeros(rng, n):
     return p
 
 
+def has_inner_empty_row(g):
+    """Whether a row of the step CSR that holds no slot precedes one that
+    holds some."""
+    counts = np.diff(g._csr_indptr)
+    return bool(np.any((counts[:-1] == 0) & (np.cumsum(counts[::-1])[::-1][1:] > 0)))
+
+
 class TestLabeledSlotGradients:
     """The gradients equal the full-slot formulas bit for bit on the slots
     that carry loss signal, and equal them in value elsewhere, where only
-    the sign of a zero may differ; passing ``ends``/``labeled`` in changes
+    the sign of a zero may differ; passing ``work``/``labeled`` in changes
     no bit."""
 
     @pytest.mark.parametrize("reg", ALL_REGS)
@@ -410,12 +421,39 @@ class TestLabeledSlotGradients:
                     return fn(g, w, q, p_t, labels, lam, reg, p_next, **kw).copy()
 
             alone = grad()
-            work = SlotWork(g.slot_count)
-            given = grad(work=work, ends=_gather_ends(g, w, p_t, work),
-                         labeled=LabeledSlots(g, labels))
+            given = grad(work=SlotWork(g.slot_count), labeled=LabeledSlots(g, labels))
             assert alone.tobytes() == given.tobytes()
             assert alone[mask].tobytes() == want[mask].tobytes()
             assert np.array_equal(alone[~mask], want[~mask])
+
+    @pytest.mark.parametrize("family", ["lbp-u", "lbp-d", "rw"])
+    def test_consistency_term_is_the_slot_product(self, family):
+        # With no label on any slot the gradient is the consistency term
+        # alone: (-lam * p_u) * p_v per slot, zeros' signs included, also on
+        # graphs whose step CSR has empty rows before nonempty ones.
+        rng = np.random.default_rng([11, len(family)])
+        directed = family == "lbp-d"
+        no_labels = LabelSet.of([], [])
+        inner_empty = 0
+        for i in range(120):
+            g, _, _ = graph_case(rng, i, directed)
+            inner_empty += has_inner_empty_row(g)
+            n = g.node_count
+            w = random_weights(rng, g)
+            q, p_next = rng.normal(size=n), rng.normal(size=n)
+            p_t = scores_with_zeros(rng, n)
+            if i % 3 == 0:  # signed zeros only
+                p_t = np.where(rng.random(n) < 0.5, 0.0, -0.0)
+            lam = 0.0 if i % 5 == 0 else float(rng.uniform(0.1, 2.0))
+            reg = RegularizerKind.CONSISTENCY
+            if family == "rw":
+                got = grad_rw_undirected(g, w, q, p_t, no_labels, lam, reg,
+                                         p_next=p_next)
+            else:
+                fn = grad_directed if directed else grad_undirected
+                got = fn(g, w, q, p_t, no_labels, lam, reg, p_next)
+            assert got.tobytes() == regularizer_term(g, w, p_t, reg, lam).tobytes()
+        assert inner_empty >= 20
 
     @pytest.mark.parametrize("directed", [False, True])
     def test_labeled_slots(self, directed):

@@ -123,6 +123,34 @@ class TestRankAndWrite:
                        for i in order)
         assert f.read_bytes() == want.encode()
 
+    def test_bytes_match_per_row_label_formula(self, tmp_path):
+        # Labels from p > 0 per row, as the writer computed them before it
+        # wrote the two label blocks: ties, signed zeros, NaN, infinities,
+        # vectors with one block only, and remapped ids.
+        def per_row(p, remap):
+            ids = np.arange(p.size) if remap is None else remap
+            pred = np.where(p > 0, 1, -1).astype(np.int64)
+            order = np.lexsort((ids, -p))
+            rows = zip(ids[order].tolist(), p[order].tolist(), pred[order].tolist())
+            return "".join(f"{i}\t{x!r}\t{c}\n" for i, x, c in rows).encode()
+
+        rng = np.random.default_rng(13)
+        special = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324]
+        f = tmp_path / "scores.tsv"
+        for k in range(60):
+            n = int(rng.integers(0, 40))
+            p = np.round(rng.normal(size=n), 1)  # ties likely
+            if k % 3:
+                hits = rng.random(n) < 0.3
+                p[hits] = rng.choice(special, size=int(hits.sum()))
+            if k % 7 == 1:
+                p = np.abs(p) + 1.0
+            elif k % 7 == 2:
+                p = -np.abs(p)
+            remap = rng.permutation(10 ** 6)[:n] if k % 2 else None
+            rank_and_write(p, remap, f)
+            assert f.read_bytes() == per_row(p, remap)
+
     def test_rewrite_is_idempotent(self, tmp_path):
         rng = np.random.default_rng(2)
         p = np.round(rng.normal(size=50), 2)  # duplicated values likely
