@@ -18,9 +18,13 @@ significant digits: the text it emits for each run without the
 A third hash covers the edge-list reader.  Each grid graph (the benchmark
 graph and its directed sample) is written with ``write_edge_list``, once as
 it is and once with a '#' header line and CRLF line ends, and read back
-with ``load_edge_list`` in its direction.  The hash covers the arrays that
-results read (``GRAPH_ARRAYS``), with their names and dtypes, and the node
-and dropped self-loop counts.
+with ``load_edge_list`` in its direction.  The hash covers the graph's
+slot layout, with names and dtypes (``graph_arrays``), and the node and
+dropped self-loop counts.  A graph stores only its step CSR; the slot
+endpoints and pair classes are hashed as derived from it, under the names
+and dtypes the graph once stored them with (C-contiguous int64
+``_slot_u``/``_slot_v``, uint8 ``pair_class``), so hashes taken before
+and after that change compare.
 
 A fourth hash covers the generators: the same arrays of each grid graph as
 ``build_sybil_benchmark`` and ``directed_sample`` make it.  A change to a
@@ -64,9 +68,6 @@ SEEDS = (0, 1, 2)
 DIRECTED_KEEP = 0.6
 # AlternationDiag fields in the results hash, bit for bit.
 DIAG_FIELDS = ("t", "conv_metric", "loss", "grad_inf")
-# Graph arrays in the load and generator hashes: the slot endpoints, the
-# directed pair classes and the step CSR, which is all that results read.
-GRAPH_ARRAYS = ("_slot_u", "_slot_v", "pair_class", "_csr_indptr", "_csr_indices")
 
 
 def run_digest(result) -> bytes:
@@ -88,10 +89,20 @@ def written_diagnostics(result, path: Path) -> bytes:
     return "".join("\t".join(r[:wall] + r[wall + 1:]) + "\n" for r in rows).encode()
 
 
+def graph_arrays(g) -> dict:
+    """The arrays of the load and generator hashes, by name: the slot
+    endpoints, the directed pair classes and the step CSR."""
+    ends = g.slot_ends
+    return {"_slot_u": np.ascontiguousarray(ends[:, 0]),
+            "_slot_v": np.ascontiguousarray(ends[:, 1]),
+            "pair_class": g.pair_class,
+            "_csr_indptr": g._csr_indptr,
+            "_csr_indices": g._csr_indices}
+
+
 def graph_digest(g) -> bytes:
     h = hashlib.sha256()
-    for name in GRAPH_ARRAYS:
-        value = getattr(g, name)
+    for name, value in graph_arrays(g).items():
         if value is not None:
             h.update(f"{name}:{value.dtype.str}:".encode())
             h.update(value.tobytes())

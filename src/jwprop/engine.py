@@ -210,13 +210,14 @@ def truth_class_slots(g: Graph, truth: LabelSet
     slots under ground truth.  A slot is homogeneous when both endpoints
     are labeled alike, heterogeneous when they are labeled unlike, and
     remaining when an endpoint is unlabeled; the three partition the
-    slots."""
+    slots.  Labels are read per slot off the step CSR, not ``slot_ends``."""
     y = np.zeros(g.node_count, dtype=np.int8)
     y[truth.positive_array()] = 1
     y[truth.negative_array()] = -1
     # int8 labels in {-1, 0, 1}: the product is 1 for a homogeneous slot,
     # -1 for a heterogeneous one and 0 when an endpoint is unlabeled.
-    same = y[g._slot_u] * y[g._slot_v]
+    same = np.repeat(y, np.diff(g._csr_indptr))
+    same *= np.take(np.tile(y, 3) if g.directed else y, g._csr_indices)
     return np.flatnonzero(same > 0), np.flatnonzero(same < 0), np.flatnonzero(same == 0)
 
 
@@ -261,6 +262,8 @@ def run(g: Graph, labels: LabelSet, cfg: JwpConfig,
     if len(labels) == 0:
         raise InputError("a nonempty training label set is required")
     labels.check_bounds(g.node_count)
+    if truth is not None:
+        truth.check_bounds(g.node_count)
     lam = cfg.lam if cfg.lam is not None else min(1.0, 10.0 / g.average_degree())
 
     # Resolve the family once: its priors (one class for the single-label

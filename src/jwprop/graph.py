@@ -40,7 +40,7 @@ import scipy
 
 from .errors import InputError, is_utf8, numbered_lines
 
-# Pair classes for directed graphs, stored per ordered slot (u, v).
+# Pair classes for directed graphs, one per ordered slot (u, v).
 BIDIRECTIONAL = 0  # both (u,v) and (v,u) are input edges
 UNI_INCOMING = 1  # only (v,u) is an input edge: v reaches u, u does not reach v
 UNI_OUTGOING = 2  # only (u,v) is an input edge
@@ -88,24 +88,6 @@ def _first_of_runs(sorted_keys: np.ndarray) -> np.ndarray:
     first[:1] = True
     np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=first[1:])
     return first
-
-
-def _classify_pairs(tagged: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """int64 pair keys u * n + v and uint8 pair classes of the directed
-    slots, from their sorted distinct tagged keys (``Graph.__init__``).
-
-    A pair's keys differ in the origin bit alone, so each run of equal pair
-    keys holds one key, or two when both arcs are input edges.  A lone
-    key's origin bit tells which arc it comes from:
-    UNI_INCOMING + 1 == UNI_OUTGOING.
-    """
-    start = np.flatnonzero(_first_of_runs(tagged >> 1))
-    pairs = tagged[start]
-    pair_class = (pairs & 1).astype(np.uint8)
-    pair_class += UNI_INCOMING
-    pair_class[np.diff(start, append=tagged.size) == 2] = BIDIRECTIONAL
-    pairs >>= 1
-    return pairs.view(np.int64), pair_class
 
 
 def _row_starts(sorted_keys: np.ndarray, n: int) -> np.ndarray:
@@ -163,28 +145,23 @@ class Graph:
 
     Stored arrays
     -------------
-    ``_slot_u``, ``_slot_v`` : (S,) C-contiguous int64 arrays
-        Endpoints per weight slot, lexicographically sorted.  Undirected:
-        one slot per edge, u < v.  Directed: one slot per ordered connected
-        pair, so a one-way input arc contributes two slots.
-    ``pair_class`` : (S,) uint8 array or None
-        BIDIRECTIONAL / UNI_INCOMING / UNI_OUTGOING per slot (directed only).
-        The values 0, 1, 2 number the column blocks of the n x 3n directed
-        step matrix (full score, negative part, positive part): slot (u, v)
-        sits in row u, column ``pair_class * node_count + v``.
     ``_csr_indptr``, ``_csr_indices``
-        The propagation step's CSR.  Its entry k is slot k, so the weight
-        values are its data as they stand, and its indices are int32 while
-        the entry and column counts are below 2**31, else int64
-        (``csr_index_dtype``).  Undirected: the strictly upper triangular
-        slot CSR U, row u holding slot (u, v) at column v, with
-        W = U + U^T.  Directed: the n x 3n step matrix above.
+        The propagation step's CSR, the only per-slot storage.  Its entry
+        k is weight slot k, in (u, v) order, so the weight values are its
+        data as they stand; its indices are int32 while the entry and
+        column counts are below 2**31, else int64 (``csr_index_dtype``).
+        Undirected: one slot per edge, u < v, in the strictly upper
+        triangular CSR U, row u holding slot (u, v) at column v, with
+        W = U + U^T.  Directed: one slot per ordered connected pair (a
+        one-way input arc makes two), in the n x 3n step matrix whose row
+        u holds slot (u, v) at column ``pair_class * node_count + v``.
 
-    Derived on access: ``slot_ends`` (the two endpoint columns as one
-    (S, 2) array) and ``edges`` (the deduplicated input edges as an (E, 2)
-    array; undirected rows are canonical, u < v, and directed rows are the
-    slots whose pair class is not UNI_INCOMING).  ``self_loops_dropped``
-    counts the self-loop lines discarded during construction.
+    Derived on access: ``slot_count``; ``pair_class``, the uint8 pair class
+    per slot (None when undirected), numbering the step matrix's column
+    blocks (full score, negative part, positive part); ``slot_ends``, the
+    (S, 2) int64 endpoints; ``edges``, the deduplicated input edges (the
+    slots whose pair class is not UNI_INCOMING); and ``edge_count``.
+    ``self_loops_dropped`` counts the self-loop lines dropped in the build.
     """
 
     def __init__(self, node_count: int, keys: np.ndarray, directed: bool,
@@ -193,7 +170,7 @@ class Graph:
         one int64 key u * node_count + v per input pair, u < v.  Directed:
         one uint64 key (u * node_count + v) * 2 + origin per slot (u, v)
         and arc it comes from, origin 1 for the input arc u->v and 0 for
-        the input arc v->u."""
+        the input arc v->u.  The build overwrites ``keys``."""
         self.node_count = int(node_count)
         self.directed = bool(directed)
         self.self_loops_dropped = int(self_loops_dropped)
@@ -254,46 +231,62 @@ class Graph:
 
     def _build_undirected(self, keys: np.ndarray):
         n = self.node_count
-        self.pair_class = None
-        self._slot_u, self._slot_v = np.divmod(keys, n)
         # Upper-triangular slot CSR: row u holds slot (u, v) at column v.
         # The slots are sorted row-major, so entry k is slot k and the
         # weight values are this CSR's data as they stand.
-        idx = csr_index_dtype(self.slot_count, n)
+        idx = csr_index_dtype(keys.size, n)
         self._csr_indptr = _row_starts(keys, n).astype(idx)
-        self._csr_indices = self._slot_v.astype(idx)
+        self._csr_indices = np.remainder(keys, n, out=keys).astype(idx)
 
     def _build_directed(self, tagged: np.ndarray):
         n = self.node_count
         # Headroom: below MAX_NODE_COUNT a pair key u * n + v is at most
         # n * n - 1 < 2**63, so its tagged key 2 * (u * n + v) + origin fits
-        # in uint64, and shifting the tag out leaves a valid int64 key.
-        pairs, self.pair_class = _classify_pairs(tagged)
-        self._slot_u, self._slot_v = np.divmod(pairs, n)
-        # The step's CSR: row-major sorted pairs, so entry k of the
-        # concatenated rows is exactly slot k and the weight values are the
-        # CSR data as they stand, with the class columns pair_class * n + v,
-        # in the narrowest index type sparsetools takes.
-        idx = csr_index_dtype(self.slot_count, 3 * n)
+        # in uint64, and shifting the tag out leaves a valid int64 key.  A
+        # pair's keys differ in the origin bit alone, so each run of equal
+        # pair keys holds one key, or two when both arcs are input edges.  A
+        # lone key's origin bit tells which arc it comes from:
+        # UNI_INCOMING + 1 == UNI_OUTGOING.
+        first = _first_of_runs(tagged >> 1)
+        pairs = tagged[first]
+        idx = csr_index_dtype(pairs.size, 3 * n)
+        cols = (pairs & 1).astype(idx)
+        cols += UNI_INCOMING
+        # The k-th second key of a run, at t, belongs to pair t - 1 - k.
+        both = np.flatnonzero(~first)
+        both -= np.arange(1, both.size + 1)
+        cols[both] = BIDIRECTIONAL
+        pairs = np.right_shift(pairs, 1, out=pairs).view(np.int64)
+        # Row-major sorted pairs: CSR entry k is slot k, at column pair_class * n + v.
         self._csr_indptr = _row_starts(pairs, n).astype(idx)
-        self._csr_indices = self.pair_class.astype(idx) * n
-        self._csr_indices += self._slot_v
+        cols *= n
+        cols += np.remainder(pairs, n, out=pairs)
+        self._csr_indices = cols
 
     # -- queries -----------------------------------------------------------
 
     @property
+    def slot_count(self) -> int:
+        return self._csr_indices.size
+
+    @property
+    def pair_class(self) -> np.ndarray | None:
+        """(S,) uint8 pair classes, built on each access; None when undirected."""
+        return (self._csr_indices // self.node_count).astype(np.uint8) if self.directed else None
+
+    @property
     def slot_ends(self) -> np.ndarray:
         """(S, 2) int64 endpoints per weight slot, built on each access."""
-        return np.stack([self._slot_u, self._slot_v], axis=1)
+        n, cols = self.node_count, self._csr_indices
+        rows = np.repeat(np.arange(n), np.diff(self._csr_indptr))
+        return np.stack([rows, cols % n if self.directed else cols], axis=1)
 
     @property
     def edges(self) -> np.ndarray:
         """(E, 2) int64 deduplicated input edges, lexicographically sorted,
         built on each access.  Undirected rows are canonical (u < v)."""
-        if not self.directed:
-            return self.slot_ends
-        arc = self.pair_class != UNI_INCOMING
-        return np.stack([self._slot_u[arc], self._slot_v[arc]], axis=1)
+        ends = self.slot_ends
+        return ends[self.pair_class != UNI_INCOMING] if self.directed else ends
 
     @property
     def edge_count(self) -> int:
@@ -303,20 +296,19 @@ class Graph:
             return self.slot_count
         return int(np.count_nonzero(self.pair_class != UNI_INCOMING))
 
-    @property
-    def slot_count(self) -> int:
-        return self._slot_u.size
-
     def edge_slot(self, u: int, v: int) -> int:
         """Weight-slot index of the ordered pair (u, v); undirected pairs
-        resolve to the same slot in either order."""
+        resolve to the same slot in either order.  KeyError when the graph
+        holds no such slot, also for ids outside [0, node_count)."""
         if not self.directed and u > v:
             u, v = v, u
-        lo, hi = (int(i) for i in np.searchsorted(self._slot_u, [u, u + 1]))
-        idx = lo + int(np.searchsorted(self._slot_v[lo:hi], v))
-        if idx == hi or self._slot_v[idx] != v:
+        lo, hi = self._csr_indptr[u:u + 2] if 0 <= u < self.node_count else (0, 0)
+        # A row's slots are sorted by v, whatever their pair classes.
+        cols = self._csr_indices[lo:hi] % self.node_count
+        k = int(np.searchsorted(cols, v))
+        if k == cols.size or cols[k] != v:
             raise KeyError(f"no edge slot for pair ({u}, {v})")
-        return idx
+        return int(lo) + k
 
     def spectral_radius_bound(self) -> float:
         """Upper bound on the spectral radius of the unweighted slot adjacency.

@@ -12,7 +12,7 @@ loss term on the labeled slots only (``LabeledSlots``): the residual
 p_next - y is zero off the labeled nodes, so the loss term is zero on every
 other slot.
 
-Nothing here gathers a score per slot through the slot endpoint columns.
+Nothing here gathers a score per slot through the slot endpoints.
 The propagation step's CSR has one entry per slot, in slot order, so the
 consistency gradient -lam * p_u * p_v is -lam scaled in place by p_u per
 row and then by p_v per column, bit for bit the per-slot product.  And
@@ -85,20 +85,23 @@ class LabeledSlots:
     whose row owner is labeled, the only endpoint whose next score the
     slot's weight moves.  ``idx`` holds the slot indices in ascending
     order, ``u`` and ``v`` their endpoints and, for a directed graph,
-    ``col`` their columns in the step's n x 3n matrix.
+    ``col`` their columns in the step's n x 3n matrix, all read off the
+    step CSR's row pointers and columns without building ``slot_ends``.
     """
 
     def __init__(self, g: Graph, labels: LabelSet):
         is_labeled = np.zeros(g.node_count, dtype=bool)
         is_labeled[labels.positive_array()] = True
         is_labeled[labels.negative_array()] = True
-        mask = is_labeled[g._slot_u]
+        mask = np.repeat(is_labeled, np.diff(g._csr_indptr))
         if not g.directed:
-            mask |= is_labeled[g._slot_v]
+            mask |= np.take(is_labeled, g._csr_indices)  # the column is the node
         self.idx = np.flatnonzero(mask)
-        self.u = g._slot_u[self.idx]
-        self.v = g._slot_v[self.idx]
-        self.col = g._csr_indices[self.idx] if g.directed else None
+        self.u = np.searchsorted(g._csr_indptr, self.idx, side="right") - 1
+        # int64: numpy casts a narrower index array on every gather
+        cols = g._csr_indices[self.idx].astype(np.int64)
+        self.v = cols % g.node_count
+        self.col = cols if g.directed else None
 
 
 def consistency_value(g: Graph, w: EdgeWeights, p: np.ndarray) -> float:

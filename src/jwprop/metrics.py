@@ -28,6 +28,7 @@ def auc(scores: np.ndarray, truth: LabelSet) -> AucReport:
     a sort-and-group pass, so the result matches brute-force pairwise
     counting bit for bit.
     """
+    truth.check_bounds(scores.shape[0])
     return _ranked_pairs(scores[truth.positive_array()],
                          scores[truth.negative_array()])
 

@@ -70,9 +70,9 @@ class LabelSet:
         return LabelSet(self.positives - drop, self.negatives - drop)
 
     def check_bounds(self, n: int):
-        ids = self.positives | self.negatives
-        if ids and max(ids) >= n:
-            raise InputError(f"label node id {max(ids)} out of range for {n} nodes")
+        top = max((int(ids[-1]) for ids in self._sorted_ids if ids.size), default=-1)
+        if top >= n:
+            raise InputError(f"label node id {top} out of range for {n} nodes")
 
 
 def assign_priors(labels: LabelSet, theta: float, n: int) -> np.ndarray:

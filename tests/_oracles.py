@@ -255,8 +255,6 @@ def reference_graph_arrays(edges, directed, node_count=None) -> dict:
         rows, cols = e[:, 0], e[:, 1]
     out["_csr_indptr"] = row_pointers(rows).astype(np.int32)
     out["_csr_indices"] = cols.astype(np.int32)
-    out["_slot_u"] = np.ascontiguousarray(out["slot_ends"][:, 0])
-    out["_slot_v"] = np.ascontiguousarray(out["slot_ends"][:, 1])
     return out
 
 

@@ -231,6 +231,13 @@ class TestRunBasics:
         with pytest.raises(InputError):
             run(two_node_graph(), LabelSet.of([], []), JwpConfig(method=Method.LBP_U))
 
+    @pytest.mark.parametrize("truth", [([2], [0]), ([0], [7]), ([1], [0, 2])],
+                             ids=["pos", "neg", "both"])
+    def test_truth_id_out_of_range_rejected(self, truth):
+        with pytest.raises(InputError, match="out of range for 2 nodes"):
+            run(two_node_graph(), two_node_labels(), JwpConfig(method=Method.LBP_U),
+                truth=LabelSet.of(*truth))
+
     def test_regularizer_irrelevant_for_fixed_weight_methods(self):
         g = two_node_graph()
         labels = two_node_labels()
@@ -391,29 +398,30 @@ def oracle_gradient(oracle):
 
 
 class EndpointReads(Graph):
-    """A graph that records each read of its slot endpoint columns, the
-    index arrays of every per-slot score gather."""
+    """A graph that records each read of its derived slot endpoints and
+    pair classes, the index arrays a per-slot score gather would build."""
 
     @property
-    def _slot_u(self):
-        self.reads.append("u")
-        return self.__dict__["_slot_u"]
+    def slot_ends(self):
+        self.reads.append("slot_ends")
+        return super().slot_ends
 
     @property
-    def _slot_v(self):
-        self.reads.append("v")
-        return self.__dict__["_slot_v"]
+    def edges(self):
+        self.reads.append("edges")
+        return super().edges
 
     @property
-    def slot_count(self):
-        return self.__dict__["_slot_u"].size
+    def pair_class(self):
+        self.reads.append("pair_class")
+        return super().pair_class
 
 
 class TestSlotPasses:
     """No alternation of ``engine.run`` gathers scores per slot: the
-    consistency gradient and diagnostic go through the step CSR, and only
-    the per-label-set slot indices, built once per graph, read the slot
-    endpoint columns."""
+    consistency gradient and diagnostic go through the step CSR, and the
+    per-label-set slot indices, built once per graph, read the step CSR's
+    row pointers and columns, not the derived slot endpoints."""
 
     SPEC = SynthSpec(node_count=150, attachment=3, seed=6, attack_edges=200,
                      train_pos=15, train_neg=15)

@@ -174,8 +174,7 @@ class TestParserEquivalence:
                     else _graph_or_error(lambda: Graph.from_edges(lines, directed)))
         if error is None:
             assert isinstance(loaded, Graph) and isinstance(by_lines, Graph)
-            names = ("edges", "slot_ends", "_slot_u", "_slot_v", "_csr_indptr",
-                     "_csr_indices")
+            names = ("edges", "slot_ends", "_csr_indptr", "_csr_indices")
             if directed:
                 names += ("pair_class",)
             for name in names:
@@ -252,8 +251,7 @@ class TestParserEquivalence:
         graphs = [load_edge_list(path, directed=True)
                   for path in (str(f), f, os.fsencode(f), fd)]
         for other in graphs[1:]:
-            for name in ("_slot_u", "_slot_v", "pair_class", "_csr_indptr",
-                         "_csr_indices"):
+            for name in ("slot_ends", "pair_class", "_csr_indptr", "_csr_indices"):
                 assert np.array_equal(getattr(other, name), getattr(graphs[0], name))
             assert other.node_count == graphs[0].node_count == g.node_count
         assert np.array_equal(graphs[0].edges, g.edges)
@@ -304,12 +302,11 @@ class TestParserEquivalence:
 
 
 class TestBuildMatchesReference:
-    ARRAYS = ("edges", "slot_ends", "_slot_u", "_slot_v", "_csr_indptr",
-              "_csr_indices")
+    ARRAYS = ("edges", "slot_ends", "_csr_indptr", "_csr_indices")
     DIRECTED_ARRAYS = ("pair_class",)
-    # Every array a graph stores; edges and slot_ends are derived.
-    STORED = {"_slot_u", "_slot_v", "_csr_indptr", "_csr_indices"}
-    DIRECTED_STORED = {"pair_class"}
+    # Every array a graph stores, in both directions; edges, slot_ends and
+    # pair_class are derived.
+    STORED = {"_csr_indptr", "_csr_indices"}
 
     @pytest.mark.parametrize("directed", [False, True])
     def test_random_graphs(self, directed):
@@ -335,9 +332,7 @@ class TestBuildMatchesReference:
                 assert np.array_equal(got, want), (trial, name)
             assert g.self_loops_dropped == int(np.sum(raw[:, 0] == raw[:, 1]))
             stored = {k for k, x in vars(g).items() if isinstance(x, np.ndarray)}
-            assert stored == self.STORED | (self.DIRECTED_STORED if directed else set())
-            for col in (g._slot_u, g._slot_v):
-                assert col.dtype == np.int64 and col.flags.c_contiguous
+            assert stored == self.STORED
             if directed:
                 classes.update(g.pair_class.tolist())
             # edge_slot over every ordered node pair: each slot in both
@@ -378,7 +373,7 @@ class TestBuildMatchesReference:
             assert got.dtype == want.dtype, name
             assert np.array_equal(got, want), name
         stored = {k for k, x in vars(g).items() if isinstance(x, np.ndarray)}
-        assert stored == self.STORED | self.DIRECTED_STORED
+        assert stored == self.STORED
         assert g.node_count == (3010 if explicit_count else 3000)
         assert g.self_loops_dropped == 0
         counts = np.bincount(g.pair_class, minlength=3)
@@ -447,6 +442,18 @@ class TestDirectedSlots:
             for s, (u, v) in enumerate(map(tuple, g.slot_ends.tolist())):
                 if g.pair_class[s] == BIDIRECTIONAL:
                     assert g.pair_class[g.edge_slot(v, u)] == BIDIRECTIONAL
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_edge_slot_ids_outside_graph(self, directed):
+        # ids one below and one above [0, n) for either endpoint, against
+        # every id inside it; each node holds a slot in some row
+        g = Graph.from_edges([(0, 1), (1, 2), (2, 0), (2, 1)], directed=directed)
+        n = g.node_count
+        for x in range(n):
+            for u, v in ((-1, x), (n, x), (x, -1), (x, n)):
+                with pytest.raises(KeyError):
+                    g.edge_slot(u, v)
+        assert g.edge_slot(2, 0) == (4 if directed else 1)
 
     def test_undirected_shared_slot(self):
         g = Graph.from_edges([(2, 5), (1, 2)], directed=False)

@@ -30,6 +30,12 @@ class TestAuc:
         with pytest.raises(InputError):
             auc(np.array([1.0, 2.0]), LabelSet.of([0, 1], []))
 
+    @pytest.mark.parametrize("truth", [([0, 4], [1]), ([0], [1, 9])],
+                             ids=["pos", "neg"])
+    def test_truth_id_out_of_range_rejected(self, truth):
+        with pytest.raises(InputError, match="out of range for 4 nodes"):
+            auc(np.array([0.9, 0.8, 0.1, 0.2]), LabelSet.of(*truth))
+
     def test_matches_brute_force_with_ties(self):
         rng = np.random.default_rng(0)
         for _ in range(50):

@@ -78,6 +78,15 @@ class TestLabelSet:
         assert empty.positive_array().dtype == np.int64
         assert empty.positive_array().size == empty.negative_array().size == 0
 
+    def test_check_bounds_reads_largest_id(self):
+        ls = LabelSet.of([3, 12, 5], [9])
+        ls.check_bounds(13)
+        with pytest.raises(InputError, match="label node id 12 out of range for 12"):
+            ls.check_bounds(12)
+        with pytest.raises(InputError, match="label node id 9 out of range for 9"):
+            LabelSet.of([], [9, 2]).check_bounds(9)
+        LabelSet.of([], []).check_bounds(0)
+
 
 class TestAssignPriors:
     def test_both_classes(self):
