@@ -31,6 +31,13 @@ A fourth hash covers the generators: the same arrays of each grid graph as
 generator moves every hash, a change to the reader the load hash alone,
 and a change to the kernels the run hashes alone.
 
+A fifth hash covers the graph build's dropping of self-loops and repeated
+pairs, which the written grid graphs never hold.  Each grid graph's edge
+list is written shuffled, with a tenth of its rows repeated, a tenth
+reversed and self-loops added, one of them on an id above every other, and
+read back once undirected and once directed.  It hashes the same graph
+arrays as the load hash.
+
     PYTHONPATH=src python scripts/bit_identity_grid.py
 
 Run it on two checkouts (point PYTHONPATH at each ``src``) and compare the
@@ -125,6 +132,27 @@ def load_digest(g) -> bytes:
     return h.digest()
 
 
+def messy_load_digest(g, seed: int) -> bytes:
+    """Hash of ``g``'s edges written with repeated and reversed rows and
+    self-loops, in shuffled order, and read back in both directions."""
+    rng = np.random.default_rng([seed, 7])
+    edges = g.edges
+    k = edges.shape[0] // 10
+    loops = np.append(rng.integers(0, g.node_count, size=k), g.node_count + 5)
+    rows = np.concatenate([edges,
+                           edges[rng.integers(0, edges.shape[0], size=k)],
+                           edges[rng.integers(0, edges.shape[0], size=k), ::-1],
+                           np.stack([loops, loops], axis=1)])
+    rows = rows[rng.permutation(rows.shape[0])]
+    h = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as workdir:
+        path = Path(workdir) / "messy.tsv"
+        path.write_text("".join(f"{u}\t{v}\n" for u, v in rows.tolist()), encoding="utf-8")
+        for directed in (False, True):
+            h.update(graph_digest(load_edge_list(path, directed)))
+    return h.digest()
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--nodes", type=int, default=1000)
@@ -142,6 +170,7 @@ def main() -> int:
     written = hashlib.sha256()
     loads = hashlib.sha256()
     graphs = hashlib.sha256()
+    messy = hashlib.sha256()
     count = 0
     with tempfile.TemporaryDirectory() as workdir:
         diag_path = Path(workdir) / "diag.tsv"
@@ -155,6 +184,7 @@ def main() -> int:
             for graph in (g, gd):
                 graphs.update(graph_digest(graph))
                 loads.update(load_digest(graph))
+                messy.update(messy_load_digest(graph, seed))
             for method in Method:
                 graph = gd if method in (Method.LBP_D, Method.LBP_JWP_D) else g
                 for reg in RegularizerKind:
@@ -173,6 +203,7 @@ def main() -> int:
     print(f"{count} runs  written diagnostics sha256 {written.hexdigest()}")
     print(f"{2 * len(SEEDS)} graphs loaded  sha256 {loads.hexdigest()}")
     print(f"{2 * len(SEEDS)} graphs generated  sha256 {graphs.hexdigest()}")
+    print(f"{4 * len(SEEDS)} loads with repeats and self-loops  sha256 {messy.hexdigest()}")
     return 0
 
 

@@ -310,9 +310,9 @@ def run(g: Graph, labels: LabelSet, cfg: JwpConfig,
     alternations = 0
     p = p_prev
 
-    # One set of slot-sized work arrays for the whole run; the weights are
-    # updated in place, after the diagnostics that read the weights this
-    # alternation propagated with.
+    # One slot-sized gradient array for the whole run, which the update
+    # scales in place; the weights are updated in place, after the
+    # diagnostics that read the weights this alternation propagated with.
     work = SlotWork(g.slot_count)
     class_slots = g._per_labels(truth_class_slots, truth) if truth is not None else None
     labeled = g._per_labels(LabeledSlots, labels) if learn else None

@@ -90,10 +90,42 @@ def _first_of_runs(sorted_keys: np.ndarray) -> np.ndarray:
     return first
 
 
+def _key_dtype(node_count: int, directed: bool) -> type:
+    """Dtype of ``Graph.from_edges``'s sort keys for ``node_count`` nodes:
+    uint32 where every key and every row bound fits in 32 bits, else
+    uint64.  The row bounds r * n reach n * n; the keys reach n * n - 1
+    undirected and, tagged with the arc they come from, 2 * n * n - 1
+    directed.  Below ``MAX_NODE_COUNT`` both fit in uint64."""
+    top = 2 * node_count * node_count - 1 if directed else node_count * node_count
+    return np.uint32 if top < 2 ** 32 else np.uint64
+
+
 def _row_starts(sorted_keys: np.ndarray, n: int) -> np.ndarray:
     """CSR row pointers of sorted keys row * n + col: the count of keys
-    below r * n for r = 0..n (n * n fits in int64 below MAX_NODE_COUNT)."""
-    return np.searchsorted(sorted_keys, np.arange(n + 1, dtype=np.int64) * n)
+    below r * n for r = 0..n.  The needles r * n take the keys' dtype
+    (``_key_dtype`` makes n * n fit in it): a uint64 array searched with
+    int64 needles would compare both as float64."""
+    needles = np.arange(n + 1, dtype=sorted_keys.dtype)
+    needles *= n
+    return np.searchsorted(sorted_keys, needles)
+
+
+def _columns(keys: np.ndarray, n: int) -> np.ndarray:
+    """Column col of each key row * n + col, written over ``keys``.  numpy
+    divides by a scalar without a hardware divide, and np.remainder does
+    not: keys - (keys // n) * n takes 0.4 ms on 358 000 uint32 keys, the
+    remainder 1.0 ms."""
+    rows = keys // n
+    rows *= n
+    keys -= rows
+    return keys
+
+
+def _as_index(values: np.ndarray, idx: type) -> np.ndarray:
+    """``values``, nonnegative and in ``idx``'s range, as an ``idx`` array:
+    a view where the item sizes match (uint32 as int32, uint64 as int64),
+    else a copy."""
+    return values.view(idx) if values.itemsize == np.dtype(idx).itemsize else values.astype(idx)
 
 
 def csr_index_dtype(nnz: int, n_cols: int) -> type:
@@ -166,11 +198,14 @@ class Graph:
 
     def __init__(self, node_count: int, keys: np.ndarray, directed: bool,
                  self_loops_dropped: int = 0):
-        """``keys`` are sorted and distinct (``from_edges``).  Undirected:
-        one int64 key u * node_count + v per input pair, u < v.  Directed:
-        one uint64 key (u * node_count + v) * 2 + origin per slot (u, v)
-        and arc it comes from, origin 1 for the input arc u->v and 0 for
-        the input arc v->u.  The build overwrites ``keys``."""
+        """``keys`` are sorted and distinct (``from_edges``), of dtype
+        ``_key_dtype(node_count, directed)``: uint32 where every key and
+        every row bound n * n fits in 32 bits, else uint64.  Undirected:
+        one key u * node_count + v per input pair, u < v.  Directed: one
+        key (u * node_count + v) * 2 + origin per slot (u, v) and arc it
+        comes from, origin 1 for the input arc u->v and 0 for the input arc
+        v->u.  The build overwrites ``keys``, and the graph may keep it as
+        its CSR indices."""
         self.node_count = int(node_count)
         self.directed = bool(directed)
         self.self_loops_dropped = int(self_loops_dropped)
@@ -190,6 +225,12 @@ class Graph:
         defaults to max id + 1; pass it explicitly to keep trailing
         isolated nodes.  Node counts above ``MAX_NODE_COUNT`` are rejected
         before any array sized by the node count is built.
+
+        The pairs become sort keys (``__init__``) written in place into one
+        array of ``_key_dtype``, whose sorted distinct values are the
+        lexicographically sorted distinct pairs; self-loop and repeated
+        keys are dropped only where there are any.  1-D np.unique
+        costs far more than np.sort plus a neighbour mask on NumPy 2.x.
         """
         e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         if e.size and int(e.min()) < 0:
@@ -197,13 +238,13 @@ class Graph:
         u, v = e[:, 0], e[:, 1]
         keep = u != v
         dropped = e.shape[0] - int(np.count_nonzero(keep))
-        if dropped:
-            u, v = u[keep], v[keep]
-        if u.size == 0:
+        if dropped == e.shape[0]:
             raise InputError("empty graph: no edges left after dropping self-loops")
-        if not directed:
-            u, v = np.minimum(u, v), np.maximum(u, v)
-        max_id = int(max(u.max(), v.max()))
+        if dropped:
+            max_id = int(max(np.max(u, initial=0, where=keep),
+                             np.max(v, initial=0, where=keep)))
+        else:
+            max_id = int(e.max())
         if node_count is None:
             node_count = max_id + 1
         elif node_count <= max_id:
@@ -211,21 +252,36 @@ class Graph:
         if node_count > MAX_NODE_COUNT:
             raise InputError(f"node count {node_count} exceeds the limit of "
                              f"{MAX_NODE_COUNT} nodes (int64 slot keys)")
-        # Sorted distinct keys u * n + v are the lexicographically sorted
-        # distinct pairs.  1-D np.unique costs far more than np.sort plus a
-        # neighbour mask on NumPy 2.x.
+        n, m = node_count, e.shape[0]
+        # Keys of self-loop rows are written too, then dropped: their ids may
+        # exceed n, so such a key can wrap, but it is never read.
+        key = np.empty(2 * m if directed else m, dtype=_key_dtype(n, directed))
         if directed:
             # Arc u->v makes the slots (u, v) and (v, u): one sort orders
-            # both, each key tagged with the arc it comes from (__init__).
-            key = np.concatenate([u * node_count + v, v * node_count + u])
-            key = key.view(np.uint64)
+            # both, each key tagged with the arc it comes from.
+            for half, a, b in ((slice(None, m), u, v), (slice(m, None), v, u)):
+                np.multiply(a, n, out=key[half], casting="unsafe")
+                np.add(key[half], b, out=key[half], casting="unsafe")
             key <<= 1
-            key[:u.size] |= 1
+            key[:m] |= 1
         else:
-            key = u * node_count + v
+            # min(u, v) * n + max(u, v), as min(u, v) * (n - 1) + u + v
+            np.minimum(u, v, out=key, casting="unsafe")
+            key *= n - 1
+            np.add(key, u, out=key, casting="unsafe")
+            np.add(key, v, out=key, casting="unsafe")
+        # Self-loops and repeated pairs are rare, so the masks below are
+        # almost all True: there boolean indexing beats np.compress, which
+        # also builds an int64 index per kept entry.
+        if dropped:
+            key = key[np.tile(keep, 2) if directed else keep]
+        del keep
         key.sort()
-        key = key[_first_of_runs(key)]  # frees the sorted copy before the build
-        return cls(node_count, key, directed, dropped)
+        first = _first_of_runs(key)
+        if not first.all():
+            key = key[first]
+        del first
+        return cls(n, key, directed, dropped)
 
     # -- derived structure ------------------------------------------------
 
@@ -236,31 +292,34 @@ class Graph:
         # weight values are this CSR's data as they stand.
         idx = csr_index_dtype(keys.size, n)
         self._csr_indptr = _row_starts(keys, n).astype(idx)
-        self._csr_indices = np.remainder(keys, n, out=keys).astype(idx)
+        self._csr_indices = _as_index(_columns(keys, n), idx)
 
     def _build_directed(self, tagged: np.ndarray):
         n = self.node_count
-        # Headroom: below MAX_NODE_COUNT a pair key u * n + v is at most
-        # n * n - 1 < 2**63, so its tagged key 2 * (u * n + v) + origin fits
-        # in uint64, and shifting the tag out leaves a valid int64 key.  A
-        # pair's keys differ in the origin bit alone, so each run of equal
-        # pair keys holds one key, or two when both arcs are input edges.  A
-        # lone key's origin bit tells which arc it comes from:
-        # UNI_INCOMING + 1 == UNI_OUTGOING.
-        first = _first_of_runs(tagged >> 1)
-        pairs = tagged[first]
-        idx = csr_index_dtype(pairs.size, 3 * n)
-        cols = (pairs & 1).astype(idx)
-        cols += UNI_INCOMING
-        # The k-th second key of a run, at t, belongs to pair t - 1 - k.
-        both = np.flatnonzero(~first)
-        both -= np.arange(1, both.size + 1)
-        cols[both] = BIDIRECTIONAL
-        pairs = np.right_shift(pairs, 1, out=pairs).view(np.int64)
+        # A pair's tagged keys differ in the origin bit alone, so once the
+        # bit is shifted out, each run of equal pair keys holds one key, or
+        # two when both arcs are input edges: origin 0, then origin 1.  The
+        # pair class is the first key's origin bit, plus 1 when the run
+        # holds that key alone: BIDIRECTIONAL == 0, and a lone key's bit
+        # tells which arc it comes from, UNI_INCOMING + 1 == UNI_OUTGOING.
+        pair_class = np.bitwise_and(tagged, 1, out=np.empty(tagged.size, np.uint8),
+                                    casting="unsafe")
+        pairs = np.right_shift(tagged, 1, out=tagged)
+        first = _first_of_runs(pairs)
+        pair_class[:-1] += first[1:]
+        pair_class[-1] += 1
+        if not first.all():
+            # a third or so of the entries are second keys: one index
+            # array beats boolean indexing on such a mask
+            at = np.flatnonzero(first)
+            pair_class, pairs = pair_class[at], pairs[at]
+            del at
+        del first
         # Row-major sorted pairs: CSR entry k is slot k, at column pair_class * n + v.
+        idx = csr_index_dtype(pairs.size, 3 * n)
         self._csr_indptr = _row_starts(pairs, n).astype(idx)
-        cols *= n
-        cols += np.remainder(pairs, n, out=pairs)
+        cols = np.multiply(pair_class, n, dtype=idx)
+        cols += _as_index(_columns(pairs, n), idx)
         self._csr_indices = cols
 
     # -- queries -----------------------------------------------------------
@@ -277,16 +336,30 @@ class Graph:
     @property
     def slot_ends(self) -> np.ndarray:
         """(S, 2) int64 endpoints per weight slot, built on each access."""
-        n, cols = self.node_count, self._csr_indices
-        rows = np.repeat(np.arange(n), np.diff(self._csr_indptr))
-        return np.stack([rows, cols % n if self.directed else cols], axis=1)
+        return self._ends(keep_incoming=True)
 
     @property
     def edges(self) -> np.ndarray:
         """(E, 2) int64 deduplicated input edges, lexicographically sorted,
         built on each access.  Undirected rows are canonical (u < v)."""
-        ends = self.slot_ends
-        return ends[self.pair_class != UNI_INCOMING] if self.directed else ends
+        return self._ends(keep_incoming=False)
+
+    def _ends(self, keep_incoming: bool) -> np.ndarray:
+        """(S, 2) int64 slot endpoints, without a directed graph's
+        UNI_INCOMING slots unless ``keep_incoming``.  A directed column
+        pair_class * n + v splits into class and node by one floor
+        division and a multiply-subtract: numpy divides by a scalar without
+        a hardware divide, while its remainder and np.divmod take about 2.5
+        times as long."""
+        n, cols = self.node_count, self._csr_indices
+        rows = np.repeat(np.arange(n), np.diff(self._csr_indptr))
+        if self.directed:
+            classes = cols // n
+            cols = cols - classes * n
+            if not keep_incoming:
+                keep = classes != UNI_INCOMING
+                rows, cols = np.compress(keep, rows), np.compress(keep, cols)
+        return np.stack([rows, cols], axis=1)
 
     @property
     def edge_count(self) -> int:

@@ -24,6 +24,7 @@ rounding, not to the bit.
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 
 import numpy as np
@@ -59,23 +60,21 @@ def training_loss(p: np.ndarray, labels: LabelSet) -> float:
 
 
 class SlotWork:
-    """Slot-sized work arrays for the gradients and ``apply_gradient_step``,
-    allocated once per run and reused by every alternation.
+    """The slot-sized work array of the gradients and
+    ``apply_gradient_step``, allocated once per run and reused by every
+    alternation.
 
-    ``grad`` receives the gradient.  ``c`` and ``mask`` are read and
-    written by ``apply_gradient_step`` alone: the scaled step and the
-    finiteness test.
+    ``grad`` receives the gradient; ``apply_gradient_step``, given it,
+    scales it into the descent step in place.
 
     Fresh slot-sized temporaries on every call cost page faults: glibc
     serves blocks above its mmap threshold by mmap and returns them on
     free, so each one is faulted in again.  A gradient written here stays
-    valid only until the next call that is given the same work arrays.
+    valid only until the next call that is given the same work array.
     """
 
     def __init__(self, slot_count: int):
         self.grad = np.empty(slot_count)
-        self.c = np.empty(slot_count)
-        self.mask = np.empty(slot_count, dtype=bool)
 
 
 class LabeledSlots:
@@ -268,20 +267,22 @@ def apply_gradient_step(w: EdgeWeights, grad: np.ndarray, gamma: float,
     [-w.clamp_bound, w.clamp_bound].
 
     The new values go to ``out`` when given, which may be ``w.values``
-    itself to update the weights in place.
+    itself to update the weights in place.  A ``grad`` that is
+    ``work.grad`` is scratch and is scaled into the step in place; any
+    other is left as it is.  A non-finite entry raises ``NumericalError``
+    naming its slot: the gradient's max and min are both finite exactly
+    when every entry is, since NaN propagates through them.
     """
     if gamma < 0:
         raise InputError("learning rate must be nonnegative")
     grad = np.asarray(grad, dtype=float)
     if grad.shape != w.values.shape:
         raise InputError("gradient shape does not match the weight array")
-    work = work or SlotWork(grad.size)
-    finite = np.isfinite(grad, out=work.mask)
-    if not finite.all():
-        bad = int(np.flatnonzero(~finite)[0])
+    if grad.size and not (math.isfinite(grad.max()) and math.isfinite(grad.min())):
+        bad = int(np.flatnonzero(~np.isfinite(grad))[0])
         raise NumericalError(f"non-finite gradient entry at slot {bad}")
     bound = w.clamp_bound
-    step = np.multiply(grad, gamma, out=work.c)
+    step = np.multiply(grad, gamma, out=grad if work is not None and grad is work.grad else None)
     vals = np.subtract(w.values, step, out=out)
     np.clip(vals, -bound, bound, out=vals)
     return EdgeWeights(vals, bound)

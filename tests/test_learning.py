@@ -257,6 +257,33 @@ class TestApplyGradientStep:
         with pytest.raises(NumericalError):
             apply_gradient_step(w, np.array([np.nan]), 1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("gamma", [0.0, 0.1])
+    def test_non_finite_entry_named(self, bad, gamma):
+        # also at gamma 0, and for an inf that the clip would turn into a
+        # bound; a work array does not skip the check
+        grad = np.array([0.1, -0.2, bad, bad, 0.3])
+        work = SlotWork(grad.size)
+        work.grad[:] = grad
+        for given in (grad, work.grad):
+            with pytest.raises(NumericalError, match="slot 2$"):
+                apply_gradient_step(EdgeWeights(np.zeros(5)), given, gamma, work)
+
+    def test_empty_gradient(self):
+        out = apply_gradient_step(EdgeWeights(np.zeros(0)), np.zeros(0), 1.0)
+        assert out.values.size == 0
+
+    def test_scales_only_the_work_gradient(self):
+        grad = np.array([0.1, -0.2, 0.3])
+        work = SlotWork(3)
+        out = apply_gradient_step(EdgeWeights(np.zeros(3)), grad, 0.5, work)
+        assert grad.tolist() == [0.1, -0.2, 0.3]
+        work.grad[:] = grad
+        scratch = apply_gradient_step(EdgeWeights(np.zeros(3)), work.grad, 0.5, work)
+        assert np.array_equal(work.grad, grad * 0.5)
+        assert np.array_equal(out.values, scratch.values)
+        assert np.array_equal(out.values, -(grad * 0.5))
+
     @given(st.lists(st.floats(-5, 5), min_size=1, max_size=10).map(np.asarray))
     def test_clamp_idempotent(self, vals):
         w = EdgeWeights(vals)
