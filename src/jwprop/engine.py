@@ -50,6 +50,7 @@ from .learning import (
     grad_directed,
     grad_rw_undirected,
     grad_undirected,
+    gradient_inf_norm,
     training_loss,
 )
 from .propagation import (
@@ -334,12 +335,12 @@ def run(g: Graph, labels: LabelSet, cfg: JwpConfig,
         if update:
             grad = gradient(g, w, q, p_prev, labels, lam, cfg.regularizer,
                             p_next=p, work=work, labeled=labeled, **rw_degrees)
-            grad_inf = float(abs(max(np.max(grad), -np.min(grad)))) if grad.size else 0.0
+            grad_inf = gradient_inf_norm(grad)
         with np.errstate(over="ignore"):  # inf diagnostics on divergence
             loss_val = training_loss(p, labels)
             cons_val = consistency_value(g, w, p)
         if update:
-            w = apply_gradient_step(w, grad, cfg.gamma, work, out=w.values)
+            w = apply_gradient_step(w, grad, cfg.gamma, work, out=w.values, checked=True)
             if rw_degrees:
                 rw_degrees["inv_degrees"] = _inverse_degrees(g, w)
             class_means = None

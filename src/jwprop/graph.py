@@ -110,6 +110,35 @@ def _row_starts(sorted_keys: np.ndarray, n: int) -> np.ndarray:
     return np.searchsorted(sorted_keys, needles)
 
 
+def _pair_keys(u: np.ndarray, v: np.ndarray, n: int, directed: bool) -> np.ndarray:
+    """Sort keys (``Graph.__init__``) of the pairs (u[i], v[i]), in one new
+    array of ``_key_dtype(n, directed)``, written in place with no copies
+    of the id columns.  Undirected: min(u, v) * n + max(u, v), formed as
+    min(u, v) * (n - 1) + u + v.  Directed: the arc u->v makes the slots
+    (u, v) and (v, u), so the first half holds the keys u * n + v tagged
+    with origin 1, the second v * n + u tagged with origin 0.
+
+    ``u`` and ``v`` are nonnegative int64 ids, read here as uint64: numpy
+    picks a ufunc's loop from its inputs, not from ``out``, and it adds
+    int64 to uint64 in float64, which rounds keys above 2**53.  On uint64
+    ids every step is integer arithmetic.  The keys of ids of n or more
+    wrap and are meaningless."""
+    u, v, m = u.view(np.uint64), v.view(np.uint64), u.size
+    key = np.empty(2 * m if directed else m, dtype=_key_dtype(n, directed))
+    if directed:
+        for half, a, b in ((key[:m], u, v), (key[m:], v, u)):
+            np.multiply(a, n, out=half, casting="unsafe")
+            np.add(half, b, out=half, casting="unsafe")
+        key <<= 1
+        key[:m] |= 1
+    else:
+        np.minimum(u, v, out=key, casting="unsafe")
+        key *= n - 1
+        np.add(key, u, out=key, casting="unsafe")
+        np.add(key, v, out=key, casting="unsafe")
+    return key
+
+
 def _columns(keys: np.ndarray, n: int) -> np.ndarray:
     """Column col of each key row * n + col, written over ``keys``.  numpy
     divides by a scalar without a hardware divide, and np.remainder does
@@ -252,24 +281,10 @@ class Graph:
         if node_count > MAX_NODE_COUNT:
             raise InputError(f"node count {node_count} exceeds the limit of "
                              f"{MAX_NODE_COUNT} nodes (int64 slot keys)")
-        n, m = node_count, e.shape[0]
-        # Keys of self-loop rows are written too, then dropped: their ids may
-        # exceed n, so such a key can wrap, but it is never read.
-        key = np.empty(2 * m if directed else m, dtype=_key_dtype(n, directed))
-        if directed:
-            # Arc u->v makes the slots (u, v) and (v, u): one sort orders
-            # both, each key tagged with the arc it comes from.
-            for half, a, b in ((slice(None, m), u, v), (slice(m, None), v, u)):
-                np.multiply(a, n, out=key[half], casting="unsafe")
-                np.add(key[half], b, out=key[half], casting="unsafe")
-            key <<= 1
-            key[:m] |= 1
-        else:
-            # min(u, v) * n + max(u, v), as min(u, v) * (n - 1) + u + v
-            np.minimum(u, v, out=key, casting="unsafe")
-            key *= n - 1
-            np.add(key, u, out=key, casting="unsafe")
-            np.add(key, v, out=key, casting="unsafe")
+        n = node_count
+        # Keys of self-loop rows are formed too, then dropped: their ids
+        # may exceed n, but their keys are never read.
+        key = _pair_keys(u, v, n, directed)
         # Self-loops and repeated pairs are rare, so the masks below are
         # almost all True: there boolean indexing beats np.compress, which
         # also builds an int64 index per kept entry.
@@ -331,7 +346,7 @@ class Graph:
     @property
     def pair_class(self) -> np.ndarray | None:
         """(S,) uint8 pair classes, built on each access; None when undirected."""
-        return (self._csr_indices // self.node_count).astype(np.uint8) if self.directed else None
+        return self._classes_and_nodes()[0].astype(np.uint8) if self.directed else None
 
     @property
     def slot_ends(self) -> np.ndarray:
@@ -344,18 +359,18 @@ class Graph:
         built on each access.  Undirected rows are canonical (u < v)."""
         return self._ends(keep_incoming=False)
 
+    def _classes_and_nodes(self) -> tuple[np.ndarray, np.ndarray]:
+        """A directed graph's step CSR columns pair_class * n + v, split
+        into pair classes and nodes v."""
+        return np.divmod(self._csr_indices, self.node_count)
+
     def _ends(self, keep_incoming: bool) -> np.ndarray:
         """(S, 2) int64 slot endpoints, without a directed graph's
-        UNI_INCOMING slots unless ``keep_incoming``.  A directed column
-        pair_class * n + v splits into class and node by one floor
-        division and a multiply-subtract: numpy divides by a scalar without
-        a hardware divide, while its remainder and np.divmod take about 2.5
-        times as long."""
+        UNI_INCOMING slots unless ``keep_incoming``."""
         n, cols = self.node_count, self._csr_indices
         rows = np.repeat(np.arange(n), np.diff(self._csr_indptr))
         if self.directed:
-            classes = cols // n
-            cols = cols - classes * n
+            classes, cols = self._classes_and_nodes()
             if not keep_incoming:
                 keep = classes != UNI_INCOMING
                 rows, cols = np.compress(keep, rows), np.compress(keep, cols)

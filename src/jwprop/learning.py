@@ -64,8 +64,8 @@ class SlotWork:
     ``apply_gradient_step``, allocated once per run and reused by every
     alternation.
 
-    ``grad`` receives the gradient; ``apply_gradient_step``, given it,
-    scales it into the descent step in place.
+    ``grad`` receives the gradient; ``apply_gradient_step``, given the work
+    array, writes its scaled step there, over the gradient.
 
     Fresh slot-sized temporaries on every call cost page faults: glibc
     serves blocks above its mmap threshold by mmap and returns them on
@@ -260,29 +260,43 @@ def grad_rw_undirected(g: Graph, w: EdgeWeights, q: np.ndarray, p_t: np.ndarray,
     return grad
 
 
+def gradient_inf_norm(grad: np.ndarray) -> float:
+    """max |grad|, from one max and one min pass, 0 for an empty gradient.
+    A non-finite entry raises ``NumericalError`` naming its slot: the max
+    and min are both finite exactly when every entry is, since NaN
+    propagates through them."""
+    if not grad.size:
+        return 0.0
+    hi, lo = grad.max(), grad.min()
+    if not (math.isfinite(hi) and math.isfinite(lo)):
+        bad = int(np.flatnonzero(~np.isfinite(grad))[0])
+        raise NumericalError(f"non-finite gradient entry at slot {bad}")
+    return float(abs(max(hi, -lo)))
+
+
 def apply_gradient_step(w: EdgeWeights, grad: np.ndarray, gamma: float,
                         work: SlotWork | None = None,
-                        out: np.ndarray | None = None) -> EdgeWeights:
+                        out: np.ndarray | None = None, *,
+                        checked: bool = False) -> EdgeWeights:
     """One descent step, then each weight is clipped into
     [-w.clamp_bound, w.clamp_bound].
 
     The new values go to ``out`` when given, which may be ``w.values``
-    itself to update the weights in place.  A ``grad`` that is
-    ``work.grad`` is scratch and is scaled into the step in place; any
-    other is left as it is.  A non-finite entry raises ``NumericalError``
-    naming its slot: the gradient's max and min are both finite exactly
-    when every entry is, since NaN propagates through them.
+    itself to update the weights in place.  The scaled step goes to
+    ``work.grad`` when ``work`` is given, so a gradient held there is
+    consumed.  A non-finite entry raises ``NumericalError`` naming its
+    slot (``gradient_inf_norm``); ``checked`` says that the caller has
+    already taken ``gradient_inf_norm`` of this gradient, and skips it.
     """
     if gamma < 0:
         raise InputError("learning rate must be nonnegative")
     grad = np.asarray(grad, dtype=float)
     if grad.shape != w.values.shape:
         raise InputError("gradient shape does not match the weight array")
-    if grad.size and not (math.isfinite(grad.max()) and math.isfinite(grad.min())):
-        bad = int(np.flatnonzero(~np.isfinite(grad))[0])
-        raise NumericalError(f"non-finite gradient entry at slot {bad}")
+    if not checked:
+        gradient_inf_norm(grad)
     bound = w.clamp_bound
-    step = np.multiply(grad, gamma, out=grad if work is not None and grad is work.grad else None)
+    step = np.multiply(grad, gamma, out=None if work is None else work.grad)
     vals = np.subtract(w.values, step, out=out)
     np.clip(vals, -bound, bound, out=vals)
     return EdgeWeights(vals, bound)

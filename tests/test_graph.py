@@ -459,6 +459,23 @@ class TestKeyWidth:
         assert below.self_loops_dropped == above.self_loops_dropped
         assert below.self_loops_dropped == int(np.sum(raw[:, 0] == raw[:, 1]))
 
+    @pytest.mark.parametrize("directed", [False, True])
+    @pytest.mark.parametrize("n", [10 ** 8, graph.MAX_NODE_COUNT])
+    def test_wide_keys_exact(self, directed, n):
+        # uint64 keys above 2**53, where float64 arithmetic would round off
+        # their low bits; formed by the key helper alone, so that no array
+        # sized by the node count is built
+        pairs = [(n - 2, n - 1), (n - 1, n - 2), (n - 1, 0), (5, n - 3), (0, 1)]
+        ids = np.array(pairs, dtype=np.int64)
+        key = graph._pair_keys(ids[:, 0], ids[:, 1], n, directed)
+        assert key.dtype == np.uint64
+        if directed:
+            want = ([(a * n + b) * 2 + 1 for a, b in pairs]
+                    + [(b * n + a) * 2 for a, b in pairs])
+        else:
+            want = [min(a, b) * n + max(a, b) for a, b in pairs]
+        assert [int(k) for k in key] == want
+
 
 class TestBuildMemory:
     # Traced peak of Graph.from_edges beyond its input, in bytes per input

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -17,7 +19,7 @@ from jwprop import (
     grad_undirected,
     training_loss,
 )
-from jwprop.learning import LabeledSlots, SlotWork
+from jwprop.learning import LabeledSlots, SlotWork, gradient_inf_norm
 
 from _oracles import (
     bincount_weighted_degrees,
@@ -273,16 +275,38 @@ class TestApplyGradientStep:
         out = apply_gradient_step(EdgeWeights(np.zeros(0)), np.zeros(0), 1.0)
         assert out.values.size == 0
 
-    def test_scales_only_the_work_gradient(self):
+    def test_step_written_to_work(self):
+        # the scaled step goes to work.grad, whatever gradient is given
         grad = np.array([0.1, -0.2, 0.3])
         work = SlotWork(3)
         out = apply_gradient_step(EdgeWeights(np.zeros(3)), grad, 0.5, work)
         assert grad.tolist() == [0.1, -0.2, 0.3]
+        assert np.array_equal(work.grad, grad * 0.5)
         work.grad[:] = grad
         scratch = apply_gradient_step(EdgeWeights(np.zeros(3)), work.grad, 0.5, work)
         assert np.array_equal(work.grad, grad * 0.5)
         assert np.array_equal(out.values, scratch.values)
         assert np.array_equal(out.values, -(grad * 0.5))
+        plain = apply_gradient_step(EdgeWeights(np.zeros(3)), grad, 0.5)
+        assert np.array_equal(plain.values, out.values)
+        assert grad.tolist() == [0.1, -0.2, 0.3]
+
+    @pytest.mark.parametrize("grad,norm", [([0.1, -0.4, 0.3], 0.4), ([0.5, -0.2], 0.5),
+                                           ([-0.0], 0.0), ([], 0.0)])
+    def test_gradient_inf_norm(self, grad, norm):
+        got = gradient_inf_norm(np.array(grad, dtype=float))
+        assert got == norm and math.copysign(1.0, got) == 1.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_gradient_inf_norm_names_slot(self, bad):
+        with pytest.raises(NumericalError, match="slot 1$"):
+            gradient_inf_norm(np.array([0.1, bad, bad]))
+
+    def test_checked_skips_the_check(self):
+        # the caller vouches for the gradient through gradient_inf_norm
+        out = apply_gradient_step(EdgeWeights(np.zeros(2)), np.array([0.2, np.nan]),
+                                  1.0, checked=True)
+        assert out.values[0] == -0.2
 
     @given(st.lists(st.floats(-5, 5), min_size=1, max_size=10).map(np.asarray))
     def test_clamp_idempotent(self, vals):
