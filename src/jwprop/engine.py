@@ -11,13 +11,13 @@ Every method belongs to one propagation family (undirected LBP, directed
 LBP, random walk), named in ``METHOD_TABLE``.  ``run`` resolves the
 family's priors, default weights, step and gradient once, before the loop;
 the steps live in ``propagation`` and their gradients in ``learning``.
-What stays fixed across alternations is also computed before the loop and
-passed in: the ground-truth slot classes behind ``weight_class_means``, the
-labeled slots that carry the gradient's loss term, and the random walk's
-inverse weighted degrees, which are recomputed only after a weight update
-and shared by the step and the gradient.  The slot classes and the labeled
-slots are kept with the graph for their label set (``Graph._per_labels``),
-so runs that share a graph and a label set build them once.
+The random walk's inverse weighted degrees are computed before the loop
+and passed in, recomputed only after a weight update, and shared by the
+step and the gradient.  The ground-truth slot classes behind
+``weight_class_means`` and the labeled slots that carry the gradient's loss
+term are kept with the graph for their label set (``Graph._per_labels``)
+by the functions that read them, so runs that share a graph and a label
+set build them once.
 
 One alternation runs: step, convergence check, gradient, the loss and
 consistency diagnostics under the weights just propagated with, the weight
@@ -33,8 +33,9 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 import numpy as np
@@ -42,9 +43,7 @@ import numpy as np
 from .errors import InputError, NumericalError
 from .graph import EdgeWeights, Graph
 from .learning import (
-    LabeledSlots,
     RegularizerKind,
-    SlotWork,
     apply_gradient_step,
     consistency_value,
     grad_directed,
@@ -155,8 +154,9 @@ class JwpConfig:
             raise InputError("gamma must be nonnegative")
         if self.tolerance <= 0:
             raise InputError("tolerance must be positive")
-        if self.max_alternations < 1:
-            raise InputError("max_alternations must be at least 1")
+        if not isinstance(self.max_alternations, numbers.Integral) or self.max_alternations < 1:
+            raise InputError("max_alternations must be an integer of at least 1, "
+                             f"got {self.max_alternations!r}")
         if not 0.0 <= self.restart <= 1.0:
             raise InputError("restart must lie in [0, 1]")
 
@@ -212,6 +212,7 @@ def truth_class_slots(g: Graph, truth: LabelSet
     are labeled alike, heterogeneous when they are labeled unlike, and
     remaining when an endpoint is unlabeled; the three partition the
     slots.  Labels are read per slot off the step CSR, not ``slot_ends``."""
+    truth.check_bounds(g.node_count)
     y = np.zeros(g.node_count, dtype=np.int8)
     y[truth.positive_array()] = 1
     y[truth.negative_array()] = -1
@@ -222,19 +223,17 @@ def truth_class_slots(g: Graph, truth: LabelSet
     return np.flatnonzero(same > 0), np.flatnonzero(same < 0), np.flatnonzero(same == 0)
 
 
-def weight_class_means(g: Graph, w: EdgeWeights, truth: LabelSet,
-                       class_slots: tuple[np.ndarray, ...] | None = None
-                       ) -> tuple[float, float]:
+def weight_class_means(g: Graph, w: EdgeWeights, truth: LabelSet) -> tuple[float, float]:
     """Mean weight over homogeneous and heterogeneous slots under ground
-    truth; NaN for classes with no member slots.  ``class_slots`` passes in
-    ``truth_class_slots(g, truth)`` when the caller already has it.
+    truth; NaN for classes with no member slots.  The slot classes,
+    ``truth_class_slots(g, truth)``, are kept with the graph per label set.
 
     Only the two smaller of the three slot classes are gathered; the sum of
     the largest is the sum of all weights minus theirs.  A mean is thus
     exact to rounding, not to the bit, and the largest class's error is
     bounded relative to the sum of all |w|, not that class's alone.
     """
-    classes = truth_class_slots(g, truth) if class_slots is None else class_slots
+    classes = g._per_labels(truth_class_slots, truth)
     largest = max(range(3), key=lambda i: classes[i].size)
     sums = [0.0 if i == largest else float(np.sum(w.values[idx]))
             for i, idx in enumerate(classes)]
@@ -312,11 +311,12 @@ def run(g: Graph, labels: LabelSet, cfg: JwpConfig,
     p = p_prev
 
     # One slot-sized gradient array for the whole run, which the update
-    # scales in place; the weights are updated in place, after the
-    # diagnostics that read the weights this alternation propagated with.
-    work = SlotWork(g.slot_count)
-    class_slots = g._per_labels(truth_class_slots, truth) if truth is not None else None
-    labeled = g._per_labels(LabeledSlots, labels) if learn else None
+    # scales in place: a fresh one per alternation would be faulted in
+    # again each time, since glibc serves blocks above its mmap threshold
+    # by mmap and returns them on free.  The weights are updated in place,
+    # after the diagnostics that read the weights this alternation
+    # propagated with.
+    work = np.empty(g.slot_count)
     # The random walk's inverse weighted degrees, for the step and the
     # gradient of the weights they were computed from.
     rw_degrees = {"inv_degrees": _inverse_degrees(g, w)} if family == "rw" else {}
@@ -334,7 +334,7 @@ def run(g: Graph, labels: LabelSet, cfg: JwpConfig,
         grad_inf = math.nan
         if update:
             grad = gradient(g, w, q, p_prev, labels, lam, cfg.regularizer,
-                            p_next=p, work=work, labeled=labeled, **rw_degrees)
+                            p_next=p, out=work, **rw_degrees)
             grad_inf = gradient_inf_norm(grad)
         with np.errstate(over="ignore"):  # inf diagnostics on divergence
             loss_val = training_loss(p, labels)
@@ -345,7 +345,7 @@ def run(g: Graph, labels: LabelSet, cfg: JwpConfig,
                 rw_degrees["inv_degrees"] = _inverse_degrees(g, w)
             class_means = None
         if class_means is None:
-            class_means = (weight_class_means(g, w, truth, class_slots)
+            class_means = (weight_class_means(g, w, truth)
                            if truth is not None else (math.nan, math.nan))
         hm, ht = class_means
         diags.append(AlternationDiag(
@@ -367,8 +367,7 @@ def run(g: Graph, labels: LabelSet, cfg: JwpConfig,
                      method=method)
 
 
-DIAG_COLUMNS = ("t", "conv_metric", "loss", "consistency", "grad_inf",
-                "mean_homo_weight", "mean_hetero_weight", "wall_ms")
+DIAG_COLUMNS = tuple(f.name for f in fields(AlternationDiag))
 
 
 def write_diagnostics(diags: list[AlternationDiag], path):

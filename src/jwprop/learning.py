@@ -7,10 +7,11 @@ l1/l2 are the conventional penalties; "none" drops the term.  Gradients are
 closed-form because the current score vector is held fixed while the next
 one is linear in the weights.
 
-Each gradient writes the regularizer's term over every slot, then adds the
-loss term on the labeled slots only (``LabeledSlots``): the residual
-p_next - y is zero off the labeled nodes, so the loss term is zero on every
-other slot.
+The three gradients share one body and differ only in their loss term.  It
+writes the regularizer's term over every slot, then adds the loss term on
+the labeled slots only (``LabeledSlots``, kept with the graph per label
+set): the residual p_next - y is zero off the labeled nodes, so the loss
+term is zero on every other slot.
 
 Nothing here gathers a score per slot through the slot endpoints.
 The propagation step's CSR has one entry per slot, in slot order, so the
@@ -24,6 +25,7 @@ rounding, not to the bit.
 
 from __future__ import annotations
 
+import functools
 import math
 from enum import Enum
 
@@ -53,32 +55,16 @@ def training_loss(p: np.ndarray, labels: LabelSet) -> float:
     """Half the squared error between labeled nodes' scores and +/-1."""
     if len(labels) == 0:
         raise InputError("training loss needs at least one labeled node")
+    labels.check_bounds(p.shape[0])
     pos = labels.positive_array()
     neg = labels.negative_array()
     return 0.5 * (float(np.sum((p[pos] - 1.0) ** 2)) +
                   float(np.sum((p[neg] + 1.0) ** 2)))
 
 
-class SlotWork:
-    """The slot-sized work array of the gradients and
-    ``apply_gradient_step``, allocated once per run and reused by every
-    alternation.
-
-    ``grad`` receives the gradient; ``apply_gradient_step``, given the work
-    array, writes its scaled step there, over the gradient.
-
-    Fresh slot-sized temporaries on every call cost page faults: glibc
-    serves blocks above its mmap threshold by mmap and returns them on
-    free, so each one is faulted in again.  A gradient written here stays
-    valid only until the next call that is given the same work array.
-    """
-
-    def __init__(self, slot_count: int):
-        self.grad = np.empty(slot_count)
-
-
 class LabeledSlots:
-    """The slots whose loss term can be nonzero, found once per run.
+    """The slots whose loss term can be nonzero, found once per graph and
+    label set.
 
     Undirected: the slots with a labeled endpoint.  Directed: the slots
     whose row owner is labeled, the only endpoint whose next score the
@@ -89,6 +75,7 @@ class LabeledSlots:
     """
 
     def __init__(self, g: Graph, labels: LabelSet):
+        labels.check_bounds(g.node_count)
         is_labeled = np.zeros(g.node_count, dtype=bool)
         is_labeled[labels.positive_array()] = True
         is_labeled[labels.negative_array()] = True
@@ -121,21 +108,9 @@ def consistency_value(g: Graph, w: EdgeWeights, p: np.ndarray) -> float:
     return float(np.sum(up))
 
 
-def _residuals(p_next: np.ndarray, labels: LabelSet, n: int) -> np.ndarray:
-    # (p - y) on labeled nodes, zero elsewhere: doubles as the membership
-    # indicator in the gradient formulas.
-    err = np.zeros(n)
-    pos = labels.positive_array()
-    neg = labels.negative_array()
-    err[pos] = p_next[pos] - 1.0
-    err[neg] = p_next[neg] + 1.0
-    return err
-
-
 def _regularizer_grad(g: Graph, w: EdgeWeights, p_t: np.ndarray,
-                      kind: RegularizerKind, lam: float, work: SlotWork) -> np.ndarray:
-    # Writes the regularizer's gradient over every slot into work.grad.
-    grad = work.grad
+                      kind: RegularizerKind, lam: float, grad: np.ndarray) -> np.ndarray:
+    # Writes the regularizer's gradient over every slot into grad.
     if kind is RegularizerKind.CONSISTENCY:
         # (-lam * p_u) * p_v: slot (u, v) is the step CSR's entry in row u
         # and column v, or pair_class * n + v when directed.
@@ -153,67 +128,79 @@ def _regularizer_grad(g: Graph, w: EdgeWeights, p_t: np.ndarray,
     return grad
 
 
+def _gradient(name: str, directed: bool, step, loss_term, g: Graph, w: EdgeWeights,
+              q: np.ndarray, p_t: np.ndarray, labels: LabelSet, lam: float,
+              regularizer: RegularizerKind, p_next: np.ndarray | None,
+              out: np.ndarray | None, *vecs: np.ndarray) -> np.ndarray:
+    # The part the gradients share.  ``step(g, w, q, p_t)`` is the family's
+    # step, for the default p_next; ``loss_term(err, labeled)`` returns the
+    # loss term on ``labeled.idx`` from the residuals err = p_next - y, zero
+    # off the labeled nodes; ``vecs`` are further per-node inputs to check.
+    if g.directed != directed:
+        raise InputError(f"{name} expects {'a ' if directed else 'an un'}directed graph")
+    _check_vectors(g, w, q, p_t, *vecs, *(() if p_next is None else (p_next,)))
+    if p_next is None:
+        p_next = step(g, w, q, p_t)
+    if out is None:
+        out = np.empty(g.slot_count)
+    elif out.shape != w.values.shape or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise InputError("out must be a contiguous float64 array with one entry per slot")
+    labeled = g._per_labels(LabeledSlots, labels)
+    err = np.zeros(g.node_count)
+    pos, neg = labels.positive_array(), labels.negative_array()
+    err[pos] = p_next[pos] - 1.0
+    err[neg] = p_next[neg] + 1.0
+    loss = loss_term(err, labeled)
+    grad = _regularizer_grad(g, w, p_t, regularizer, lam, out)
+    grad[labeled.idx] = loss + grad[labeled.idx]
+    return grad
+
+
 def grad_undirected(g: Graph, w: EdgeWeights, q: np.ndarray, p_t: np.ndarray,
                     labels: LabelSet, lam: float,
                     regularizer: RegularizerKind = RegularizerKind.CONSISTENCY,
                     p_next: np.ndarray | None = None,
-                    work: SlotWork | None = None, *,
-                    labeled: LabeledSlots | None = None) -> np.ndarray:
+                    out: np.ndarray | None = None) -> np.ndarray:
     """Objective gradient per undirected weight slot.
 
     Both labeled endpoints of an edge contribute to the shared slot:
     (p_next_u - y_u) * p_t_v when u is labeled, and symmetrically for v,
     plus the regularizer term.  ``p_next`` defaults to one propagation step
-    from ``p_t`` under the current weights.  ``labeled`` passes in the
-    ``LabeledSlots(g, labels)``.
+    from ``p_t`` under the current weights.  The gradient is written into
+    ``out`` when given, a float64 array with one entry per slot.
     """
-    if g.directed:
-        raise InputError("grad_undirected expects an undirected graph")
-    _check_vectors(g, w, q, p_t)
-    if p_next is None:
-        p_next = lbp_step_undirected(g, w, q, p_t)
-    work = work or SlotWork(g.slot_count)
-    labeled = labeled or LabeledSlots(g, labels)
-    err = _residuals(p_next, labels, g.node_count)
-    u, v = labeled.u, labeled.v
-    # err_u * p_t_v + err_v * p_t_u on the labeled slots
-    loss = err[u]
-    loss *= p_t[v]
-    term = err[v]
-    term *= p_t[u]
-    loss += term
-    grad = _regularizer_grad(g, w, p_t, regularizer, lam, work)
-    grad[labeled.idx] = loss + grad[labeled.idx]
-    return grad
+    def loss_term(err, labeled):
+        # err_u * p_t_v + err_v * p_t_u on the labeled slots
+        u, v = labeled.u, labeled.v
+        loss = err[u]
+        loss *= p_t[v]
+        term = err[v]
+        term *= p_t[u]
+        loss += term
+        return loss
+    return _gradient("grad_undirected", False, lbp_step_undirected, loss_term,
+                     g, w, q, p_t, labels, lam, regularizer, p_next, out)
 
 
 def grad_directed(g: Graph, w: EdgeWeights, q: np.ndarray, p_t: np.ndarray,
                   labels: LabelSet, lam: float,
                   regularizer: RegularizerKind = RegularizerKind.CONSISTENCY,
                   p_next: np.ndarray | None = None,
-                  work: SlotWork | None = None, *,
-                  labeled: LabeledSlots | None = None) -> np.ndarray:
+                  out: np.ndarray | None = None) -> np.ndarray:
     """Objective gradient per ordered-pair slot of a directed graph.
 
     Only the row owner u of slot (u, v) contributes loss signal, scaled by
     the part of p_t_v that the pair class lets through (full score for
     bidirectional pairs, negative part for incoming-only, positive part for
     outgoing-only): the entry of the step's input vector in slot (u, v)'s
-    column.  ``labeled`` is as for ``grad_undirected``.
+    column.  ``p_next`` and ``out`` are as for ``grad_undirected``.
     """
-    if not g.directed:
-        raise InputError("grad_directed expects a directed graph")
-    _check_vectors(g, w, q, p_t)
-    if p_next is None:
-        p_next = lbp_step_directed(g, w, q, p_t)
-    work = work or SlotWork(g.slot_count)
-    labeled = labeled or LabeledSlots(g, labels)
-    err = _residuals(p_next, labels, g.node_count)
-    loss = err[labeled.u]
-    loss *= _class_parts(p_t)[labeled.col]
-    grad = _regularizer_grad(g, w, p_t, regularizer, lam, work)
-    grad[labeled.idx] = loss + grad[labeled.idx]
-    return grad
+    def loss_term(err, labeled):
+        loss = err[labeled.u]
+        loss *= _class_parts(p_t)[labeled.col]
+        return loss
+    return _gradient("grad_directed", True, lbp_step_directed, loss_term,
+                     g, w, q, p_t, labels, lam, regularizer, p_next, out)
 
 
 def grad_rw_undirected(g: Graph, w: EdgeWeights, q: np.ndarray, p_t: np.ndarray,
@@ -221,9 +208,8 @@ def grad_rw_undirected(g: Graph, w: EdgeWeights, q: np.ndarray, p_t: np.ndarray,
                        regularizer: RegularizerKind = RegularizerKind.CONSISTENCY,
                        restart: float = 0.0,
                        p_next: np.ndarray | None = None,
-                       work: SlotWork | None = None,
-                       inv_degrees: np.ndarray | None = None, *,
-                       labeled: LabeledSlots | None = None) -> np.ndarray:
+                       out: np.ndarray | None = None,
+                       inv_degrees: np.ndarray | None = None) -> np.ndarray:
     """Gradient for the both-label random walk ("rw-b").
 
     The degree normalization is treated as constant within the alternation,
@@ -231,33 +217,27 @@ def grad_rw_undirected(g: Graph, w: EdgeWeights, q: np.ndarray, p_t: np.ndarray,
     receiving labeled node's inverse weighted degree and the non-restart
     mass.  ``p_next`` defaults to one "rw-b" step from ``p_t``.
     ``inv_degrees`` passes in the inverse weighted degrees of ``w``, as the
-    step that made ``p_next`` used them.  ``labeled`` is as for
+    step that made ``p_next`` used them.  ``out`` is as for
     ``grad_undirected``.
     """
-    if g.directed:
-        raise InputError("grad_rw_undirected expects an undirected graph")
-    _check_vectors(g, w, q, p_t)
-    inv = _inverse_degrees(g, w) if inv_degrees is None else inv_degrees
-    _check_vectors(g, w, inv)
-    if p_next is None:
-        p_next = rw_step(g, w, q, p_t, "rw-b", restart, inv)
-    work = work or SlotWork(g.slot_count)
-    labeled = labeled or LabeledSlots(g, labels)
-    err = _residuals(p_next, labels, g.node_count)
-    u, v = labeled.u, labeled.v
-    # (1 - restart) * (err_u * pv * inv_u + err_v * pu * inv_v) on the
-    # labeled slots
-    loss = err[u]
-    loss *= p_t[v]
-    loss *= inv[u]
-    term = err[v]
-    term *= p_t[u]
-    term *= inv[v]
-    loss += term
-    loss *= 1.0 - restart
-    grad = _regularizer_grad(g, w, p_t, regularizer, lam, work)
-    grad[labeled.idx] = loss + grad[labeled.idx]
-    return grad
+    # A directed graph is left to the direction check of ``_gradient``.
+    inv = _inverse_degrees(g, w) if inv_degrees is None and not g.directed else inv_degrees
+    def loss_term(err, labeled):
+        # (1 - restart) * (err_u * pv * inv_u + err_v * pu * inv_v) on the
+        # labeled slots
+        u, v = labeled.u, labeled.v
+        loss = err[u]
+        loss *= p_t[v]
+        loss *= inv[u]
+        term = err[v]
+        term *= p_t[u]
+        term *= inv[v]
+        loss += term
+        loss *= 1.0 - restart
+        return loss
+    step = functools.partial(rw_step, variant="rw-b", restart=restart, inv_degrees=inv)
+    return _gradient("grad_rw_undirected", False, step, loss_term,
+                     g, w, q, p_t, labels, lam, regularizer, p_next, out, inv)
 
 
 def gradient_inf_norm(grad: np.ndarray) -> float:
@@ -275,7 +255,7 @@ def gradient_inf_norm(grad: np.ndarray) -> float:
 
 
 def apply_gradient_step(w: EdgeWeights, grad: np.ndarray, gamma: float,
-                        work: SlotWork | None = None,
+                        work: np.ndarray | None = None,
                         out: np.ndarray | None = None, *,
                         checked: bool = False) -> EdgeWeights:
     """One descent step, then each weight is clipped into
@@ -283,20 +263,22 @@ def apply_gradient_step(w: EdgeWeights, grad: np.ndarray, gamma: float,
 
     The new values go to ``out`` when given, which may be ``w.values``
     itself to update the weights in place.  The scaled step goes to
-    ``work.grad`` when ``work`` is given, so a gradient held there is
-    consumed.  A non-finite entry raises ``NumericalError`` naming its
-    slot (``gradient_inf_norm``); ``checked`` says that the caller has
-    already taken ``gradient_inf_norm`` of this gradient, and skips it.
+    ``work`` when given, so a gradient held there is consumed.  A
+    non-finite entry raises ``NumericalError`` naming its slot
+    (``gradient_inf_norm``); ``checked`` says that the caller has already
+    taken ``gradient_inf_norm`` of this gradient, and skips it.
     """
     if gamma < 0:
         raise InputError("learning rate must be nonnegative")
     grad = np.asarray(grad, dtype=float)
     if grad.shape != w.values.shape:
         raise InputError("gradient shape does not match the weight array")
+    if work is not None and (work.shape != grad.shape or work.dtype != np.float64):
+        raise InputError("work must be a float64 array shaped like the gradient")
     if not checked:
         gradient_inf_norm(grad)
     bound = w.clamp_bound
-    step = np.multiply(grad, gamma, out=None if work is None else work.grad)
+    step = np.multiply(grad, gamma, out=work)
     vals = np.subtract(w.values, step, out=out)
     np.clip(vals, -bound, bound, out=vals)
     return EdgeWeights(vals, bound)

@@ -26,7 +26,7 @@ from jwprop import (
     weight_class_means,
     write_diagnostics,
 )
-from jwprop import engine, propagation
+from jwprop import engine, learning, propagation
 from jwprop.engine import DIAG_COLUMNS, METHOD_NAMES, METHOD_TABLE, method_for
 
 from _oracles import (
@@ -332,10 +332,12 @@ class TestPerRunInvariants:
             largest.add(max(range(3), key=lambda i: slots[i].size))
             for _ in range(5):
                 w = random_weights(rng, graph, lo=-1.0, hi=1.0)
-                got = weight_class_means(graph, w, labels, slots)
-                assert same_floats(weight_class_means(graph, w, labels), got)
+                got = weight_class_means(graph, w, labels)
                 for mean, (want, bound) in zip(got, fsum_class_means(graph, w, labels)):
                     assert within_bound(mean, want, bound)
+            # the classes the means read are kept with the graph
+            for kept, built in zip(graph._per_labels(truth_class_slots, labels), slots):
+                assert np.array_equal(kept, built)
         assert largest == {0, 1, 2}
         w = random_weights(rng, g)
         assert math.isnan(weight_class_means(g, w, one_class)[1])
@@ -448,9 +450,9 @@ class TestSlotPasses:
 
     def test_slot_indices_built_once_per_graph(self, monkeypatch):
         built = []
-        for name in ("truth_class_slots", "LabeledSlots"):
-            real = getattr(engine, name)
-            monkeypatch.setattr(engine, name, lambda g, labels, real=real, name=name:
+        for module, name in ((engine, "truth_class_slots"), (learning, "LabeledSlots")):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda g, labels, real=real, name=name:
                                 built.append(name) or real(g, labels))
         g, _, truth, train = self.graphs()
         other = LabelSet.of(sorted(train.positives)[1:], sorted(train.negatives)[1:])
@@ -505,6 +507,11 @@ class TestDiagnostics:
         assert len(lines) == len(r.diagnostics) + 1
         assert all(len(line.split("\t")) == 8 for line in lines)
 
+    def test_columns_in_field_order(self):
+        # the written header, which the column list derives from the fields
+        assert DIAG_COLUMNS == ("t", "conv_metric", "loss", "consistency", "grad_inf",
+                                "mean_homo_weight", "mean_hetero_weight", "wall_ms")
+
 
 class TestConfigValidation:
     def test_bad_values(self):
@@ -518,3 +525,14 @@ class TestConfigValidation:
             JwpConfig(max_alternations=0)
         with pytest.raises(InputError):
             JwpConfig(restart=1.5)
+
+    @pytest.mark.parametrize("alts", [2.5, 3.0, "3", None])
+    def test_non_integer_max_alternations(self, alts):
+        # refused at construction, not with a TypeError in run
+        with pytest.raises(InputError, match="max_alternations must be an integer"):
+            JwpConfig(max_alternations=alts)
+
+    def test_numpy_integer_max_alternations(self):
+        cfg = JwpConfig(method=Method.LBP_U, max_alternations=np.int64(2),
+                        tolerance=1e-300)
+        assert run(two_node_graph(), two_node_labels(), cfg).alternations == 2

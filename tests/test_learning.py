@@ -18,8 +18,10 @@ from jwprop import (
     grad_rw_undirected,
     grad_undirected,
     training_loss,
+    truth_class_slots,
+    weight_class_means,
 )
-from jwprop.learning import LabeledSlots, SlotWork, gradient_inf_norm
+from jwprop.learning import LabeledSlots, gradient_inf_norm
 
 from _oracles import (
     bincount_weighted_degrees,
@@ -39,6 +41,7 @@ from _oracles import (
 )
 
 ALL_REGS = list(RegularizerKind)
+GRADIENTS = [(False, grad_undirected), (True, grad_directed), (False, grad_rw_undirected)]
 
 
 def relative_close(a, b, rtol=1e-5, atol=1e-9):
@@ -265,9 +268,8 @@ class TestApplyGradientStep:
         # also at gamma 0, and for an inf that the clip would turn into a
         # bound; a work array does not skip the check
         grad = np.array([0.1, -0.2, bad, bad, 0.3])
-        work = SlotWork(grad.size)
-        work.grad[:] = grad
-        for given in (grad, work.grad):
+        work = grad.copy()
+        for given in (grad, work):
             with pytest.raises(NumericalError, match="slot 2$"):
                 apply_gradient_step(EdgeWeights(np.zeros(5)), given, gamma, work)
 
@@ -276,20 +278,28 @@ class TestApplyGradientStep:
         assert out.values.size == 0
 
     def test_step_written_to_work(self):
-        # the scaled step goes to work.grad, whatever gradient is given
+        # the scaled step goes to work, whatever gradient is given
         grad = np.array([0.1, -0.2, 0.3])
-        work = SlotWork(3)
+        work = np.empty(3)
         out = apply_gradient_step(EdgeWeights(np.zeros(3)), grad, 0.5, work)
         assert grad.tolist() == [0.1, -0.2, 0.3]
-        assert np.array_equal(work.grad, grad * 0.5)
-        work.grad[:] = grad
-        scratch = apply_gradient_step(EdgeWeights(np.zeros(3)), work.grad, 0.5, work)
-        assert np.array_equal(work.grad, grad * 0.5)
+        assert np.array_equal(work, grad * 0.5)
+        work[:] = grad
+        scratch = apply_gradient_step(EdgeWeights(np.zeros(3)), work, 0.5, work)
+        assert np.array_equal(work, grad * 0.5)
         assert np.array_equal(out.values, scratch.values)
         assert np.array_equal(out.values, -(grad * 0.5))
         plain = apply_gradient_step(EdgeWeights(np.zeros(3)), grad, 0.5)
         assert np.array_equal(plain.values, out.values)
         assert grad.tolist() == [0.1, -0.2, 0.3]
+
+    @pytest.mark.parametrize("work", [np.empty(3, dtype=np.float32), np.empty(2)],
+                             ids=["float32", "short"])
+    def test_work_checked(self, work):
+        # a float32 work array would round the step without a word
+        with pytest.raises(InputError, match="^work must be"):
+            apply_gradient_step(EdgeWeights(np.zeros(3)), np.array([0.1, 1e-9, 0.3]),
+                                0.3333, work)
 
     @pytest.mark.parametrize("grad,norm", [([0.1, -0.4, 0.3], 0.4), ([0.5, -0.2], 0.5),
                                            ([-0.0], 0.0), ([], 0.0)])
@@ -335,19 +345,15 @@ class TestApplyGradientStep:
 
 class TestSlotWork:
     """Gradients and the update step give the same bits with a reused, dirty
-    set of work arrays as with fresh ones."""
+    slot-sized work array (the gradients' ``out``, the update's ``work``)
+    as with fresh ones."""
 
     @staticmethod
     def _dirty(g):
-        work = SlotWork(g.slot_count)
-        for buf in vars(work).values():
-            buf.fill(np.nan if buf.dtype.kind == "f" else True)
-        return work
+        return np.full(g.slot_count, np.nan)
 
     @pytest.mark.parametrize("reg", ALL_REGS)
-    @pytest.mark.parametrize("directed,fn", [(False, grad_undirected),
-                                             (True, grad_directed),
-                                             (False, grad_rw_undirected)])
+    @pytest.mark.parametrize("directed,fn", GRADIENTS)
     def test_dirty_work_gives_same_gradient(self, reg, directed, fn):
         rng = np.random.default_rng(8)
         g = random_directed_graph(rng, 12) if directed else random_undirected_graph(rng, 12)
@@ -356,7 +362,9 @@ class TestSlotWork:
         p_t = rng.normal(size=g.node_count)
         labels = random_labels(rng, g.node_count, 3, 3)
         fresh = fn(g, w, q, p_t, labels, 0.7, reg)
-        reused = fn(g, w, q, p_t, labels, 0.7, reg, work=self._dirty(g))
+        work = self._dirty(g)
+        reused = fn(g, w, q, p_t, labels, 0.7, reg, out=work)
+        assert reused is work
         assert np.array_equal(fresh, reused)
         work = self._dirty(g)
         step = apply_gradient_step(w, fresh, 0.1)
@@ -365,9 +373,7 @@ class TestSlotWork:
         assert out.values is in_place.values
         assert np.array_equal(step.values, out.values)
 
-    @pytest.mark.parametrize("directed,fn", [(False, grad_undirected),
-                                             (True, grad_directed),
-                                             (False, grad_rw_undirected)])
+    @pytest.mark.parametrize("directed,fn", GRADIENTS)
     def test_score_vector_length_checked(self, directed, fn):
         # the gathers clip out-of-range indices instead of raising
         rng = np.random.default_rng(9)
@@ -378,6 +384,10 @@ class TestSlotWork:
         with pytest.raises(InputError, match="score vector"):
             fn(g, w, np.zeros(g.node_count), short, labels, 1.0,
                p_next=np.zeros(g.node_count))
+        for size in (g.node_count + 1, 2):  # a given p_next too
+            with pytest.raises(InputError, match=f"score vector has length {size},"):
+                fn(g, w, np.zeros(g.node_count), np.ones(g.node_count), labels, 1.0,
+                   p_next=np.zeros(size))
         with pytest.raises(InputError, match="score vector"):
             consistency_value(g, w, short)
 
@@ -433,6 +443,81 @@ def has_inner_empty_row(g):
     return bool(np.any((counts[:-1] == 0) & (np.cumsum(counts[::-1])[::-1][1:] > 0)))
 
 
+class TestGradientInputs:
+    """What the gradients check and keep, called directly."""
+
+    @staticmethod
+    def _four_nodes(directed):
+        edges = [(0, 1), (1, 0), (2, 3), (3, 1)] if directed else [(0, 1), (1, 2), (2, 3)]
+        g = Graph.from_edges(edges, directed=directed)
+        assert g.node_count == 4
+        return g
+
+    @pytest.mark.parametrize("directed,fn", GRADIENTS)
+    def test_wrong_direction_names_the_gradient(self, directed, fn):
+        g = self._four_nodes(not directed)
+        w = EdgeWeights(np.full(g.slot_count, 0.1))
+        kind = "a directed" if directed else "an undirected"
+        for p_next in (None, np.zeros(4)):
+            with pytest.raises(InputError, match=f"^{fn.__name__} expects {kind} graph$"):
+                fn(g, w, np.zeros(4), np.zeros(4), LabelSet.of([0], [1]), 1.0,
+                   p_next=p_next)
+
+    @pytest.mark.parametrize("bad", ["short", "float32", "strided"])
+    @pytest.mark.parametrize("directed,fn", GRADIENTS)
+    def test_out_checked(self, directed, fn, bad):
+        # the regularizer kernels write into out with no bounds checks
+        g = self._four_nodes(directed)
+        s = g.slot_count
+        w = EdgeWeights(np.full(s, 0.1))
+        out = {"short": np.zeros(s - 1), "float32": np.zeros(s, dtype=np.float32),
+               "strided": np.zeros(2 * s)[::2]}[bad]
+        with pytest.raises(InputError, match="^out must be"):
+            fn(g, w, np.zeros(4), np.ones(4), LabelSet.of([0], [1]), 1.0, out=out)
+
+    @pytest.mark.parametrize("directed,fn", GRADIENTS)
+    def test_label_sets_switched_on_one_graph(self, directed, fn):
+        # The labeled slots kept with the graph follow its latest label set:
+        # A, B, then A again give the gradients of graphs never used before.
+        rng = np.random.default_rng(14)
+        g = random_directed_graph(rng, 14) if directed else random_undirected_graph(rng, 14)
+        w = random_weights(rng, g)
+        q, p_t = rng.normal(size=14), rng.normal(size=14)
+        a, b = random_labels(rng, 14, 3, 3), random_labels(rng, 14, 2, 4)
+        assert a != b
+        for labels in (a, b, a):
+            fresh = Graph.from_edges(g.edges, directed=directed, node_count=14)
+            assert np.array_equal(fresh._csr_indices, g._csr_indices)
+            assert (fn(g, w, q, p_t, labels, 0.7).tobytes()
+                    == fn(fresh, w, q, p_t, labels, 0.7).tobytes())
+
+
+def _label_entry_points():
+    und = Graph.from_edges([(0, 1), (1, 2)], directed=False)
+    dig = Graph.from_edges([(0, 1), (1, 2), (2, 0)], directed=True)
+    w_und, w_dig = (EdgeWeights(np.full(g.slot_count, 0.1)) for g in (und, dig))
+    z = np.zeros(3)
+    return {
+        "grad_undirected": lambda lab: grad_undirected(und, w_und, z, z, lab, 1.0),
+        "grad_directed": lambda lab: grad_directed(dig, w_dig, z, z, lab, 1.0),
+        "grad_rw_undirected": lambda lab: grad_rw_undirected(und, w_und, z, z, lab, 1.0),
+        "LabeledSlots": lambda lab: LabeledSlots(und, lab),
+        "LabeledSlots-directed": lambda lab: LabeledSlots(dig, lab),
+        "truth_class_slots": lambda lab: truth_class_slots(und, lab),
+        "weight_class_means": lambda lab: weight_class_means(dig, w_dig, lab),
+        "training_loss": lambda lab: training_loss(z, lab),
+    }
+
+
+@pytest.mark.parametrize("entry", list(_label_entry_points()))
+@pytest.mark.parametrize("labels", [LabelSet.of([0, 5], [1]), LabelSet.of([0], [5])],
+                         ids=["positive", "negative"])
+def test_out_of_range_label_id_is_input_error(entry, labels):
+    # label id 5 on a 3-node graph
+    with pytest.raises(InputError, match="label node id 5 out of range for 3 nodes"):
+        _label_entry_points()[entry](labels)
+
+
 class TestLabeledSlotGradients:
     """The gradients equal the full-slot formulas bit for bit on the slots
     that carry loss signal, and equal them in value elsewhere, where only
@@ -472,7 +557,7 @@ class TestLabeledSlotGradients:
                     return fn(g, w, q, p_t, labels, lam, reg, p_next, **kw).copy()
 
             alone = grad()
-            given = grad(work=SlotWork(g.slot_count), labeled=LabeledSlots(g, labels))
+            given = grad(out=np.full(g.slot_count, np.nan))
             assert alone.tobytes() == given.tobytes()
             assert alone[mask].tobytes() == want[mask].tobytes()
             assert np.array_equal(alone[~mask], want[~mask])
