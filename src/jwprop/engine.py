@@ -24,9 +24,9 @@ consistency diagnostics under the weights just propagated with, the weight
 update in place, and the class means, which are recomputed only when the
 weights changed.  Every run collects these diagnostics.  No alternation
 gathers a score per slot: the consistency gradient and diagnostic both go
-through the step's CSR (``learning``), and the class means gather only the
-two smaller truth classes.  The consistency diagnostic and the class means
-are exact to rounding, not to the bit.
+through the graph's slot products (``learning``), and the class means
+gather only the two smaller truth classes.  The consistency diagnostic and
+the class means are exact to rounding, not to the bit.
 """
 
 from __future__ import annotations
@@ -124,8 +124,9 @@ class JwpConfig:
     belief propagation, so the scores approach the fixed point of
     p = q + W p instead of growing along the dominant eigenvector.  For the
     random-walk methods, w0 = 1 / average degree and clamp_bound = 0.5.
-    A given or resolved w0 must satisfy |w0| <= clamp_bound.  Every float
-    field must be finite, and a given lam or clamp_bound nonnegative.
+    A given w0 must satisfy |w0| <= clamp_bound; a default w0 may exceed
+    it (RW's does below average degree 2).  Every float field must be
+    finite, and a given lam or clamp_bound nonnegative.
     """
 
     method: Method = Method.LBP_JWP_U
@@ -211,15 +212,16 @@ def truth_class_slots(g: Graph, truth: LabelSet
     slots under ground truth.  A slot is homogeneous when both endpoints
     are labeled alike, heterogeneous when they are labeled unlike, and
     remaining when an endpoint is unlabeled; the three partition the
-    slots.  Labels are read per slot off the step CSR, not ``slot_ends``."""
+    slots.  Labels are read per slot by ``Graph._at_rows`` and
+    ``Graph._at_columns``, not off ``slot_ends``."""
     truth.check_bounds(g.node_count)
     y = np.zeros(g.node_count, dtype=np.int8)
     y[truth.positive_array()] = 1
     y[truth.negative_array()] = -1
     # int8 labels in {-1, 0, 1}: the product is 1 for a homogeneous slot,
     # -1 for a heterogeneous one and 0 when an endpoint is unlabeled.
-    same = np.repeat(y, np.diff(g._csr_indptr))
-    same *= np.take(np.tile(y, 3) if g.directed else y, g._csr_indices)
+    same = g._at_rows(y)
+    same *= g._at_columns(y)
     return np.flatnonzero(same > 0), np.flatnonzero(same < 0), np.flatnonzero(same == 0)
 
 

@@ -11,17 +11,18 @@ how a neighbor's score enters the directed propagation step.
 Graphs are immutable once built; only the weight values bound to a graph
 change between propagation passes.
 
-Every sparse product runs on compiled kernels of scipy's private
-``scipy.sparse._sparsetools`` extension: ``csr_matvec`` and ``csc_matvec``,
-which add into a caller's output array in a known order, and
-``csr_scale_rows`` and ``csr_scale_columns``, which scale a CSR's data in
-place by a factor per row or per column.  The extension is
-loaded straight from its file (``_load_sparsetools``) after a bare
-``import scipy``.  Importing ``scipy.sparse`` to reach it would run that
-package's init, which no run path needs and which cost a ``jwprop run``
-process about 0.2 s and 25 MiB of resident memory (2-core x86_64 VM).
-``scipy.sparse`` and ``csgraph`` are imported only by
-``mutual_projection_lcc``.
+No other module reads a graph's step CSR: the propagation steps, the
+gradients and the diagnostics go through its private slot products, which
+run on compiled kernels of scipy's private ``scipy.sparse._sparsetools``
+extension: ``csr_matvec`` and ``csc_matvec``, which add into a caller's
+output array in a known order, and ``csr_scale_rows`` and
+``csr_scale_columns``, which scale a CSR's data in place by a factor per
+row or per column.  The extension is loaded straight from its file
+(``_load_sparsetools``) after a bare ``import scipy``.  Importing
+``scipy.sparse`` to reach it would run that package's init, which no run
+path needs and which cost a ``jwprop run`` process about 0.2 s and 25 MiB
+of resident memory (2-core x86_64 VM).  ``scipy.sparse`` and ``csgraph``
+are imported only by ``mutual_projection_lcc``.
 """
 
 from __future__ import annotations
@@ -163,44 +164,6 @@ def csr_index_dtype(nnz: int, n_cols: int) -> type:
     return np.int32 if max(nnz, n_cols) < 2 ** 31 else np.int64
 
 
-def _csr_matvec(indptr, indices, data, x, y):
-    """y += A x for the CSR matrix A = (data, indices, indptr), with one row
-    per entry of y and one column per entry of x.
-
-    The kernel is ``csr_matvec`` of the ``_sparsetools`` extension that
-    ``_load_sparsetools`` loads, the one ``csr_matrix @ x`` runs onto
-    zeros: it adds row i's terms onto y[i] in entry order.  It checks no
-    bounds: the caller checks the lengths of data, x and y.
-    """
-    _sparsetools.csr_matvec(y.size, x.size, indptr, indices, data, x, y)
-
-
-def _csr_scale(indptr, indices, data, rows, cols):
-    """data[k] = (data[k] * rows[i]) * cols[j] in place, for each entry k
-    at row i and column j of the CSR (data, indices, indptr): the kernels
-    ``csr_scale_rows``, then ``csr_scale_columns``.  No bounds checks: rows
-    needs one entry per row and cols one per column.
-    """
-    _sparsetools.csr_scale_rows(rows.size, cols.size, indptr, indices, data, rows)
-    _sparsetools.csr_scale_columns(rows.size, cols.size, indptr, indices, data, cols)
-
-
-def _symmetric_matvec(indptr, indices, data, x) -> np.ndarray:
-    """S x for S = U + U^T, where U is the strictly upper triangular CSR
-    (data, indices, indptr) of a square matrix.
-
-    ``csc_matvec`` reads U's CSR as the CSC of U^T and scatters U^T x into
-    zeros, then ``csr_matvec`` adds U x on top.  Row i thus sums its
-    columns below i first and then those above it, each in ascending
-    order: the terms and order of a full symmetric CSR of S, so the result
-    equals ``csr_matrix(S) @ x`` bit for bit.  No bounds checks.
-    """
-    y = np.zeros(x.size)
-    _sparsetools.csc_matvec(x.size, x.size, indptr, indices, data, x, y)
-    _sparsetools.csr_matvec(x.size, x.size, indptr, indices, data, x, y)
-    return y
-
-
 class Graph:
     """Immutable sparse graph over dense node ids [0, node_count).
 
@@ -285,6 +248,7 @@ class Graph:
         # Keys of self-loop rows are formed too, then dropped: their ids
         # may exceed n, but their keys are never read.
         key = _pair_keys(u, v, n, directed)
+        del edges, e, u, v  # frees the ids where the caller keeps none (load_edge_list)
         # Self-loops and repeated pairs are rare, so the masks below are
         # almost all True: there boolean indexing beats np.compress, which
         # also builds an int64 index per kept entry.
@@ -367,8 +331,8 @@ class Graph:
     def _ends(self, keep_incoming: bool) -> np.ndarray:
         """(S, 2) int64 slot endpoints, without a directed graph's
         UNI_INCOMING slots unless ``keep_incoming``."""
-        n, cols = self.node_count, self._csr_indices
-        rows = np.repeat(np.arange(n), np.diff(self._csr_indptr))
+        cols = self._csr_indices
+        rows = self._at_rows(np.arange(self.node_count))
         if self.directed:
             classes, cols = self._classes_and_nodes()
             if not keep_incoming:
@@ -411,22 +375,15 @@ class Graph:
         which keep x positive; the smallest value seen is returned, so the
         bound never exceeds the maximum degree.  The steps stop once it is
         within 1% of the Rayleigh quotient x'Ax / x'x, a lower bound on
-        rho(A) since A is symmetric, or after 30 steps.  Computed once per
-        graph.
+        rho(A) since A is symmetric, or after 30 steps.  A x is the step
+        product ``_matvec`` with unit slot values.  Computed once per graph.
         """
         if self._rho_bound is None:
             ones = np.ones(self.slot_count)
             x = np.ones(self.node_count)
             best = math.inf
             for _ in range(_RHO_BOUND_MAX_STEPS + 1):
-                if self.directed:
-                    # Column pair_class * n + v of the step CSR reads x[v]
-                    # from the tiled x: row u sums x over its slots (u, v).
-                    ax = np.zeros(x.size)
-                    _csr_matvec(self._csr_indptr, self._csr_indices, ones,
-                                np.tile(x, 3), ax)
-                else:
-                    ax = _symmetric_matvec(self._csr_indptr, self._csr_indices, ones, x)
+                ax = self._matvec(ones, x)
                 best = min(best, float(np.max(ax / x)))
                 # NumPy reductions rather than a BLAS dot, which hands long
                 # vectors to a thread pool that stalls for milliseconds per
@@ -438,6 +395,65 @@ class Graph:
                 x /= x.max()
             self._rho_bound = best
         return self._rho_bound
+
+    # -- slot products: the only readers of the step CSR -------------------
+    # No bounds checks: ``data`` has one value per slot, and a per-node
+    # vector one entry per node.
+
+    def _per_column(self, x: np.ndarray) -> np.ndarray:
+        """x per column of the step CSR: directed, column pair_class * n + v
+        reads x[v] from x tiled by pair class, unless x has 3n entries."""
+        return np.tile(x, 3) if self.directed and x.size == self.node_count else x
+
+    def _matvec(self, data: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """W x for the step matrix W with slot values ``data`` (x per node,
+        or per column when directed).
+
+        Undirected, ``csc_matvec`` reads U's CSR as the CSC of U^T and
+        scatters U^T x into zeros, then ``csr_matvec`` adds U x on top.
+        Row i thus sums its columns below i, then those above it, each in
+        ascending order: the order of a full symmetric CSR of W, so the
+        result equals ``csr_matrix(W) @ x`` bit for bit.
+        """
+        n, cols = self.node_count, self._per_column(x)
+        ptr, ind, y = self._csr_indptr, self._csr_indices, np.zeros(n)
+        if not self.directed:
+            _sparsetools.csc_matvec(n, n, ptr, ind, data, x, y)
+        _sparsetools.csr_matvec(n, cols.size, ptr, ind, data, cols, y)
+        return y
+
+    def _slot_sum(self, data: np.ndarray, x: np.ndarray) -> float:
+        """The sum of data[k] * x[u] * x[v] over the slots k = (u, v), as
+        x . (U x) for the step CSR U with slot values ``data``: exact to
+        rounding, not to the bit, as it sums per row, then over rows."""
+        n, cols = self.node_count, self._per_column(x)
+        ux = np.zeros(n)
+        _sparsetools.csr_matvec(n, cols.size, self._csr_indptr, self._csr_indices, data, cols, ux)
+        ux *= x
+        return float(np.sum(ux))
+
+    def _scale_slots(self, data: np.ndarray, x: np.ndarray):
+        """data[k] = (data[k] * x[u]) * x[v] in place, for each slot
+        k = (u, v): ``csr_scale_rows``, then ``csr_scale_columns``."""
+        n, cols = self.node_count, self._per_column(x)
+        ptr, ind = self._csr_indptr, self._csr_indices
+        _sparsetools.csr_scale_rows(n, cols.size, ptr, ind, data, x)
+        _sparsetools.csr_scale_columns(n, cols.size, ptr, ind, data, cols)
+
+    def _at_rows(self, x: np.ndarray) -> np.ndarray:
+        """x[u] for each slot (u, v), in slot order."""
+        return np.repeat(x, np.diff(self._csr_indptr))
+
+    def _at_columns(self, x: np.ndarray) -> np.ndarray:
+        """x[v] for each slot (u, v), in slot order."""
+        return np.take(self._per_column(x), self._csr_indices)
+
+    def _rows_and_columns(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Row owner u and int64 step column (v, or pair_class * n + v when
+        directed) of each slot in ``idx``."""
+        rows = np.searchsorted(self._csr_indptr, idx, side="right") - 1
+        # int64: numpy casts a narrower index array on every gather
+        return rows, self._csr_indices[idx].astype(np.int64)
 
     def _per_labels(self, build, labels):
         """``build(self, labels)``, kept with the graph: for each ``build``
@@ -486,7 +502,8 @@ def load_edge_list(path, directed: bool) -> Graph:
     an integer file descriptor.  Lines that are blank or start with '#' are
     ignored.  Self-loops are dropped and counted on the returned graph;
     duplicate pairs collapse to one edge.  Node ids must be nonnegative
-    base-10 integers below 2**63; node_count becomes max id + 1.
+    base-10 integers; node_count becomes max id + 1, so no id may exceed
+    ``MAX_NODE_COUNT - 1`` (3 037 000 498).
 
     The fast path (``_load_edges_bulk``) skips the leading '#' lines
     (SNAP-style headers) and parses the rest in bulk with ``np.loadtxt``,
@@ -500,6 +517,12 @@ def load_edge_list(path, directed: bool) -> Graph:
     and raises an ``InputError`` naming the first bad line.  Input from a
     pipe is read into memory first, so that it can be read twice.
     """
+    # a helper, so that no local here keeps the parsed ids through the build
+    return Graph.from_edges(_read_edges(path), directed)
+
+
+def _read_edges(path) -> np.ndarray:
+    """(E, 2) int64 ids of the edge list at ``path`` (``load_edge_list``)."""
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         if fh.seekable():
             name = _loadtxt_name(path)
@@ -509,7 +532,7 @@ def load_edge_list(path, directed: bool) -> Graph:
         if edges is None:
             fh.seek(0)
             edges = _parse_edge_lines(fh, path)
-    return Graph.from_edges(edges, directed)
+    return edges
 
 
 # File name endings that np.loadtxt opens through a decompressor.

@@ -13,14 +13,10 @@ the labeled slots only (``LabeledSlots``, kept with the graph per label
 set): the residual p_next - y is zero off the labeled nodes, so the loss
 term is zero on every other slot.
 
-Nothing here gathers a score per slot through the slot endpoints.
-The propagation step's CSR has one entry per slot, in slot order, so the
-consistency gradient -lam * p_u * p_v is -lam scaled in place by p_u per
-row and then by p_v per column, bit for bit the per-slot product.  And
-``consistency_value`` is p . (U_w p), one product of that CSR, whose data
-is the weight vector, with p.  Its terms are summed per row and then over
-nodes, not per slot in slot order, so it equals the per-slot sum to
-rounding, not to the bit.
+Nothing here gathers a score per slot through the slot endpoints.  The
+consistency gradient -lam * p_u * p_v is -lam scaled in place by p_u and
+then by p_v (``Graph._scale_slots``), bit for bit the per-slot product, and
+``consistency_value`` is one ``Graph._slot_sum``, exact to rounding.
 """
 
 from __future__ import annotations
@@ -32,7 +28,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .graph import EdgeWeights, Graph, _csr_matvec, _csr_scale
+from .graph import EdgeWeights, Graph
 from .propagation import (
     LabelSet,
     _check_vectors,
@@ -71,7 +67,7 @@ class LabeledSlots:
     slot's weight moves.  ``idx`` holds the slot indices in ascending
     order, ``u`` and ``v`` their endpoints and, for a directed graph,
     ``col`` their columns in the step's n x 3n matrix, all read off the
-    step CSR's row pointers and columns without building ``slot_ends``.
+    graph's step CSR without building ``slot_ends``.
     """
 
     def __init__(self, g: Graph, labels: LabelSet):
@@ -79,44 +75,29 @@ class LabeledSlots:
         is_labeled = np.zeros(g.node_count, dtype=bool)
         is_labeled[labels.positive_array()] = True
         is_labeled[labels.negative_array()] = True
-        mask = np.repeat(is_labeled, np.diff(g._csr_indptr))
+        mask = g._at_rows(is_labeled)
         if not g.directed:
-            mask |= np.take(is_labeled, g._csr_indices)  # the column is the node
+            mask |= g._at_columns(is_labeled)
         self.idx = np.flatnonzero(mask)
-        self.u = np.searchsorted(g._csr_indptr, self.idx, side="right") - 1
-        # int64: numpy casts a narrower index array on every gather
-        cols = g._csr_indices[self.idx].astype(np.int64)
+        self.u, cols = g._rows_and_columns(self.idx)
         self.v = cols % g.node_count
         self.col = cols if g.directed else None
 
 
 def consistency_value(g: Graph, w: EdgeWeights, p: np.ndarray) -> float:
     """Sum of p_u * p_v * w over stored slots (per edge when undirected,
-    per ordered pair when directed).
-
-    Computed as p . (U_w p) with U_w the propagation step's CSR and the
-    weights as its data: row u of U_w p sums w * p_v over u's slots.  A
-    directed graph's columns pair_class * n + v read p_v from p tiled three
-    times, as in ``Graph.spectral_radius_bound``.  Exact to rounding: the
-    terms are summed per row, then over the rows.
-    """
+    per ordered pair when directed), exact to rounding (``Graph._slot_sum``)."""
     _check_vectors(g, w, p)
-    up = np.zeros(g.node_count)
-    _csr_matvec(g._csr_indptr, g._csr_indices, w.values,
-                np.tile(p, 3) if g.directed else p, up)
-    up *= p
-    return float(np.sum(up))
+    return g._slot_sum(w.values, p)
 
 
 def _regularizer_grad(g: Graph, w: EdgeWeights, p_t: np.ndarray,
                       kind: RegularizerKind, lam: float, grad: np.ndarray) -> np.ndarray:
     # Writes the regularizer's gradient over every slot into grad.
     if kind is RegularizerKind.CONSISTENCY:
-        # (-lam * p_u) * p_v: slot (u, v) is the step CSR's entry in row u
-        # and column v, or pair_class * n + v when directed.
+        # (-lam * p_u) * p_v for each slot (u, v)
         grad.fill(-lam)
-        _csr_scale(g._csr_indptr, g._csr_indices, grad, p_t,
-                   np.tile(p_t, 3) if g.directed else p_t)
+        g._scale_slots(grad, p_t)
     elif kind is RegularizerKind.L1:
         # subgradient 0 at w == 0
         np.sign(w.values, out=grad)

@@ -2,12 +2,10 @@
 
 All steps are Jacobi-style: the next score vector is computed entirely from
 the previous one, so a step is a data-parallel map over adjacency rows.
-Each step multiplies through the graph's prebuilt CSR (``Graph._csr_*``),
-whose data array is the weight vector itself: nothing is gathered, cast or
-constructed per call.  The undirected steps apply W = U + U^T from the
-upper-triangular slot CSR U in two passes that add each row's terms in the
-order a full symmetric CSR would.  The raw kernels check no bounds, so every
-step checks its vector lengths first.
+Each step is one product of the graph's step matrix (``Graph._matvec``)
+with the weight vector as its slot values: nothing is gathered, cast or
+constructed per call.  The product checks no bounds, so every step checks
+its vector lengths first.
 """
 
 from __future__ import annotations
@@ -18,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InputError, numbered_lines
-from .graph import EdgeWeights, Graph, _csr_matvec, _symmetric_matvec
+from .graph import EdgeWeights, Graph
 
 RW_VARIANTS = ("rw-n", "rw-p", "rw-b")
 
@@ -111,7 +109,7 @@ def lbp_step_undirected(g: Graph, w: EdgeWeights, q: np.ndarray,
     if g.directed:
         raise InputError("lbp_step_undirected expects an undirected graph")
     _check_vectors(g, w, q, p)
-    y = _symmetric_matvec(g._csr_indptr, g._csr_indices, w.values, p)
+    y = g._matvec(w.values, p)
     return np.add(q, y, out=y)
 
 
@@ -135,8 +133,7 @@ def lbp_step_directed(g: Graph, w: EdgeWeights, q: np.ndarray,
     if not g.directed:
         raise InputError("lbp_step_directed expects a directed graph")
     _check_vectors(g, w, q, p)
-    y = np.zeros(g.node_count)
-    _csr_matvec(g._csr_indptr, g._csr_indices, w.values, _class_parts(p), y)
+    y = g._matvec(w.values, _class_parts(p))
     return np.add(q, y, out=y)
 
 
@@ -151,8 +148,7 @@ def weighted_degrees(g: Graph, w: EdgeWeights) -> np.ndarray:
     if g.directed:
         raise InputError("weighted_degrees expects an undirected graph")
     w.check(g)
-    return _symmetric_matvec(g._csr_indptr, g._csr_indices, np.abs(w.values),
-                             np.ones(g.node_count))
+    return g._matvec(np.abs(w.values), np.ones(g.node_count))
 
 
 def _inverse_degrees(g: Graph, w: EdgeWeights) -> np.ndarray:
@@ -187,10 +183,10 @@ def rw_step(g: Graph, w: EdgeWeights, q: np.ndarray, p: np.ndarray,
     inv = _inverse_degrees(g, w) if inv_degrees is None else inv_degrees
     _check_vectors(g, w, inv)
     if variant == "rw-b":
-        moved = _symmetric_matvec(g._csr_indptr, g._csr_indices, w.values, p)
+        moved = g._matvec(w.values, p)
         moved *= inv
     else:
-        moved = _symmetric_matvec(g._csr_indptr, g._csr_indices, w.values, p * inv)
+        moved = g._matvec(w.values, p * inv)
     moved *= 1.0 - restart
     moved += restart * q
     return moved

@@ -505,6 +505,29 @@ class TestBuildMemory:
         assert g.slot_count > 0
         assert peak / raw.shape[0] <= self.BUDGET[directed], peak / raw.shape[0]
 
+    # Traced peak of a directed load_edge_list, in bytes per input arc, on
+    # the same arcs written as a file.  np.loadtxt alone peaks near 19 B and
+    # the build near 30 B beyond its input: the load stays within this
+    # budget only if the parsed 16 B per arc are freed before the build's
+    # peak.  Kept through the build, they took the load to 46-54 B.
+    LOAD_BUDGET = 40.0
+
+    def test_directed_load_peak_per_edge(self, tmp_path):
+        import tracemalloc
+
+        base = gen_pa(15000, 10, seed=11)
+        raw = crawled_list(directed_sample(base, 0.4, seed=11), np.random.default_rng(11))
+        f = tmp_path / "g.tsv"
+        write_lines(f, [f"{u}\t{v}" for u, v in raw.tolist()])
+        tracemalloc.start()
+        try:
+            g = load_edge_list(f, directed=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.edge_count == raw.shape[0]
+        assert peak / raw.shape[0] <= self.LOAD_BUDGET, peak / raw.shape[0]
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("directed", [False, True])
@@ -731,6 +754,19 @@ class TestSparsetoolsLoader:
         assert proc.stdout.split() == ["False", "[]"]
         fallback = graph._load_sparsetools(tmp_path)
         assert all(callable(getattr(fallback, k, None)) for k in called)
+
+    def test_only_graph_reads_the_step_csr(self):
+        # The graph owns its step CSR's layout: other modules reach it only
+        # through its slot products, and tile no vector by pair class.
+        src = os.path.dirname(graph.__file__)
+        readers = set()
+        for name in os.listdir(src):
+            if name.endswith(".py"):
+                with open(os.path.join(src, name), encoding="utf-8") as fh:
+                    if re.search(r"_csr_indptr|_csr_indices|_sparsetools|np\.tile\(",
+                                 fh.read()):
+                        readers.add(name)
+        assert readers == {"graph.py"}
 
     def test_folder_without_extension_falls_back_to_import(self, tmp_path):
         (tmp_path / "_sparsetools.txt").write_text("not an extension")
