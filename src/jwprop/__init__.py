@@ -5,9 +5,18 @@ The package propagates reputation scores over a weighted graph and, for the
 *-jwp methods, alternates each propagation step with one gradient step on
 the per-edge weights, so that weights grow where endpoint scores agree and
 shrink where they conflict.
+
+The generators of ``synth`` and the timing harness of ``bench`` load on
+first use, through the module ``__getattr__`` below: a ``jwprop run``
+process calls neither, and importing them pulls in ``numpy.random``
+(6 MiB resident) and ``statistics``.  ``jwprop.bench`` is the function,
+not the submodule.
 """
 
-from .bench import bench, loglog_slope
+import importlib
+import sys
+import types
+
 from .engine import (
     AlternationDiag,
     JwpConfig,
@@ -52,14 +61,35 @@ from .propagation import (
     weighted_degrees,
     write_labels,
 )
-from .synth import (
-    SynthSpec,
-    build_sybil_benchmark,
-    directed_sample,
-    gen_pa,
-    inject_noise,
-    sample_training,
-    synth_sybil_replicate,
-)
 
 __version__ = "0.1.0"
+
+_ON_FIRST_USE = dict.fromkeys(["bench", "loglog_slope"], "bench") | dict.fromkeys(
+    ["SynthSpec", "build_sybil_benchmark", "directed_sample", "gen_pa",
+     "inject_noise", "sample_training", "synth_sybil_replicate"], "synth")
+
+
+def __getattr__(name):
+    if name not in _ON_FIRST_USE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_ON_FIRST_USE[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(globals().keys() | _ON_FIRST_USE.keys())
+
+
+class _Package(types.ModuleType):
+    """The package's module type.  Whatever first imports the ``bench``
+    submodule, the import system then binds it to ``bench`` here; the
+    function keeps the name."""
+
+    def __setattr__(self, name, value):
+        if name == "bench" and value is sys.modules.get(f"{__name__}.bench"):
+            value = value.bench
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

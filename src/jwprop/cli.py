@@ -14,13 +14,10 @@ from .graph import load_edge_list, mutual_projection_lcc, write_edge_list
 from .learning import RegularizerKind
 from .metrics import auc_of_rows, rank_and_write, read_scores
 from .propagation import read_labels, write_labels
-from .synth import (
-    directed_sample,
-    gen_pa,
-    inject_noise,
-    sample_training,
-    synth_sybil_replicate,
-)
+
+# The subcommands that generate import ``synth`` themselves: it loads
+# numpy.random, which ``run``, ``eval`` and ``project-mutual`` never use.
+
 
 def _parse_auto(flag: str, text: str) -> float | None:
     if text == "auto":
@@ -62,6 +59,7 @@ def _cmd_run(args) -> int:
 def _cmd_gen_pa(args) -> int:
     if (args.directed_keep is None) != (args.out_directed is None):
         raise InputError("--directed-keep and --out-directed must be given together")
+    from .synth import directed_sample, gen_pa
     g = gen_pa(args.nodes, args.m, args.seed)
     # Both graphs are made before either is written, so a bad
     # --directed-keep leaves no file behind.
@@ -77,6 +75,7 @@ def _cmd_gen_pa(args) -> int:
 
 
 def _cmd_synth_sybil(args) -> int:
+    from .synth import synth_sybil_replicate
     g = load_edge_list(args.graph, directed=False)
     out, truth = synth_sybil_replicate(g, args.attack_edges, args.seed)
     write_edge_list(out, args.out_graph)
@@ -87,6 +86,7 @@ def _cmd_synth_sybil(args) -> int:
 
 
 def _cmd_sample_train(args) -> int:
+    from .synth import sample_training
     truth = read_labels(args.truth)
     train = sample_training(truth, args.pos, args.neg, args.seed)
     write_labels(train, args.out)
@@ -95,6 +95,7 @@ def _cmd_sample_train(args) -> int:
 
 
 def _cmd_noise(args) -> int:
+    from .synth import inject_noise
     train = read_labels(args.train)
     noisy = inject_noise(train, args.alpha, args.seed)
     write_labels(noisy, args.out)

@@ -13,11 +13,12 @@ family's priors, default weights, step and gradient once, before the loop;
 the steps live in ``propagation`` and their gradients in ``learning``.
 The random walk's inverse weighted degrees are computed before the loop
 and passed in, recomputed only after a weight update, and shared by the
-step and the gradient.  The ground-truth slot classes behind
-``weight_class_means`` and the labeled slots that carry the gradient's loss
-term are kept with the graph for their label set (``Graph._per_labels``)
-by the functions that read them, so runs that share a graph and a label
-set build them once.
+step and the gradient.  What ``weight_class_means`` reads of the
+ground-truth slot classes (the three class sizes and the indices of the
+two smaller classes, not of the largest) and the labeled slots that carry
+the gradient's loss term are kept with the graph for their label set
+(``Graph._per_labels``) by the functions that read them, so runs that
+share a graph and a label set build them once.
 
 One alternation runs: step, convergence check, gradient, the loss and
 consistency diagnostics under the weights just propagated with, the weight
@@ -225,23 +226,33 @@ def truth_class_slots(g: Graph, truth: LabelSet
     return np.flatnonzero(same > 0), np.flatnonzero(same < 0), np.flatnonzero(same == 0)
 
 
+def _class_mean_slots(g: Graph, truth: LabelSet
+                      ) -> tuple[tuple[np.ndarray | None, ...], tuple[int, ...]]:
+    """What ``weight_class_means`` keeps of ``truth_class_slots(g, truth)``:
+    the three classes' indices with None in place of the largest class,
+    which it never gathers, and the three class sizes."""
+    classes = truth_class_slots(g, truth)
+    largest = max(range(3), key=lambda i: classes[i].size)
+    return (tuple(None if i == largest else idx for i, idx in enumerate(classes)),
+            tuple(idx.size for idx in classes))
+
+
 def weight_class_means(g: Graph, w: EdgeWeights, truth: LabelSet) -> tuple[float, float]:
     """Mean weight over homogeneous and heterogeneous slots under ground
-    truth; NaN for classes with no member slots.  The slot classes,
-    ``truth_class_slots(g, truth)``, are kept with the graph per label set.
+    truth; NaN for classes with no member slots.  The slot classes come
+    from ``truth_class_slots(g, truth)``; the indices of the two smaller
+    ones and the class sizes are kept with the graph per label set.
 
     Only the two smaller of the three slot classes are gathered; the sum of
     the largest is the sum of all weights minus theirs.  A mean is thus
     exact to rounding, not to the bit, and the largest class's error is
     bounded relative to the sum of all |w|, not that class's alone.
     """
-    classes = g._per_labels(truth_class_slots, truth)
-    largest = max(range(3), key=lambda i: classes[i].size)
-    sums = [0.0 if i == largest else float(np.sum(w.values[idx]))
-            for i, idx in enumerate(classes)]
+    kept, sizes = g._per_labels(_class_mean_slots, truth)
+    sums = [0.0 if idx is None else float(np.sum(w.values[idx])) for idx in kept]
+    largest = next(i for i, idx in enumerate(kept) if idx is None)
     sums[largest] = float(np.sum(w.values)) - sum(sums)
-    return tuple(s / idx.size if idx.size else math.nan
-                 for s, idx in zip(sums[:2], classes[:2]))
+    return tuple(s / size if size else math.nan for s, size in zip(sums[:2], sizes[:2]))
 
 
 def run(g: Graph, labels: LabelSet, cfg: JwpConfig,

@@ -18,11 +18,14 @@ extension: ``csr_matvec`` and ``csc_matvec``, which add into a caller's
 output array in a known order, and ``csr_scale_rows`` and
 ``csr_scale_columns``, which scale a CSR's data in place by a factor per
 row or per column.  The extension is loaded straight from its file
-(``_load_sparsetools``) after a bare ``import scipy``.  Importing
-``scipy.sparse`` to reach it would run that package's init, which no run
-path needs and which cost a ``jwprop run`` process about 0.2 s and 25 MiB
-of resident memory (2-core x86_64 VM).  ``scipy.sparse`` and ``csgraph``
-are imported only by ``mutual_projection_lcc``.
+(``_load_sparsetools``), in the folder that ``importlib.util.find_spec``
+locates for the ``scipy`` package without importing it.  No run path needs
+a package init: importing ``scipy.sparse`` to reach the extension cost a
+``jwprop run`` process about 0.2 s and 25 MiB of resident memory, and a
+bare ``import scipy`` still 10 ms and 1.3 MiB (2-core x86_64 VM).
+``find_spec("scipy.sparse")`` would import ``scipy`` to search it.
+``scipy.sparse`` and ``csgraph`` are imported only by
+``mutual_projection_lcc``.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
 
 from .errors import InputError, is_utf8, numbered_lines
 
@@ -80,7 +82,8 @@ def _load_sparsetools(folder):
     return module
 
 
-_sparsetools = _load_sparsetools(os.path.join(os.path.dirname(scipy.__file__), "sparse"))
+_sparsetools = _load_sparsetools(os.path.join(
+    importlib.util.find_spec("scipy").submodule_search_locations[0], "sparse"))
 
 
 def _first_of_runs(sorted_keys: np.ndarray) -> np.ndarray:

@@ -16,14 +16,15 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InputError, numbered_lines
-from .graph import EdgeWeights, Graph
+from .graph import MAX_NODE_COUNT, EdgeWeights, Graph
 
 RW_VARIANTS = ("rw-n", "rw-p", "rw-b")
 
 
 @dataclass(frozen=True)
 class LabelSet:
-    """Training labels: disjoint sets of positive and negative node ids."""
+    """Training labels: disjoint sets of positive and negative node ids,
+    each nonnegative and below 2**63, so that they fit in int64."""
 
     positives: frozenset[int]
     negatives: frozenset[int]
@@ -34,6 +35,8 @@ class LabelSet:
             raise InputError(f"labels overlap on nodes {sorted(overlap)[:5]}")
         if min(self.positives, default=0) < 0 or min(self.negatives, default=0) < 0:
             raise InputError("label node ids must be nonnegative")
+        if max(self.positives, default=0) >= 2 ** 63 or max(self.negatives, default=0) >= 2 ** 63:
+            raise InputError("label node ids must be below 2**63")
 
     @classmethod
     def of(cls, positives, negatives) -> "LabelSet":
@@ -196,7 +199,9 @@ def rw_step(g: Graph, w: EdgeWeights, q: np.ndarray, p: np.ndarray,
 
 
 def read_labels(path) -> LabelSet:
-    """Parse a "node_id<TAB>label" file with labels +1 / -1."""
+    """Parse a "node_id<TAB>label" file with labels +1 / -1.  Node ids must
+    be nonnegative and below ``MAX_NODE_COUNT``, the node-count limit of
+    every graph."""
     pos, neg = [], []
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in numbered_lines(fh, path):
@@ -211,6 +216,9 @@ def read_labels(path) -> LabelSet:
                 label = int(parts[1])
             except ValueError:
                 raise InputError(f"{path}:{lineno}: ids and labels must be integers") from None
+            if not 0 <= node < MAX_NODE_COUNT:
+                raise InputError(f"{path}:{lineno}: node id {node} is outside "
+                                 f"[0, {MAX_NODE_COUNT})")
             if label == 1:
                 pos.append(node)
             elif label == -1:

@@ -4,6 +4,7 @@ import pytest
 from jwprop import read_labels, read_scores
 from jwprop.cli import main
 from jwprop.engine import DIAG_COLUMNS
+from jwprop.graph import MAX_NODE_COUNT
 
 
 def run_cli(*args):
@@ -148,6 +149,27 @@ class TestExitCodes:
                      "--method", "lbp", "--out", tmp_path / "o.tsv")
         assert rc == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,args", [
+        ("run", ["--graph", "g.tsv", "--undirected", "--train", "t.tsv",
+                 "--method", "lbp", "--out", "o.tsv"]),
+        ("eval", ["--scores", "s.tsv", "--truth", "t.tsv"]),
+        ("sample-train", ["--truth", "t.tsv", "--pos", "1", "--neg", "0",
+                          "--out", "o.tsv"]),
+        ("noise", ["--train", "t.tsv", "--alpha", "10", "--out", "o.tsv"]),
+    ])
+    @pytest.mark.parametrize("big", ["99999999999999999999", str(MAX_NODE_COUNT)],
+                             ids=["int64_overflow", "node_count_limit"])
+    def test_label_id_beyond_every_graph_is_input_error(self, tmp_path, capsys,
+                                                        monkeypatch, command, args, big):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "g.tsv").write_text("0\t1\n")
+        (tmp_path / "s.tsv").write_text("0\t0.5\t1\n")
+        (tmp_path / "t.tsv").write_text(f"0\t1\n{big}\t-1\n")
+        assert run_cli(command, *args) == 2
+        assert f"t.tsv:2: node id {big} is outside [0, {MAX_NODE_COUNT})" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "o.tsv").exists()
 
     def test_rw_on_directed_is_input_error(self, tmp_path):
         g = tmp_path / "g.tsv"

@@ -329,15 +329,22 @@ class TestPerRunInvariants:
             slots = truth_class_slots(graph, labels)
             assert np.array_equal(np.sort(np.concatenate(slots)),
                                   np.arange(graph.slot_count))
-            largest.add(max(range(3), key=lambda i: slots[i].size))
+            largest_now = max(range(3), key=lambda i: slots[i].size)
+            largest.add(largest_now)
             for _ in range(5):
                 w = random_weights(rng, graph, lo=-1.0, hi=1.0)
                 got = weight_class_means(graph, w, labels)
                 for mean, (want, bound) in zip(got, fsum_class_means(graph, w, labels)):
                     assert within_bound(mean, want, bound)
-            # the classes the means read are kept with the graph
-            for kept, built in zip(graph._per_labels(truth_class_slots, labels), slots):
-                assert np.array_equal(kept, built)
+            # what the means keep with the graph: the indices of the two
+            # smaller classes and the class sizes, no array for the largest
+            kept_for, (kept, sizes) = graph._label_memo[engine._class_mean_slots]
+            assert kept_for == labels
+            assert sizes == tuple(idx.size for idx in slots)
+            assert kept[largest_now] is None
+            assert sum(isinstance(idx, np.ndarray) for idx in kept) == 2
+            for i in {0, 1, 2} - {largest_now}:
+                assert np.array_equal(kept[i], slots[i])
         assert largest == {0, 1, 2}
         w = random_weights(rng, g)
         assert math.isnan(weight_class_means(g, w, one_class)[1])

@@ -689,7 +689,8 @@ class TestMutualProjection:
 
 
 # Runs ``python -m jwprop run`` in one fresh process after ``import jwprop``
-# and prints the scipy.sparse modules it loaded.
+# and prints the scipy.sparse modules it loaded, then which of the modules
+# no run uses (scipy's package init, numpy.random, statistics) it loaded.
 _RUN_AND_LIST_MODULES = """
 import runpy, sys
 import jwprop
@@ -701,6 +702,7 @@ try:
 except SystemExit as exc:
     assert exc.code == 0, exc.code
 print(sorted(m for m in sys.modules if m.startswith("scipy.sparse")))
+print([m for m in ("scipy", "numpy.random", "statistics") if m in sys.modules])
 from scipy.sparse import _sparsetools, csgraph
 print(_sparsetools is graph._sparsetools, graph._sparsetools.__name__)
 """
@@ -719,9 +721,12 @@ class TestSparsetoolsLoader:
                                str(train), str(out)],
                               capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        loaded, same = proc.stdout.splitlines()[-2:]  # after the run's report
+        loaded, unused, same = proc.stdout.splitlines()[-3:]  # after the run's report
         # only the kernel extension: no package init, no csgraph
         assert loaded == "['scipy.sparse._sparsetools']"
+        # no scipy package init, and neither synth's numpy.random nor bench's
+        # statistics
+        assert unused == "[]"
         # a later import of scipy.sparse reuses the loaded extension
         assert same == "True scipy.sparse._sparsetools"
         assert len(out.read_text().splitlines()) == 40

@@ -55,6 +55,14 @@ class TestLabelSet:
         with pytest.raises(InputError, match="must be nonnegative"):
             LabelSet.of(pos, neg)
 
+    @pytest.mark.parametrize("pos,neg", [([2 ** 63], [3]), ([2], [0, 10 ** 20])],
+                             ids=["pos", "neg"])
+    def test_id_beyond_int64_rejected(self, pos, neg):
+        with pytest.raises(InputError, match=r"must be below 2\*\*63"):
+            LabelSet.of(pos, neg)
+        top = LabelSet.of([2 ** 63 - 1], [])
+        assert top.positive_array().tolist() == [2 ** 63 - 1]
+
     def test_empty_and_zero_ids_accepted(self):
         assert len(LabelSet.of([], [])) == 0
         assert len(LabelSet.of([0], [])) == len(LabelSet.of([], [0])) == 1
