@@ -52,8 +52,6 @@ from .metrics import AucReport, auc, auc_of_rows, rank_and_write, read_scores
 from .propagation import (
     LabelSet,
     assign_priors,
-    half_neg,
-    half_pos,
     lbp_step_directed,
     lbp_step_undirected,
     read_labels,

@@ -11,7 +11,6 @@ import sys
 from .engine import METHOD_NAMES, JwpConfig, RunResult, method_for, run, write_diagnostics
 from .errors import InputError, NumericalError
 from .graph import load_edge_list, mutual_projection_lcc, write_edge_list
-from .learning import RegularizerKind
 from .metrics import auc_of_rows, rank_and_write, read_scores
 from .propagation import read_labels, write_labels
 
@@ -35,7 +34,7 @@ def _cmd_run(args) -> int:
     labels = read_labels(args.train)
     cfg = JwpConfig(
         method=method_for(args.method, args.directed),
-        regularizer=RegularizerKind(args.reg),
+        regularizer=args.reg,
         theta=args.theta,
         lam=args.lam,
         gamma=args.gamma,

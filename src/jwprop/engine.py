@@ -7,10 +7,11 @@ convergence test runs after the propagation half-step and before weight
 learning; the learning half-step is skipped once the run is stopping, since
 it could no longer influence any posterior.
 
-Every method belongs to one propagation family (undirected LBP, directed
-LBP, random walk), named in ``METHOD_TABLE``.  ``run`` resolves the
-family's priors, default weights, step and gradient once, before the loop;
-the steps live in ``propagation`` and their gradients in ``learning``.
+Every method belongs to one propagation family, named in ``METHOD_TABLE``
+with its direction: LBP, whose two directions differ only in the graph's
+step input, or a random walk, named by its step variant.  ``run`` resolves
+the family's priors, default weights, step and gradient once, before the
+loop; the steps live in ``propagation`` and their gradients in ``learning``.
 The random walk's inverse weighted degrees are computed before the loop
 and passed in, recomputed only after a weight update, and shared by the
 step and the gradient.  What ``weight_class_means`` reads of the
@@ -41,7 +42,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InputError, NumericalError
+from .errors import InputError, NumericalError, enum_member
 from .graph import EdgeWeights, Graph
 from .learning import (
     RegularizerKind,
@@ -74,27 +75,27 @@ class Method(str, Enum):
     RW_JWP_U = "rw-jwp-u"
 
 
-# Method -> (CLI name, propagation family, learns weights).  The families
-# are undirected LBP ("lbp-u"), directed LBP ("lbp-d") and the random walk
-# ("rw"); only "lbp-d" runs on directed graphs, so a CLI name selects its
-# method by the graph's direction.
+# Method -> (CLI name, propagation family, learns weights, directed).  The
+# families are LBP ("lbp") and the random walks, named by step variant
+# ("rw-n", "rw-p", "rw-b"); only LBP runs on directed graphs, so a CLI name
+# selects its method by the graph's direction.
 METHOD_TABLE = {
-    Method.LBP_U: ("lbp", "lbp-u", False),
-    Method.LBP_D: ("lbp", "lbp-d", False),
-    Method.LBP_JWP_U: ("lbp-jwp", "lbp-u", True),
-    Method.LBP_JWP_D: ("lbp-jwp", "lbp-d", True),
-    Method.RW_N: ("rw-n", "rw", False),
-    Method.RW_P: ("rw-p", "rw", False),
-    Method.RW_B: ("rw-b", "rw", False),
-    Method.RW_JWP_U: ("rw-jwp", "rw", True),
+    Method.LBP_U: ("lbp", "lbp", False, False),
+    Method.LBP_D: ("lbp", "lbp", False, True),
+    Method.LBP_JWP_U: ("lbp-jwp", "lbp", True, False),
+    Method.LBP_JWP_D: ("lbp-jwp", "lbp", True, True),
+    Method.RW_N: ("rw-n", "rw-n", False, False),
+    Method.RW_P: ("rw-p", "rw-p", False, False),
+    Method.RW_B: ("rw-b", "rw-b", False, False),
+    Method.RW_JWP_U: ("rw-jwp", "rw-b", True, False),
 }
-METHOD_NAMES = tuple(dict.fromkeys(name for name, _, _ in METHOD_TABLE.values()))
+METHOD_NAMES = tuple(dict.fromkeys(row[0] for row in METHOD_TABLE.values()))
 
 
 def method_for(name: str, directed: bool) -> Method:
     """The method a CLI name selects on a directed or undirected graph."""
-    for method, (cli_name, family, _) in METHOD_TABLE.items():
-        if cli_name == name and (family == "lbp-d") == directed:
+    for method, (cli_name, _, _, on_directed) in METHOD_TABLE.items():
+        if cli_name == name and on_directed == directed:
             return method
     if name in METHOD_NAMES:
         raise InputError(f"method {name!r} does not support directed graphs")
@@ -127,7 +128,8 @@ class JwpConfig:
     random-walk methods, w0 = 1 / average degree and clamp_bound = 0.5.
     A given w0 must satisfy |w0| <= clamp_bound; a default w0 may exceed
     it (RW's does below average degree 2).  Every float field must be
-    finite, and a given lam or clamp_bound nonnegative.
+    finite, and a given lam or clamp_bound nonnegative.  ``method`` and
+    ``regularizer`` may be given as their string values.
     """
 
     method: Method = Method.LBP_JWP_U
@@ -142,6 +144,10 @@ class JwpConfig:
     restart: float = 0.15
 
     def __post_init__(self):
+        # frozen: the members are set through object.__setattr__
+        object.__setattr__(self, "method", enum_member(Method, self.method, "method"))
+        object.__setattr__(self, "regularizer",
+                           enum_member(RegularizerKind, self.regularizer, "regularizer"))
         for name in ("theta", "lam", "gamma", "w0", "clamp_bound", "tolerance"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
@@ -207,14 +213,10 @@ def convergence_metric(p_new: np.ndarray, p_old: np.ndarray) -> float:
     return float(np.sum(np.abs(p_new - p_old))) / denom
 
 
-def truth_class_slots(g: Graph, truth: LabelSet
-                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Indices of the homogeneous, the heterogeneous and the remaining
-    slots under ground truth.  A slot is homogeneous when both endpoints
-    are labeled alike, heterogeneous when they are labeled unlike, and
-    remaining when an endpoint is unlabeled; the three partition the
-    slots.  Labels are read per slot by ``Graph._at_rows`` and
-    ``Graph._at_columns``, not off ``slot_ends``."""
+def _truth_class_masks(g: Graph, truth: LabelSet
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-slot masks of ``truth_class_slots``'s three classes, from one int8
+    product of the endpoint labels (``Graph._at_rows``, ``_at_columns``)."""
     truth.check_bounds(g.node_count)
     y = np.zeros(g.node_count, dtype=np.int8)
     y[truth.positive_array()] = 1
@@ -223,18 +225,29 @@ def truth_class_slots(g: Graph, truth: LabelSet
     # -1 for a heterogeneous one and 0 when an endpoint is unlabeled.
     same = g._at_rows(y)
     same *= g._at_columns(y)
-    return np.flatnonzero(same > 0), np.flatnonzero(same < 0), np.flatnonzero(same == 0)
+    return same > 0, same < 0, same == 0
+
+
+def truth_class_slots(g: Graph, truth: LabelSet
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Indices of the homogeneous, the heterogeneous and the remaining
+    slots under ground truth.  A slot is homogeneous when both endpoints
+    are labeled alike, heterogeneous when they are labeled unlike, and
+    remaining when an endpoint is unlabeled; the three partition the
+    slots.  Labels are read per slot, not off ``slot_ends``."""
+    return tuple(np.flatnonzero(mask) for mask in _truth_class_masks(g, truth))
 
 
 def _class_mean_slots(g: Graph, truth: LabelSet
                       ) -> tuple[tuple[np.ndarray | None, ...], tuple[int, ...]]:
     """What ``weight_class_means`` keeps of ``truth_class_slots(g, truth)``:
     the three classes' indices with None in place of the largest class,
-    which it never gathers, and the three class sizes."""
-    classes = truth_class_slots(g, truth)
-    largest = max(range(3), key=lambda i: classes[i].size)
-    return (tuple(None if i == largest else idx for i, idx in enumerate(classes)),
-            tuple(idx.size for idx in classes))
+    which it never gathers or builds, and the three class sizes."""
+    masks = _truth_class_masks(g, truth)
+    sizes = tuple(int(np.count_nonzero(mask)) for mask in masks)
+    largest = max(range(3), key=sizes.__getitem__)
+    return (tuple(None if i == largest else np.flatnonzero(mask)
+                  for i, mask in enumerate(masks)), sizes)
 
 
 def weight_class_means(g: Graph, w: EdgeWeights, truth: LabelSet) -> tuple[float, float]:
@@ -268,9 +281,9 @@ def run(g: Graph, labels: LabelSet, cfg: JwpConfig,
     per-class mean weights in them.
     """
     method = cfg.method
-    _, family, learn = METHOD_TABLE[method]
-    if (family == "lbp-d") != g.directed:
-        kind = "directed" if family == "lbp-d" else "undirected"
+    _, family, learn, directed = METHOD_TABLE[method]
+    if directed != g.directed:
+        kind = "directed" if directed else "undirected"
         raise InputError(f"method {method.value} needs a {kind} graph")
     if len(labels) == 0:
         raise InputError("a nonempty training label set is required")
@@ -283,19 +296,18 @@ def run(g: Graph, labels: LabelSet, cfg: JwpConfig,
     # walks), default w0 and clamp, step and gradient.  Steps and gradients
     # are looked up by module name here, so wrappers bound to them apply.
     prior_labels = labels
-    if family == "rw":
-        variant = method.value if method in (Method.RW_N, Method.RW_P) else "rw-b"
-        if variant == "rw-n":
+    if family != "lbp":
+        if family == "rw-n":
             if not labels.negatives:
                 raise InputError("rw-n needs labeled negative nodes")
             prior_labels = LabelSet(frozenset(), labels.negatives)
-        elif variant == "rw-p":
+        elif family == "rw-p":
             if not labels.positives:
                 raise InputError("rw-p needs labeled positive nodes")
             prior_labels = LabelSet(labels.positives, frozenset())
         w0 = cfg.w0 if cfg.w0 is not None else 1.0 / g.average_degree()
         clamp = cfg.clamp_bound if cfg.clamp_bound is not None else RW_CLAMP_BOUND
-        step = functools.partial(rw_step, variant=variant, restart=cfg.restart)
+        step = functools.partial(rw_step, variant=family, restart=cfg.restart)
         gradient = functools.partial(grad_rw_undirected, restart=cfg.restart)
     else:
         w0, clamp = cfg.w0, cfg.clamp_bound
@@ -303,10 +315,8 @@ def run(g: Graph, labels: LabelSet, cfg: JwpConfig,
             w0 = LBP_W0_FACTOR / g.spectral_radius_bound()
         if clamp is None:
             clamp = LBP_CLAMP_FACTOR / g.spectral_radius_bound()
-        if family == "lbp-d":
-            step, gradient = lbp_step_directed, grad_directed
-        else:
-            step, gradient = lbp_step_undirected, grad_undirected
+        step, gradient = ((lbp_step_directed, grad_directed) if g.directed
+                          else (lbp_step_undirected, grad_undirected))
     # A given w0 outside the clamp is rejected: no step would pull plain
     # LBP's weights back inside it.  A default w0 is left as resolved: RW's
     # 1/average degree only sets a scale, and LBP's keeps every step a
@@ -332,7 +342,7 @@ def run(g: Graph, labels: LabelSet, cfg: JwpConfig,
     work = np.empty(g.slot_count)
     # The random walk's inverse weighted degrees, for the step and the
     # gradient of the weights they were computed from.
-    rw_degrees = {"inv_degrees": _inverse_degrees(g, w)} if family == "rw" else {}
+    rw_degrees = {"inv_degrees": _inverse_degrees(g, w)} if family != "lbp" else {}
     # Mean weights per truth class, recomputed only after a weight update.
     class_means = None
     for t in range(1, cfg.max_alternations + 1):

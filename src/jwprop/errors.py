@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the text-line reader
-that turns undecodable input into one of them."""
+"""Exception types shared across the package, and the helpers that turn
+undecodable input and unknown option values into one of them."""
 
 
 class InputError(ValueError):
@@ -8,6 +8,15 @@ class InputError(ValueError):
 
 class NumericalError(RuntimeError):
     """Numerical failure during propagation or weight learning."""
+
+
+def enum_member(kind, value, what: str):
+    """``kind(value)``, the member of the enum ``kind`` that ``value`` is or
+    has as its value; InputError naming ``what`` when there is none."""
+    try:
+        return kind(value)
+    except ValueError:
+        raise InputError(f"unknown {what} {value!r}") from None
 
 
 def is_utf8(line: str) -> bool:

@@ -6,7 +6,9 @@ Directed graphs keep one slot per ordered pair of *connected* nodes: a
 one-way edge u->v yields the slot (u, v), classified as outgoing-only from
 u's side, and the slot (v, u), classified as incoming-only from v's side.
 A reciprocated pair yields two bidirectional slots.  The pair class decides
-how a neighbor's score enters the directed propagation step.
+how a neighbor's score enters the directed propagation step: in full, its
+negative part or its positive part, the step input's column blocks in that
+order (``Graph._step_input``).  No other module knows the order.
 
 Graphs are immutable once built; only the weight values bound to a graph
 change between propagation passes.
@@ -398,6 +400,14 @@ class Graph:
                 x /= x.max()
             self._rho_bound = best
         return self._rho_bound
+
+    def _step_input(self, p: np.ndarray) -> np.ndarray:
+        """The step matrix's input for scores p: p when undirected; directed,
+        p, min(p, 0) and max(p, 0) stacked in pair-class order, so entry
+        ``c * n + v`` is what a class-c pair lets through of p_v."""
+        if not self.directed:
+            return p
+        return np.concatenate([p, np.minimum(p, 0.0), np.maximum(p, 0.0)])
 
     # -- slot products: the only readers of the step CSR -------------------
     # No bounds checks: ``data`` has one value per slot, and a per-node

@@ -11,7 +11,9 @@ The three gradients share one body and differ only in their loss term.  It
 writes the regularizer's term over every slot, then adds the loss term on
 the labeled slots only (``LabeledSlots``, kept with the graph per label
 set): the residual p_next - y is zero off the labeled nodes, so the loss
-term is zero on every other slot.
+term is zero on every other slot.  There are two loss terms: one for LBP
+in either direction, which reads the step's input (``Graph._step_input``)
+in each slot's step column, and one for the random walk.
 
 Nothing here gathers a score per slot through the slot endpoints.  The
 consistency gradient -lam * p_u * p_v is -lam scaled in place by p_u and
@@ -27,12 +29,12 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InputError, NumericalError
+from .errors import InputError, NumericalError, enum_member
 from .graph import EdgeWeights, Graph
 from .propagation import (
     LabelSet,
+    _check_direction,
     _check_vectors,
-    _class_parts,
     _inverse_degrees,
     lbp_step_directed,
     lbp_step_undirected,
@@ -65,9 +67,9 @@ class LabeledSlots:
     Undirected: the slots with a labeled endpoint.  Directed: the slots
     whose row owner is labeled, the only endpoint whose next score the
     slot's weight moves.  ``idx`` holds the slot indices in ascending
-    order, ``u`` and ``v`` their endpoints and, for a directed graph,
-    ``col`` their columns in the step's n x 3n matrix, all read off the
-    graph's step CSR without building ``slot_ends``.
+    order, ``u`` their row owners and ``col`` their int64 columns in the
+    step matrix (v, or ``pair_class * n + v`` when directed), all read off
+    the graph's step CSR without building ``slot_ends``.
     """
 
     def __init__(self, g: Graph, labels: LabelSet):
@@ -79,9 +81,7 @@ class LabeledSlots:
         if not g.directed:
             mask |= g._at_columns(is_labeled)
         self.idx = np.flatnonzero(mask)
-        self.u, cols = g._rows_and_columns(self.idx)
-        self.v = cols % g.node_count
-        self.col = cols if g.directed else None
+        self.u, self.col = g._rows_and_columns(self.idx)
 
 
 def consistency_value(g: Graph, w: EdgeWeights, p: np.ndarray) -> float:
@@ -104,7 +104,7 @@ def _regularizer_grad(g: Graph, w: EdgeWeights, p_t: np.ndarray,
         grad *= lam
     elif kind is RegularizerKind.L2:
         np.multiply(w.values, 2.0 * lam, out=grad)
-    else:
+    elif kind is RegularizerKind.NONE:
         grad.fill(0.0)
     return grad
 
@@ -114,11 +114,12 @@ def _gradient(name: str, directed: bool, step, loss_term, g: Graph, w: EdgeWeigh
               regularizer: RegularizerKind, p_next: np.ndarray | None,
               out: np.ndarray | None, *vecs: np.ndarray) -> np.ndarray:
     # The part the gradients share.  ``step(g, w, q, p_t)`` is the family's
-    # step, for the default p_next; ``loss_term(err, labeled)`` returns the
-    # loss term on ``labeled.idx`` from the residuals err = p_next - y, zero
-    # off the labeled nodes; ``vecs`` are further per-node inputs to check.
-    if g.directed != directed:
-        raise InputError(f"{name} expects {'a ' if directed else 'an un'}directed graph")
+    # step, for the default p_next; ``loss_term(g, p_t, err, labeled)``
+    # returns the loss term on ``labeled.idx`` from the residuals
+    # err = p_next - y, zero off the labeled nodes; ``vecs`` are further
+    # per-node inputs to check.
+    _check_direction(name, directed, g)
+    regularizer = enum_member(RegularizerKind, regularizer, "regularizer")
     _check_vectors(g, w, q, p_t, *vecs, *(() if p_next is None else (p_next,)))
     if p_next is None:
         p_next = step(g, w, q, p_t)
@@ -131,10 +132,25 @@ def _gradient(name: str, directed: bool, step, loss_term, g: Graph, w: EdgeWeigh
     pos, neg = labels.positive_array(), labels.negative_array()
     err[pos] = p_next[pos] - 1.0
     err[neg] = p_next[neg] + 1.0
-    loss = loss_term(err, labeled)
+    loss = loss_term(g, p_t, err, labeled)
     grad = _regularizer_grad(g, w, p_t, regularizer, lam, out)
     grad[labeled.idx] = loss + grad[labeled.idx]
     return grad
+
+
+def _lbp_loss_term(g: Graph, p_t: np.ndarray, err: np.ndarray,
+                   labeled: LabeledSlots) -> np.ndarray:
+    # err_u * x_col on each labeled slot (u, v), for the step input
+    # x = g._step_input(p_t) and the slot's step column col, plus
+    # err_v * p_t_u when undirected, where x is p_t and col is v
+    u, col = labeled.u, labeled.col
+    loss = err[u]
+    loss *= g._step_input(p_t)[col]
+    if not g.directed:
+        term = err[col]
+        term *= p_t[u]
+        loss += term
+    return loss
 
 
 def grad_undirected(g: Graph, w: EdgeWeights, q: np.ndarray, p_t: np.ndarray,
@@ -149,17 +165,9 @@ def grad_undirected(g: Graph, w: EdgeWeights, q: np.ndarray, p_t: np.ndarray,
     plus the regularizer term.  ``p_next`` defaults to one propagation step
     from ``p_t`` under the current weights.  The gradient is written into
     ``out`` when given, a float64 array with one entry per slot.
+    ``regularizer`` is a ``RegularizerKind`` or its value.
     """
-    def loss_term(err, labeled):
-        # err_u * p_t_v + err_v * p_t_u on the labeled slots
-        u, v = labeled.u, labeled.v
-        loss = err[u]
-        loss *= p_t[v]
-        term = err[v]
-        term *= p_t[u]
-        loss += term
-        return loss
-    return _gradient("grad_undirected", False, lbp_step_undirected, loss_term,
+    return _gradient("grad_undirected", False, lbp_step_undirected, _lbp_loss_term,
                      g, w, q, p_t, labels, lam, regularizer, p_next, out)
 
 
@@ -174,13 +182,10 @@ def grad_directed(g: Graph, w: EdgeWeights, q: np.ndarray, p_t: np.ndarray,
     the part of p_t_v that the pair class lets through (full score for
     bidirectional pairs, negative part for incoming-only, positive part for
     outgoing-only): the entry of the step's input vector in slot (u, v)'s
-    column.  ``p_next`` and ``out`` are as for ``grad_undirected``.
+    column.  ``regularizer``, ``p_next`` and ``out`` are as for
+    ``grad_undirected``.
     """
-    def loss_term(err, labeled):
-        loss = err[labeled.u]
-        loss *= _class_parts(p_t)[labeled.col]
-        return loss
-    return _gradient("grad_directed", True, lbp_step_directed, loss_term,
+    return _gradient("grad_directed", True, lbp_step_directed, _lbp_loss_term,
                      g, w, q, p_t, labels, lam, regularizer, p_next, out)
 
 
@@ -198,15 +203,15 @@ def grad_rw_undirected(g: Graph, w: EdgeWeights, q: np.ndarray, p_t: np.ndarray,
     receiving labeled node's inverse weighted degree and the non-restart
     mass.  ``p_next`` defaults to one "rw-b" step from ``p_t``.
     ``inv_degrees`` passes in the inverse weighted degrees of ``w``, as the
-    step that made ``p_next`` used them.  ``out`` is as for
-    ``grad_undirected``.
+    step that made ``p_next`` used them.  ``regularizer`` and ``out`` are as
+    for ``grad_undirected``.
     """
     # A directed graph is left to the direction check of ``_gradient``.
     inv = _inverse_degrees(g, w) if inv_degrees is None and not g.directed else inv_degrees
-    def loss_term(err, labeled):
+    def loss_term(g, p_t, err, labeled):
         # (1 - restart) * (err_u * pv * inv_u + err_v * pu * inv_v) on the
         # labeled slots
-        u, v = labeled.u, labeled.v
+        u, v = labeled.u, labeled.col
         loss = err[u]
         loss *= p_t[v]
         loss *= inv[u]

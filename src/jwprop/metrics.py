@@ -26,18 +26,20 @@ def auc(scores: np.ndarray, truth: LabelSet) -> AucReport:
     ``truth`` must cover test nodes only (exclude training nodes first);
     ``scores`` is indexed by node id.  Pair counts are exact integers from
     a sort-and-group pass, so the result matches brute-force pairwise
-    counting bit for bit.
+    counting bit for bit.  Infinite scores rank as such; a NaN score on a
+    node of ``truth`` raises InputError, as it has no rank.
     """
     truth.check_bounds(scores.shape[0])
-    return _ranked_pairs(scores[truth.positive_array()],
-                         scores[truth.negative_array()])
+    pos, neg = truth.positive_array(), truth.negative_array()
+    nodes = np.concatenate([pos, neg])
+    return _ranked_pairs(nodes, scores[nodes], pos.size)
 
 
 def auc_of_rows(ids: np.ndarray, vals: np.ndarray, truth: LabelSet) -> AucReport:
     """``auc`` of score rows as ``read_scores`` returns them: node ``ids[i]``
     scored ``vals[i]``, each id at most once.  Every node of ``truth`` needs
-    a row.  Scores are looked up among the sorted ids, so no array is sized
-    by a node id."""
+    a row, and no such row a NaN score.  Scores are looked up among the
+    sorted ids, so no array is sized by a node id."""
     order = np.argsort(ids)
     sorted_ids = ids[order]
     pos, neg = truth.positive_array(), truth.negative_array()
@@ -46,17 +48,20 @@ def auc_of_rows(ids: np.ndarray, vals: np.ndarray, truth: LabelSet) -> AucReport
     if missing.size:
         raise InputError(f"score file is missing {missing.size} labeled nodes "
                          f"(e.g. node {missing.min()})")
-    scores = vals[order[np.searchsorted(sorted_ids, nodes)]]
-    return _ranked_pairs(scores[:pos.size], scores[pos.size:])
+    return _ranked_pairs(nodes, vals[order[np.searchsorted(sorted_ids, nodes)]], pos.size)
 
 
-def _ranked_pairs(pos: np.ndarray, neg: np.ndarray) -> AucReport:
-    """AUC of the positives' scores ``pos`` against the negatives' ``neg``."""
-    if pos.size == 0 or neg.size == 0:
+def _ranked_pairs(nodes: np.ndarray, s: np.ndarray, n_pos: int) -> AucReport:
+    """AUC of the scores ``s`` of ``nodes``, the first ``n_pos`` of them
+    positive and the rest negative."""
+    n_neg = s.size - n_pos
+    if n_pos == 0 or n_neg == 0:
         raise InputError("AUC needs at least one positive and one negative test node")
-    s = np.concatenate([pos, neg])
+    nan = np.isnan(s)
+    if nan.any():
+        raise InputError(f"node {nodes[nan.argmax()]} has a NaN score")
     is_pos = np.zeros(s.size, dtype=bool)
-    is_pos[:pos.size] = True
+    is_pos[:n_pos] = True
     order = np.argsort(s, kind="stable")
     s = s[order]
     is_pos = is_pos[order]
@@ -70,9 +75,9 @@ def _ranked_pairs(pos: np.ndarray, neg: np.ndarray) -> AucReport:
     neg_below = np.concatenate([[0], np.cumsum(neg_in)])[:-1]
     greater = int(np.sum(pos_in * neg_below))
     ties = int(np.sum(pos_in * neg_in))
-    value = (greater + 0.5 * ties) / (pos.size * neg.size)
-    return AucReport(auc=value, positive_count=int(pos.size),
-                     negative_count=int(neg.size), tie_pairs=ties)
+    value = (greater + 0.5 * ties) / (n_pos * n_neg)
+    return AucReport(auc=value, positive_count=int(n_pos),
+                     negative_count=int(n_neg), tie_pairs=ties)
 
 
 def rank_and_write(p: np.ndarray, remap: np.ndarray | None, path):
@@ -84,6 +89,8 @@ def rank_and_write(p: np.ndarray, remap: np.ndarray | None, path):
     Posteriors are printed with full round-trip precision so re-reading and
     re-sorting reproduces the file.  The sort puts NaN last, so the rows
     labeled 1 are a leading block and each block is written with its label.
+    NaN rows are written as ``nan``; ``auc_of_rows`` rejects one on a truth
+    node.
     """
     ids = np.arange(p.shape[0], dtype=np.int64) if remap is None \
         else np.asarray(remap, dtype=np.int64)

@@ -5,7 +5,9 @@ the previous one, so a step is a data-parallel map over adjacency rows.
 Each step is one product of the graph's step matrix (``Graph._matvec``)
 with the weight vector as its slot values: nothing is gathered, cast or
 constructed per call.  The product checks no bounds, so every step checks
-its vector lengths first.
+its vector lengths first.  The two LBP steps share one body, q + W x: the
+graph builds the step input x from the scores (``Graph._step_input``), the
+scores themselves when undirected and their pair-class parts when directed.
 """
 
 from __future__ import annotations
@@ -87,16 +89,6 @@ def assign_priors(labels: LabelSet, theta: float, n: int) -> np.ndarray:
     return q
 
 
-def half_neg(p: np.ndarray) -> np.ndarray:
-    """Zero out positive entries, keeping the negative part."""
-    return np.minimum(p, 0.0)
-
-
-def half_pos(p: np.ndarray) -> np.ndarray:
-    """Zero out negative entries, keeping the positive part."""
-    return np.maximum(p, 0.0)
-
-
 def _check_vectors(g: Graph, w: EdgeWeights, *vecs):
     w.check(g)
     for v in vecs:
@@ -106,20 +98,24 @@ def _check_vectors(g: Graph, w: EdgeWeights, *vecs):
             )
 
 
-def lbp_step_undirected(g: Graph, w: EdgeWeights, q: np.ndarray,
-                        p: np.ndarray) -> np.ndarray:
-    """One additive propagation step q + W p on an undirected graph."""
-    if g.directed:
-        raise InputError("lbp_step_undirected expects an undirected graph")
+def _check_direction(name: str, directed: bool, g: Graph):
+    if g.directed != directed:
+        raise InputError(f"{name} expects {'a ' if directed else 'an un'}directed graph")
+
+
+def _lbp_step(name: str, directed: bool, g: Graph, w: EdgeWeights, q: np.ndarray,
+              p: np.ndarray) -> np.ndarray:
+    # q + W x for the step matrix W and its input x = g._step_input(p)
+    _check_direction(name, directed, g)
     _check_vectors(g, w, q, p)
-    y = g._matvec(w.values, p)
+    y = g._matvec(w.values, g._step_input(p))
     return np.add(q, y, out=y)
 
 
-def _class_parts(p: np.ndarray) -> np.ndarray:
-    """p, its negative part and its positive part, stacked in pair-class
-    order: entry ``c * n + v`` is what a class-c pair lets through of p_v."""
-    return np.concatenate([p, half_neg(p), half_pos(p)])
+def lbp_step_undirected(g: Graph, w: EdgeWeights, q: np.ndarray,
+                        p: np.ndarray) -> np.ndarray:
+    """One additive propagation step q + W p on an undirected graph."""
+    return _lbp_step("lbp_step_undirected", False, g, w, q, p)
 
 
 def lbp_step_directed(g: Graph, w: EdgeWeights, q: np.ndarray,
@@ -128,16 +124,11 @@ def lbp_step_directed(g: Graph, w: EdgeWeights, q: np.ndarray,
 
     A bidirectional neighbor contributes its full score, an incoming-only
     neighbor contributes only its negative part, and an outgoing-only
-    neighbor only its positive part, each scaled by the pair's weight.
-    The step is q plus one matvec of the n x 3n matrix whose row u holds
-    slot (u, v)'s weight in column ``pair_class * n + v``, applied to
-    ``_class_parts(p)``.
+    neighbor only its positive part, each scaled by the pair's weight: q
+    plus one matvec of the graph's n x 3n step matrix with the input that
+    ``Graph._step_input`` stacks from p.
     """
-    if not g.directed:
-        raise InputError("lbp_step_directed expects a directed graph")
-    _check_vectors(g, w, q, p)
-    y = g._matvec(w.values, _class_parts(p))
-    return np.add(q, y, out=y)
+    return _lbp_step("lbp_step_directed", True, g, w, q, p)
 
 
 def weighted_degrees(g: Graph, w: EdgeWeights) -> np.ndarray:
@@ -148,8 +139,7 @@ def weighted_degrees(g: Graph, w: EdgeWeights) -> np.ndarray:
     slot order a weighted ``bincount`` over the interleaved slot endpoints
     (u0, v0, u1, v1, ...) adds them in.
     """
-    if g.directed:
-        raise InputError("weighted_degrees expects an undirected graph")
+    _check_direction("weighted_degrees", False, g)
     w.check(g)
     return g._matvec(np.abs(w.values), np.ones(g.node_count))
 

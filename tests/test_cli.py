@@ -291,6 +291,13 @@ class TestEvalScoreFile:
         assert self.run_eval(tmp_path, "0\t0.9\t1\n1\t-0.5\t-1\n") == 2
         assert "missing 1 labeled nodes (e.g. node 2)" in capsys.readouterr().err
 
+    def test_nan_score_on_a_truth_node_is_input_error(self, tmp_path, capsys):
+        # it once ranked NaN above every other score and printed AUC 1
+        assert self.run_eval(tmp_path, "0\tnan\t-1\n1\t0.5\t1\n2\tinf\t1\n") == 2
+        assert "node 0 has a NaN score" in capsys.readouterr().err
+        # a NaN row of a node outside the truth set is allowed
+        assert self.run_eval(tmp_path, self.ROWS + "3\tnan\t-1\n") == 0
+
     def test_huge_id_is_input_error(self, tmp_path, capsys):
         # it once sized a dense score vector by the id
         assert self.run_eval(tmp_path, self.ROWS + "99999999999999\t0.1\t1\n") == 2

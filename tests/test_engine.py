@@ -219,8 +219,16 @@ class TestRunBasics:
     def test_method_table_round_trips(self):
         directed = {Method.LBP_D, Method.LBP_JWP_D}
         assert set(METHOD_TABLE) == set(Method)
-        for method, (name, _, _) in METHOD_TABLE.items():
-            assert method_for(name, method in directed) is method
+        for method, (name, _, _, on_directed) in METHOD_TABLE.items():
+            assert on_directed == (method in directed)
+            assert method_for(name, on_directed) is method
+        # each row names its family: LBP, or the walk's step variant
+        assert {m: row[1] for m, row in METHOD_TABLE.items()} == {
+            Method.LBP_U: "lbp", Method.LBP_D: "lbp", Method.LBP_JWP_U: "lbp",
+            Method.LBP_JWP_D: "lbp", Method.RW_N: "rw-n", Method.RW_P: "rw-p",
+            Method.RW_B: "rw-b", Method.RW_JWP_U: "rw-b"}
+        assert all(family == "lbp" for _, family, _, on_directed in METHOD_TABLE.values()
+                   if on_directed)
         assert METHOD_NAMES == ("lbp", "lbp-jwp", "rw-n", "rw-p", "rw-b", "rw-jwp")
         with pytest.raises(InputError, match="does not support directed"):
             method_for("rw-b", True)
@@ -457,7 +465,7 @@ class TestSlotPasses:
 
     def test_slot_indices_built_once_per_graph(self, monkeypatch):
         built = []
-        for module, name in ((engine, "truth_class_slots"), (learning, "LabeledSlots")):
+        for module, name in ((engine, "_class_mean_slots"), (learning, "LabeledSlots")):
             real = getattr(module, name)
             monkeypatch.setattr(module, name, lambda g, labels, real=real, name=name:
                                 built.append(name) or real(g, labels))
@@ -466,9 +474,9 @@ class TestSlotPasses:
         cfgs = [JwpConfig(method=m, lam=0.7, gamma=0.1, tolerance=1e-300)
                 for m in (Method.LBP_JWP_U, Method.RW_JWP_U)]
         shared = [run(g, train, cfg, truth=truth) for cfg in cfgs]
-        assert sorted(built) == ["LabeledSlots", "truth_class_slots"]
+        assert sorted(built) == ["LabeledSlots", "_class_mean_slots"]
         shared.append(run(g, other, cfgs[0], truth=truth))  # another label set
-        assert sorted(built) == ["LabeledSlots", "LabeledSlots", "truth_class_slots"]
+        assert sorted(built) == ["LabeledSlots", "LabeledSlots", "_class_mean_slots"]
         fresh = [run(self.graphs()[0], labels, cfg, truth=truth)
                  for labels, cfg in ((train, cfgs[0]), (train, cfgs[1]),
                                      (other, cfgs[0]))]
@@ -538,6 +546,27 @@ class TestConfigValidation:
         # refused at construction, not with a TypeError in run
         with pytest.raises(InputError, match="max_alternations must be an integer"):
             JwpConfig(max_alternations=alts)
+
+    def test_method_and_regularizer_by_value(self):
+        # a string regularizer once ran with no regularizer at all, and a
+        # string method failed in run with AttributeError or KeyError
+        g, _, _, train = TestSlotPasses().graphs()
+        for method, reg in (("lbp-jwp-u", "consistency"), ("rw-jwp-u", "l2")):
+            members = dict(method=Method(method), regularizer=RegularizerKind(reg),
+                           lam=0.7, gamma=0.1)
+            by_value = JwpConfig(method=method, regularizer=reg, lam=0.7, gamma=0.1)
+            assert by_value.method is Method(method)
+            assert by_value.regularizer is RegularizerKind(reg)
+            got = run(g, train, by_value).weights.values
+            assert np.array_equal(got, run(g, train, JwpConfig(**members)).weights.values)
+            none = JwpConfig(**(members | {"regularizer": RegularizerKind.NONE}))
+            assert not np.array_equal(got, run(g, train, none).weights.values)
+
+    @pytest.mark.parametrize("field, value", [("method", "nope"), ("method", "lbp"),
+                                              ("regularizer", "L2"), ("regularizer", None)])
+    def test_unknown_method_or_regularizer(self, field, value):
+        with pytest.raises(InputError, match=f"unknown {field} {value!r}"):
+            JwpConfig(**{field: value})
 
     def test_numpy_integer_max_alternations(self):
         cfg = JwpConfig(method=Method.LBP_U, max_alternations=np.int64(2),

@@ -762,14 +762,15 @@ class TestSparsetoolsLoader:
 
     def test_only_graph_reads_the_step_csr(self):
         # The graph owns its step CSR's layout: other modules reach it only
-        # through its slot products, and tile no vector by pair class.
+        # through its slot products, tile no vector by pair class and build
+        # no pair-class step input (the negative and positive parts).
         src = os.path.dirname(graph.__file__)
         readers = set()
         for name in os.listdir(src):
             if name.endswith(".py"):
                 with open(os.path.join(src, name), encoding="utf-8") as fh:
-                    if re.search(r"_csr_indptr|_csr_indices|_sparsetools|np\.tile\(",
-                                 fh.read()):
+                    if re.search(r"_csr_indptr|_csr_indices|_sparsetools|np\.tile\("
+                                 r"|np\.minimum\(|np\.maximum\(", fh.read()):
                         readers.add(name)
         assert readers == {"graph.py"}
 

@@ -476,6 +476,18 @@ class TestGradientInputs:
             fn(g, w, np.zeros(4), np.ones(4), LabelSet.of([0], [1]), 1.0, out=out)
 
     @pytest.mark.parametrize("directed,fn", GRADIENTS)
+    def test_regularizer_by_value(self, directed, fn):
+        # a string regularizer once fell through to no regularizer at all
+        g = self._four_nodes(directed)
+        w = EdgeWeights(np.linspace(-0.3, 0.4, g.slot_count))
+        args = (g, w, np.zeros(4), np.linspace(-1.0, 1.0, 4), LabelSet.of([0], [1]), 0.7)
+        for kind in RegularizerKind:
+            assert fn(*args, kind.value).tobytes() == fn(*args, kind).tobytes()
+        assert not np.array_equal(fn(*args, "l2"), fn(*args, RegularizerKind.NONE))
+        with pytest.raises(InputError, match="^unknown regularizer 'L2'$"):
+            fn(*args, "L2")
+
+    @pytest.mark.parametrize("directed,fn", GRADIENTS)
     def test_label_sets_switched_on_one_graph(self, directed, fn):
         # The labeled slots kept with the graph follow its latest label set:
         # A, B, then A again give the gradients of graphs never used before.
@@ -599,9 +611,11 @@ class TestLabeledSlotGradients:
             lab = LabeledSlots(g, labels)
             assert np.array_equal(lab.idx, np.flatnonzero(mask))
             assert np.array_equal(lab.u, g.slot_ends[mask, 0])
-            assert np.array_equal(lab.v, g.slot_ends[mask, 1])
+            # the slot's step column: v, or pair_class * n + v when directed
             if directed:
                 ref = reference_graph_arrays(g.edges, True, g.node_count)
                 assert np.array_equal(lab.col, ref["class_col"][mask])
             else:
-                assert lab.col is None
+                assert np.array_equal(lab.col, g.slot_ends[mask, 1])
+            assert lab.col.dtype == np.int64
+            assert sorted(vars(lab)) == ["col", "idx", "u"]

@@ -62,6 +62,18 @@ class TestAuc:
         b = auc(np.exp(scores * 0.5) + 3.0, truth).auc
         assert a == pytest.approx(b)
 
+    def test_nan_on_a_truth_node_rejected(self):
+        # NaN once sorted above every other score: AUC 1 here
+        scores = np.array([np.nan, 0.5, -0.5, np.inf])
+        for truth, node in ((LabelSet.of([0], [1, 2, 3]), 0), (LabelSet.of([1], [2, 0]), 0)):
+            with pytest.raises(InputError, match=f"^node {node} has a NaN score$"):
+                auc(scores, truth)
+
+    def test_infinite_scores_and_nan_off_truth_allowed(self):
+        scores = np.array([np.inf, 0.5, -np.inf, np.nan])
+        assert auc(scores, LabelSet.of([0, 1], [2])).auc == 1.0
+        assert auc(scores, LabelSet.of([2], [0, 1])).auc == 0.0
+
     def test_negate_scores_and_swap_labels(self):
         rng = np.random.default_rng(1)
         scores = rng.normal(size=30)
@@ -82,6 +94,13 @@ class TestAucOfRows:
             truth = LabelSet.of(labeled[:half], labeled[half:])
             rows = rng.permutation(n)
             assert auc_of_rows(rows, scores[rows], truth) == auc(scores, truth)
+
+    def test_nan_on_a_truth_node_rejected(self):
+        ids = np.array([7, 3, 2 ** 40, 5])
+        vals = np.array([0.5, np.nan, np.inf, np.nan])
+        with pytest.raises(InputError, match="^node 3 has a NaN score$"):
+            auc_of_rows(ids, vals, LabelSet.of([3], [7, 2 ** 40]))
+        assert auc_of_rows(ids, vals, LabelSet.of([2 ** 40], [7])).auc == 1.0
 
     def test_sparse_ids(self):
         ids = np.array([10 ** 12, 3, 2 ** 40])

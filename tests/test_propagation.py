@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from jwprop import (
     BIDIRECTIONAL,
@@ -12,8 +10,6 @@ from jwprop import (
     InputError,
     LabelSet,
     assign_priors,
-    half_neg,
-    half_pos,
     lbp_step_directed,
     lbp_step_undirected,
     read_labels,
@@ -38,10 +34,6 @@ from _oracles import (
     scipy_spectral_radius_bound,
     scipy_undirected_step,
 )
-
-finite_vec = st.lists(
-    st.floats(min_value=-10, max_value=10, allow_nan=False), min_size=1, max_size=30
-).map(np.asarray)
 
 
 class TestLabelSet:
@@ -116,22 +108,6 @@ class TestAssignPriors:
     def test_nonpositive_theta(self):
         with pytest.raises(InputError):
             assign_priors(LabelSet.of([0], []), 0.0, 2)
-
-
-class TestHalfFunctions:
-    def test_examples(self):
-        p = np.array([1.0, -1.0, 0.0])
-        assert list(half_neg(p)) == [0.0, -1.0, 0.0]
-        assert list(half_pos(p)) == [1.0, 0.0, 0.0]
-
-    def test_all_negative_unchanged(self):
-        p = np.array([-2.0, -0.5])
-        assert np.array_equal(half_neg(p), p)
-        assert not half_pos(p).any()
-
-    @given(finite_vec)
-    def test_parts_sum_to_identity(self, p):
-        assert np.array_equal(half_pos(p) + half_neg(p), p)
 
 
 class TestLbpUndirected:
