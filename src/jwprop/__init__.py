@@ -6,16 +6,13 @@ The package propagates reputation scores over a weighted graph and, for the
 the per-edge weights, so that weights grow where endpoint scores agree and
 shrink where they conflict.
 
-The generators of ``synth`` and the timing harness of ``bench`` load on
+The generators of ``synth`` and the timing harness of ``scaling`` load on
 first use, through the module ``__getattr__`` below: a ``jwprop run``
 process calls neither, and importing them pulls in ``numpy.random``
-(6 MiB resident) and ``statistics``.  ``jwprop.bench`` is the function,
-not the submodule.
+(6 MiB resident) and ``statistics``.
 """
 
 import importlib
-import sys
-import types
 
 from .engine import (
     AlternationDiag,
@@ -62,7 +59,7 @@ from .propagation import (
 
 __version__ = "0.1.0"
 
-_ON_FIRST_USE = dict.fromkeys(["bench", "loglog_slope"], "bench") | dict.fromkeys(
+_ON_FIRST_USE = dict.fromkeys(["bench", "loglog_slope"], "scaling") | dict.fromkeys(
     ["SynthSpec", "build_sybil_benchmark", "directed_sample", "gen_pa",
      "inject_noise", "sample_training", "synth_sybil_replicate"], "synth")
 
@@ -78,16 +75,3 @@ def __getattr__(name):
 def __dir__():
     return sorted(globals().keys() | _ON_FIRST_USE.keys())
 
-
-class _Package(types.ModuleType):
-    """The package's module type.  Whatever first imports the ``bench``
-    submodule, the import system then binds it to ``bench`` here; the
-    function keeps the name."""
-
-    def __setattr__(self, name, value):
-        if name == "bench" and value is sys.modules.get(f"{__name__}.bench"):
-            value = value.bench
-        super().__setattr__(name, value)
-
-
-sys.modules[__name__].__class__ = _Package

@@ -8,9 +8,11 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .engine import METHOD_NAMES, JwpConfig, RunResult, method_for, run, write_diagnostics
+from .engine import (LBP_CLAMP_FACTOR, LBP_W0_FACTOR, METHOD_NAMES, RW_CLAMP_BOUND, JwpConfig,
+                     RunResult, method_for, run, write_diagnostics)
 from .errors import InputError, NumericalError
 from .graph import load_edge_list, mutual_projection_lcc, write_edge_list
+from .learning import RegularizerKind
 from .metrics import auc_of_rows, rank_and_write, read_scores
 from .propagation import read_labels, write_labels
 
@@ -132,28 +134,29 @@ def _parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("run", help="propagate scores, optionally learning weights")
+    defaults = JwpConfig()
     p.add_argument("--graph", required=True)
     direction = p.add_mutually_exclusive_group(required=True)
     direction.add_argument("--directed", action="store_true")
     direction.add_argument("--undirected", dest="directed", action="store_false")
     p.add_argument("--train", required=True)
     p.add_argument("--method", required=True, choices=METHOD_NAMES)
-    p.add_argument("--reg", default="consistency",
-                   choices=["consistency", "l1", "l2", "none"])
+    p.add_argument("--reg", default=defaults.regularizer.value,
+                   choices=[kind.value for kind in RegularizerKind])
     p.add_argument("--lambda", dest="lam", type=float, default=None,
                    help="regularization strength (default: min(1, 10/avg degree))")
-    p.add_argument("--gamma", type=float, default=1.0)
-    p.add_argument("--theta", type=float, default=1.0)
+    p.add_argument("--gamma", type=float, default=defaults.gamma)
+    p.add_argument("--theta", type=float, default=defaults.theta)
     p.add_argument("--w0", default="auto",
-                   help="initial edge weight, or 'auto': 0.9/rho for lbp and "
-                        "lbp-jwp, where rho bounds the adjacency's spectral "
+                   help=f"initial edge weight, or 'auto': {LBP_W0_FACTOR}/rho for lbp "
+                        "and lbp-jwp, where rho bounds the adjacency's spectral "
                         "radius; 1/avg degree for the rw methods")
     p.add_argument("--clamp", default="auto",
-                   help="bound on |edge weight|, or 'auto': 0.99/rho for lbp "
-                        "and lbp-jwp; 0.5 for the rw methods")
-    p.add_argument("--max-alt", type=int, default=15)
-    p.add_argument("--tol", type=float, default=1e-3)
-    p.add_argument("--restart", type=float, default=0.15)
+                   help=f"bound on |edge weight|, or 'auto': {LBP_CLAMP_FACTOR}/rho for lbp "
+                        f"and lbp-jwp; {RW_CLAMP_BOUND} for the rw methods")
+    p.add_argument("--max-alt", type=int, default=defaults.max_alternations)
+    p.add_argument("--tol", type=float, default=defaults.tolerance)
+    p.add_argument("--restart", type=float, default=defaults.restart)
     p.add_argument("--out", required=True)
     p.add_argument("--log", default=None)
     p.set_defaults(func=_cmd_run)

@@ -261,6 +261,7 @@ def weight_class_means(g: Graph, w: EdgeWeights, truth: LabelSet) -> tuple[float
     exact to rounding, not to the bit, and the largest class's error is
     bounded relative to the sum of all |w|, not that class's alone.
     """
+    w.check(g)
     kept, sizes = g._per_labels(_class_mean_slots, truth)
     sums = [0.0 if idx is None else float(np.sum(w.values[idx])) for idx in kept]
     largest = next(i for i, idx in enumerate(kept) if idx is None)

@@ -121,6 +121,8 @@ def _gradient(name: str, directed: bool, step, loss_term, g: Graph, w: EdgeWeigh
     _check_direction(name, directed, g)
     regularizer = enum_member(RegularizerKind, regularizer, "regularizer")
     _check_vectors(g, w, q, p_t, *vecs, *(() if p_next is None else (p_next,)))
+    if not 0 <= lam < math.inf:
+        raise InputError(f"lam must be nonnegative and finite, got {lam}")
     if p_next is None:
         p_next = step(g, w, q, p_t)
     if out is None:
@@ -165,7 +167,8 @@ def grad_undirected(g: Graph, w: EdgeWeights, q: np.ndarray, p_t: np.ndarray,
     plus the regularizer term.  ``p_next`` defaults to one propagation step
     from ``p_t`` under the current weights.  The gradient is written into
     ``out`` when given, a float64 array with one entry per slot.
-    ``regularizer`` is a ``RegularizerKind`` or its value.
+    ``regularizer`` is a ``RegularizerKind`` or its value; ``lam`` must be
+    nonnegative and finite.
     """
     return _gradient("grad_undirected", False, lbp_step_undirected, _lbp_loss_term,
                      g, w, q, p_t, labels, lam, regularizer, p_next, out)
@@ -182,7 +185,7 @@ def grad_directed(g: Graph, w: EdgeWeights, q: np.ndarray, p_t: np.ndarray,
     the part of p_t_v that the pair class lets through (full score for
     bidirectional pairs, negative part for incoming-only, positive part for
     outgoing-only): the entry of the step's input vector in slot (u, v)'s
-    column.  ``regularizer``, ``p_next`` and ``out`` are as for
+    column.  ``lam``, ``regularizer``, ``p_next`` and ``out`` are as for
     ``grad_undirected``.
     """
     return _gradient("grad_directed", True, lbp_step_directed, _lbp_loss_term,
@@ -203,8 +206,8 @@ def grad_rw_undirected(g: Graph, w: EdgeWeights, q: np.ndarray, p_t: np.ndarray,
     receiving labeled node's inverse weighted degree and the non-restart
     mass.  ``p_next`` defaults to one "rw-b" step from ``p_t``.
     ``inv_degrees`` passes in the inverse weighted degrees of ``w``, as the
-    step that made ``p_next`` used them.  ``regularizer`` and ``out`` are as
-    for ``grad_undirected``.
+    step that made ``p_next`` used them.  ``lam``, ``regularizer`` and ``out``
+    are as for ``grad_undirected``.
     """
     # A directed graph is left to the direction check of ``_gradient``.
     inv = _inverse_degrees(g, w) if inv_degrees is None and not g.directed else inv_degrees
@@ -244,8 +247,8 @@ def apply_gradient_step(w: EdgeWeights, grad: np.ndarray, gamma: float,
                         work: np.ndarray | None = None,
                         out: np.ndarray | None = None, *,
                         checked: bool = False) -> EdgeWeights:
-    """One descent step, then each weight is clipped into
-    [-w.clamp_bound, w.clamp_bound].
+    """One descent step of nonnegative, finite size ``gamma``, then each
+    weight is clipped into [-w.clamp_bound, w.clamp_bound].
 
     The new values go to ``out`` when given, which may be ``w.values``
     itself to update the weights in place.  The scaled step goes to
@@ -254,8 +257,8 @@ def apply_gradient_step(w: EdgeWeights, grad: np.ndarray, gamma: float,
     (``gradient_inf_norm``); ``checked`` says that the caller has already
     taken ``gradient_inf_norm`` of this gradient, and skips it.
     """
-    if gamma < 0:
-        raise InputError("learning rate must be nonnegative")
+    if not 0 <= gamma < math.inf:
+        raise InputError(f"learning rate must be nonnegative and finite, got {gamma}")
     grad = np.asarray(grad, dtype=float)
     if grad.shape != w.values.shape:
         raise InputError("gradient shape does not match the weight array")

@@ -79,9 +79,10 @@ class LabelSet:
 
 
 def assign_priors(labels: LabelSet, theta: float, n: int) -> np.ndarray:
-    """Prior score vector: +theta on positives, -theta on negatives, 0 else."""
-    if theta <= 0:
-        raise InputError("theta must be positive")
+    """Prior score vector: +theta on positives, -theta on negatives, 0 else.
+    theta must be positive and finite."""
+    if not 0 < theta < np.inf:
+        raise InputError(f"theta must be positive and finite, got {theta}")
     labels.check_bounds(n)
     q = np.zeros(n)
     q[labels.positive_array()] = theta

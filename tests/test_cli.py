@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from jwprop import read_labels, read_scores
-from jwprop.cli import main
+from jwprop import JwpConfig, RegularizerKind, read_labels, read_scores
+from jwprop.cli import _parser, main
 from jwprop.engine import DIAG_COLUMNS
 from jwprop.graph import MAX_NODE_COUNT
 
@@ -302,6 +302,23 @@ class TestEvalScoreFile:
         # it once sized a dense score vector by the id
         assert self.run_eval(tmp_path, self.ROWS + "99999999999999\t0.1\t1\n") == 2
         assert "s.tsv:4: node id 99999999999999 is outside" in capsys.readouterr().err
+
+
+def test_run_defaults_are_the_config_defaults():
+    # jwprop run takes its defaults and --reg choices from the library
+    parser = _parser()
+    args = parser.parse_args(["run", "--graph", "g", "--undirected", "--train", "t",
+                              "--method", "lbp", "--out", "o"])
+    config = JwpConfig()
+    want = {"reg": config.regularizer.value, "lam": config.lam, "gamma": config.gamma,
+            "theta": config.theta, "max_alt": config.max_alternations,
+            "tol": config.tolerance, "restart": config.restart}
+    assert {name: vars(args)[name] for name in want} == want
+    assert config.w0 is config.clamp_bound is None
+    assert args.w0 == args.clamp == "auto"
+    run_parser = next(a for a in parser._actions if a.dest == "command").choices["run"]
+    reg = next(a for a in run_parser._actions if a.dest == "reg")
+    assert reg.choices == [kind.value for kind in RegularizerKind]
 
 
 def test_run_reports_resolved_clamp(tmp_path, capsys):

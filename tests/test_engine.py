@@ -357,6 +357,10 @@ class TestPerRunInvariants:
         w = random_weights(rng, g)
         assert math.isnan(weight_class_means(g, w, one_class)[1])
         assert all(map(math.isnan, weight_class_means(g, w, LabelSet.of([0], []))))
+        # a weight vector of another length once gave wrong means
+        for size in (g.slot_count + 1000, g.slot_count - 5):
+            with pytest.raises(InputError, match=f"^weight array has {size} slots"):
+                weight_class_means(g, EdgeWeights(np.ones(size)), truth)
 
     @pytest.mark.parametrize("method", [Method.LBP_JWP_U, Method.RW_JWP_U])
     def test_diagnostics_match_the_mask_path(self, monkeypatch, method):

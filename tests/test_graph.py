@@ -724,7 +724,7 @@ class TestSparsetoolsLoader:
         loaded, unused, same = proc.stdout.splitlines()[-3:]  # after the run's report
         # only the kernel extension: no package init, no csgraph
         assert loaded == "['scipy.sparse._sparsetools']"
-        # no scipy package init, and neither synth's numpy.random nor bench's
+        # no scipy package init, and neither synth's numpy.random nor scaling's
         # statistics
         assert unused == "[]"
         # a later import of scipy.sparse reuses the loaded extension

@@ -273,6 +273,13 @@ class TestApplyGradientStep:
             with pytest.raises(NumericalError, match="slot 2$"):
                 apply_gradient_step(EdgeWeights(np.zeros(5)), given, gamma, work)
 
+    @pytest.mark.parametrize("gamma", [-0.1, np.nan, np.inf])
+    def test_learning_rate_checked(self, gamma):
+        # NaN passed the old sign test and gave NaN weights, and so did an
+        # infinite rate wherever the gradient is 0
+        with pytest.raises(InputError, match="^learning rate must be nonnegative"):
+            apply_gradient_step(EdgeWeights(np.zeros(2)), np.array([0.0, 0.1]), gamma)
+
     def test_empty_gradient(self):
         out = apply_gradient_step(EdgeWeights(np.zeros(0)), np.zeros(0), 1.0)
         assert out.values.size == 0
@@ -486,6 +493,15 @@ class TestGradientInputs:
         assert not np.array_equal(fn(*args, "l2"), fn(*args, RegularizerKind.NONE))
         with pytest.raises(InputError, match="^unknown regularizer 'L2'$"):
             fn(*args, "L2")
+
+    @pytest.mark.parametrize("lam", [-0.1, np.nan, np.inf])
+    @pytest.mark.parametrize("directed,fn", GRADIENTS)
+    def test_lam_checked(self, directed, fn, lam):
+        # the gradients once took any lam, and NaN gave a NaN gradient
+        g = self._four_nodes(directed)
+        w = EdgeWeights(np.full(g.slot_count, 0.1))
+        with pytest.raises(InputError, match="^lam must be nonnegative and finite"):
+            fn(g, w, np.zeros(4), np.ones(4), LabelSet.of([0], [1]), lam)
 
     @pytest.mark.parametrize("directed,fn", GRADIENTS)
     def test_label_sets_switched_on_one_graph(self, directed, fn):

@@ -106,8 +106,10 @@ class TestAssignPriors:
             assign_priors(LabelSet.of([5], []), 1.0, 3)
 
     def test_nonpositive_theta(self):
-        with pytest.raises(InputError):
-            assign_priors(LabelSet.of([0], []), 0.0, 2)
+        # NaN passed the old sign test and gave NaN priors
+        for theta in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(InputError, match="^theta must be positive"):
+                assign_priors(LabelSet.of([0], []), theta, 2)
 
 
 class TestLbpUndirected:

@@ -14,23 +14,25 @@ def test_every_record_runs_the_alternation_budget():
 
 
 def test_first_use_names_resolve_to_the_functions():
-    # bench and synth load on first use.  However the bench submodule is
-    # first imported, by another of its names or directly, "bench" on the
-    # package stays the function.
+    # scaling and synth load on first use.  However the scaling module is
+    # first imported, by one of its names or directly, "bench" on the
+    # package is the function, and the package is a plain module.
     src = os.path.dirname(os.path.dirname(jwprop.__file__))
 
     def probe(code):
-        proc = subprocess.run([sys.executable, "-c", "import sys, jwprop\n" + code],
+        proc = subprocess.run([sys.executable, "-c", "import sys, types, jwprop\n" + code],
                               capture_output=True, text=True,
                               env=dict(os.environ, PYTHONPATH=src), timeout=120)
         assert proc.returncode == 0, proc.stderr
         return proc.stdout.split()
 
-    assert probe("print('jwprop.bench' in sys.modules, 'jwprop.synth' in sys.modules)") \
-        == ["False", "False"]
-    for first in ("jwprop.loglog_slope", "import jwprop.bench"):
+    assert probe("print('jwprop.scaling' in sys.modules, 'jwprop.synth' in sys.modules,\n"
+                 "      type(jwprop) is types.ModuleType)") == ["False", "False", "True"]
+    for first in ("jwprop.loglog_slope", "import jwprop.scaling"):
         assert probe(f"{first}\n"
                      "from jwprop import bench, gen_pa, SynthSpec\n"
                      "print(type(bench).__name__, bench.__module__, gen_pa.__module__,\n"
-                     "      SynthSpec.__module__, 'gen_pa' in dir(jwprop))") \
-            == ["function", "jwprop.bench", "jwprop.synth", "jwprop.synth", "True"]
+                     "      SynthSpec.__module__, 'gen_pa' in dir(jwprop),\n"
+                     "      jwprop.bench is bench, type(jwprop) is types.ModuleType)") \
+            == ["function", "jwprop.scaling", "jwprop.synth", "jwprop.synth", "True",
+                "True", "True"]
