@@ -207,10 +207,10 @@ class RunResult:
 
 def convergence_metric(p_new: np.ndarray, p_old: np.ndarray) -> float:
     """Relative L1 change; +inf when the new vector is identically zero."""
-    denom = float(np.sum(np.abs(p_new)))
+    denom = float(np.abs(p_new).sum())
     if denom == 0.0:
         return math.inf
-    return float(np.sum(np.abs(p_new - p_old))) / denom
+    return float(np.abs(p_new - p_old).sum()) / denom
 
 
 def _truth_class_masks(g: Graph, truth: LabelSet
@@ -263,9 +263,9 @@ def weight_class_means(g: Graph, w: EdgeWeights, truth: LabelSet) -> tuple[float
     """
     w.check(g)
     kept, sizes = g._per_labels(_class_mean_slots, truth)
-    sums = [0.0 if idx is None else float(np.sum(w.values[idx])) for idx in kept]
+    sums = [0.0 if idx is None else float(w.values[idx].sum()) for idx in kept]
     largest = next(i for i, idx in enumerate(kept) if idx is None)
-    sums[largest] = float(np.sum(w.values)) - sum(sums)
+    sums[largest] = float(w.values.sum()) - sum(sums)
     return tuple(s / size if size else math.nan for s, size in zip(sums[:2], sizes[:2]))
 
 
@@ -299,13 +299,13 @@ def run(g: Graph, labels: LabelSet, cfg: JwpConfig,
     prior_labels = labels
     if family != "lbp":
         if family == "rw-n":
-            if not labels.negatives:
+            if not labels.negative_array().size:
                 raise InputError("rw-n needs labeled negative nodes")
-            prior_labels = LabelSet(frozenset(), labels.negatives)
+            prior_labels = LabelSet((), labels.negative_array())
         elif family == "rw-p":
-            if not labels.positives:
+            if not labels.positive_array().size:
                 raise InputError("rw-p needs labeled positive nodes")
-            prior_labels = LabelSet(labels.positives, frozenset())
+            prior_labels = LabelSet(labels.positive_array(), ())
         w0 = cfg.w0 if cfg.w0 is not None else 1.0 / g.average_degree()
         clamp = cfg.clamp_bound if cfg.clamp_bound is not None else RW_CLAMP_BOUND
         step = functools.partial(rw_step, variant=family, restart=cfg.restart)
@@ -342,14 +342,15 @@ def run(g: Graph, labels: LabelSet, cfg: JwpConfig,
     # propagated with.
     work = np.empty(g.slot_count)
     # The random walk's inverse weighted degrees, for the step and the
-    # gradient of the weights they were computed from.
-    rw_degrees = {"inv_degrees": _inverse_degrees(g, w)} if family != "lbp" else {}
+    # gradient of the weights they were computed from.  Their |w| pass runs
+    # in ``work``, which is free before the loop and after each update.
+    rw_degrees = {"inv_degrees": _inverse_degrees(g, w, work)} if family != "lbp" else {}
     # Mean weights per truth class, recomputed only after a weight update.
     class_means = None
     for t in range(1, cfg.max_alternations + 1):
         tic = time.perf_counter()
         p = step(g, w, q, p_prev, **rw_degrees)
-        if not np.all(np.isfinite(p)):
+        if not np.isfinite(p).all():
             raise NumericalError(f"non-finite posteriors at alternation {t}")
         metric = convergence_metric(p, p_prev)
         alternations = t
@@ -366,7 +367,7 @@ def run(g: Graph, labels: LabelSet, cfg: JwpConfig,
         if update:
             w = apply_gradient_step(w, grad, cfg.gamma, work, out=w.values, checked=True)
             if rw_degrees:
-                rw_degrees["inv_degrees"] = _inverse_degrees(g, w)
+                rw_degrees["inv_degrees"] = _inverse_degrees(g, w, work)
             class_means = None
         if class_means is None:
             class_means = (weight_class_means(g, w, truth)

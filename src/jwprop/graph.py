@@ -96,6 +96,17 @@ def _first_of_runs(sorted_keys: np.ndarray) -> np.ndarray:
     return first
 
 
+def _in_sorted(sorted_values: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Mask of the entries of x that occur in the ascending array
+    ``sorted_values``, by one ``searchsorted``.  Unlike ``np.isin``, which
+    may call ``np.unique``, it imports no ``numpy.ma``."""
+    if not sorted_values.size:
+        return np.zeros(x.shape, dtype=bool)
+    at = np.searchsorted(sorted_values, x)
+    np.minimum(at, sorted_values.size - 1, out=at)
+    return sorted_values[at] == x
+
+
 def _key_dtype(node_count: int, directed: bool) -> type:
     """Dtype of ``Graph.from_edges``'s sort keys for ``node_count`` nodes:
     uint32 where every key and every row bound fits in 32 bits, else
@@ -443,7 +454,7 @@ class Graph:
         ux = np.zeros(n)
         _sparsetools.csr_matvec(n, cols.size, self._csr_indptr, self._csr_indices, data, cols, ux)
         ux *= x
-        return float(np.sum(ux))
+        return float(ux.sum())
 
     def _scale_slots(self, data: np.ndarray, x: np.ndarray):
         """data[k] = (data[k] * x[u]) * x[v] in place, for each slot
@@ -489,10 +500,16 @@ class Graph:
 
 @dataclass(frozen=True)
 class EdgeWeights:
-    """One learnable weight per graph slot, bounded by ``clamp_bound``."""
+    """One learnable weight per graph slot, bounded by ``clamp_bound``,
+    which must be nonnegative and finite."""
 
     values: np.ndarray
     clamp_bound: float = 0.5
+
+    def __post_init__(self):
+        if not 0 <= self.clamp_bound < math.inf:
+            raise InputError(f"clamp_bound must be nonnegative and finite, "
+                             f"got {self.clamp_bound}")
 
     @classmethod
     def uniform(cls, g: Graph, value: float, clamp_bound: float = 0.5) -> "EdgeWeights":

@@ -34,6 +34,7 @@ from .graph import EdgeWeights, Graph
 from .propagation import (
     LabelSet,
     _check_direction,
+    _check_restart,
     _check_vectors,
     _inverse_degrees,
     lbp_step_directed,
@@ -56,8 +57,8 @@ def training_loss(p: np.ndarray, labels: LabelSet) -> float:
     labels.check_bounds(p.shape[0])
     pos = labels.positive_array()
     neg = labels.negative_array()
-    return 0.5 * (float(np.sum((p[pos] - 1.0) ** 2)) +
-                  float(np.sum((p[neg] + 1.0) ** 2)))
+    return 0.5 * (float(((p[pos] - 1.0) ** 2).sum()) +
+                  float(((p[neg] + 1.0) ** 2).sum()))
 
 
 class LabeledSlots:
@@ -210,6 +211,7 @@ def grad_rw_undirected(g: Graph, w: EdgeWeights, q: np.ndarray, p_t: np.ndarray,
     are as for ``grad_undirected``.
     """
     # A directed graph is left to the direction check of ``_gradient``.
+    _check_restart(restart)
     inv = _inverse_degrees(g, w) if inv_degrees is None and not g.directed else inv_degrees
     def loss_term(g, p_t, err, labeled):
         # (1 - restart) * (err_u * pv * inv_u + err_v * pu * inv_v) on the

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, numbered_lines
-from .graph import MAX_NODE_COUNT
+from .graph import MAX_NODE_COUNT, _in_sorted
 from .propagation import LabelSet
 
 
@@ -44,7 +44,7 @@ def auc_of_rows(ids: np.ndarray, vals: np.ndarray, truth: LabelSet) -> AucReport
     sorted_ids = ids[order]
     pos, neg = truth.positive_array(), truth.negative_array()
     nodes = np.concatenate([pos, neg])
-    missing = nodes[~np.isin(nodes, sorted_ids, kind="sort")]
+    missing = nodes[~_in_sorted(sorted_ids, nodes)]
     if missing.size:
         raise InputError(f"score file is missing {missing.size} labeled nodes "
                          f"(e.g. node {missing.min()})")

@@ -8,72 +8,117 @@ constructed per call.  The product checks no bounds, so every step checks
 its vector lengths first.  The two LBP steps share one body, q + W x: the
 graph builds the step input x from the scores (``Graph._step_input``), the
 scores themselves when undirected and their pair-class parts when directed.
+
+Training and ground-truth labels are ``LabelSet``s: two sorted int64 id
+arrays, which index the prior and score vectors directly.  The random
+walk's weighted degrees take |w| per slot; a run passes a free slot-sized
+array to hold it (``_inverse_degrees``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-
 import numpy as np
 
 from .errors import InputError, numbered_lines
-from .graph import MAX_NODE_COUNT, EdgeWeights, Graph
+from .graph import MAX_NODE_COUNT, EdgeWeights, Graph, _first_of_runs, _in_sorted
 
 RW_VARIANTS = ("rw-n", "rw-p", "rw-b")
 
 
-@dataclass(frozen=True)
+def _id_array(ids) -> np.ndarray:
+    """``ids``, an integer array or an iterable of integers, as a sorted,
+    distinct, read-only int64 array of its own.  An id outside int64
+    raises ``InputError``."""
+    if isinstance(ids, np.ndarray) and ids.dtype.kind in "iu":
+        if ids.dtype.kind == "u" and ids.size and ids.max() >= 2 ** 63:
+            raise InputError("label node ids must be below 2**63")
+        arr = np.array(ids, dtype=np.int64).reshape(-1)
+    else:
+        ints = [int(i) for i in ids]
+        try:
+            arr = np.array(ints, dtype=np.int64)
+        except OverflowError:
+            raise InputError("label node ids must be nonnegative" if min(ints) < 0
+                             else "label node ids must be below 2**63") from None
+    if not (arr[1:] > arr[:-1]).all():
+        arr.sort()
+        arr = arr[_first_of_runs(arr)]
+    arr.flags.writeable = False
+    return arr
+
+
 class LabelSet:
     """Training labels: disjoint sets of positive and negative node ids,
-    each nonnegative and below 2**63, so that they fit in int64."""
+    each nonnegative and below 2**63.
 
-    positives: frozenset[int]
-    negatives: frozenset[int]
+    Each class is held as a sorted, distinct, read-only int64 array, 8 B
+    per id where a set of Python ints takes about 110 B.  The
+    constructor and ``of`` take integer arrays or iterables of integers, in
+    any order and with repeats; ids already strictly increasing are not
+    sorted again.  Membership is tested by ``searchsorted`` on the sorted
+    arrays, never through ``np.unique`` and its kin, which import
+    ``numpy.ma`` on first use.  Label sets compare and hash by their ids.
+    ``positives`` and ``negatives`` are set views built on each access,
+    for callers outside the package.
+    """
 
-    def __post_init__(self):
-        overlap = self.positives & self.negatives
-        if overlap:
-            raise InputError(f"labels overlap on nodes {sorted(overlap)[:5]}")
-        if min(self.positives, default=0) < 0 or min(self.negatives, default=0) < 0:
+    __slots__ = ("_pos", "_neg")
+
+    def __init__(self, positives, negatives):
+        pos, neg = _id_array(positives), _id_array(negatives)
+        small, large = (pos, neg) if pos.size <= neg.size else (neg, pos)
+        overlap = small[_in_sorted(large, small)]
+        if overlap.size:
+            raise InputError(f"labels overlap on nodes {overlap[:5].tolist()}")
+        if (pos.size and pos[0] < 0) or (neg.size and neg[0] < 0):
             raise InputError("label node ids must be nonnegative")
-        if max(self.positives, default=0) >= 2 ** 63 or max(self.negatives, default=0) >= 2 ** 63:
-            raise InputError("label node ids must be below 2**63")
+        self._pos, self._neg = pos, neg
 
     @classmethod
     def of(cls, positives, negatives) -> "LabelSet":
-        return cls(frozenset(int(i) for i in positives),
-                   frozenset(int(i) for i in negatives))
+        return cls(positives, negatives)
+
+    def __eq__(self, other):
+        if not isinstance(other, LabelSet):
+            return NotImplemented
+        return self is other or (np.array_equal(self._pos, other._pos)
+                                 and np.array_equal(self._neg, other._neg))
+
+    def __hash__(self) -> int:
+        return hash((self._pos.tobytes(), self._neg.tobytes()))
+
+    def __repr__(self) -> str:
+        return f"LabelSet({self._pos.tolist()}, {self._neg.tolist()})"
 
     def __len__(self) -> int:
-        return len(self.positives) + len(self.negatives)
+        return self._pos.size + self._neg.size
+
+    @property
+    def positives(self) -> frozenset[int]:
+        """The positive ids as a set, built on each access."""
+        return frozenset(self._pos.tolist())
+
+    @property
+    def negatives(self) -> frozenset[int]:
+        """The negative ids as a set, built on each access."""
+        return frozenset(self._neg.tolist())
 
     def positive_array(self) -> np.ndarray:
-        """The positive ids in ascending order, built once per label set
-        and read-only."""
-        return self._sorted_ids[0]
+        """The positive ids in ascending order, read-only."""
+        return self._pos
 
     def negative_array(self) -> np.ndarray:
-        """The negative ids in ascending order, built once per label set
-        and read-only."""
-        return self._sorted_ids[1]
-
-    @cached_property
-    def _sorted_ids(self) -> tuple[np.ndarray, np.ndarray]:
-        # cached_property writes the instance __dict__ directly, which the
-        # frozen dataclass allows; equality and hashing see only the fields.
-        arrays = tuple(np.fromiter(sorted(ids), dtype=np.int64, count=len(ids))
-                       for ids in (self.positives, self.negatives))
-        for arr in arrays:
-            arr.flags.writeable = False
-        return arrays
+        """The negative ids in ascending order, read-only."""
+        return self._neg
 
     def exclude(self, other: "LabelSet") -> "LabelSet":
-        drop = other.positives | other.negatives
-        return LabelSet(self.positives - drop, self.negatives - drop)
+        """The ids of this set that are in neither class of ``other``."""
+        def kept(ids):
+            return ids[~(_in_sorted(other._pos, ids) | _in_sorted(other._neg, ids))]
+        return LabelSet(kept(self._pos), kept(self._neg))
 
     def check_bounds(self, n: int):
-        top = max((int(ids[-1]) for ids in self._sorted_ids if ids.size), default=-1)
+        top = max((int(ids[-1]) for ids in (self._pos, self._neg) if ids.size), default=-1)
         if top >= n:
             raise InputError(f"label node id {top} out of range for {n} nodes")
 
@@ -138,20 +183,32 @@ def weighted_degrees(g: Graph, w: EdgeWeights) -> np.ndarray:
     |W| times the ones vector: each node adds the weights of its lower
     neighbors and then of its upper ones, in ascending order.  That is the
     slot order a weighted ``bincount`` over the interleaved slot endpoints
-    (u0, v0, u1, v1, ...) adds them in.
+    (u0, v0, u1, v1, ...) adds them in.  Weights with no negative entry
+    are their own |w|, and are read as they are.
     """
     _check_direction("weighted_degrees", False, g)
     w.check(g)
-    return g._matvec(np.abs(w.values), np.ones(g.node_count))
+    values = w.values
+    if values.size and values.min() < 0:
+        values = np.abs(values)
+    return g._matvec(values, np.ones(g.node_count))
 
 
-def _inverse_degrees(g: Graph, w: EdgeWeights) -> np.ndarray:
-    """1 / weighted degree per node, 0 where the weighted degree is 0."""
-    d = weighted_degrees(g, w)
+def _inverse_degrees(g: Graph, w: EdgeWeights,
+                     scratch: np.ndarray | None = None) -> np.ndarray:
+    """1 / weighted degree per node, 0 where the weighted degree is 0.
+    |w| is written into ``scratch`` when given, a free float64 array with
+    one entry per slot, instead of a new array."""
+    d = weighted_degrees(g, EdgeWeights(np.abs(w.values, out=scratch), w.clamp_bound))
     inv = np.zeros_like(d)
     nz = d > 0
     inv[nz] = 1.0 / d[nz]
     return inv
+
+
+def _check_restart(restart: float):
+    if not 0.0 <= restart <= 1.0:
+        raise InputError("restart probability must lie in [0, 1]")
 
 
 def rw_step(g: Graph, w: EdgeWeights, q: np.ndarray, p: np.ndarray,
@@ -171,8 +228,7 @@ def rw_step(g: Graph, w: EdgeWeights, q: np.ndarray, p: np.ndarray,
         raise InputError("random-walk propagation supports undirected graphs only")
     if variant not in RW_VARIANTS:
         raise InputError(f"unknown random-walk variant {variant!r}")
-    if not 0.0 <= restart <= 1.0:
-        raise InputError("restart probability must lie in [0, 1]")
+    _check_restart(restart)
     _check_vectors(g, w, q, p)
     inv = _inverse_degrees(g, w) if inv_degrees is None else inv_degrees
     _check_vectors(g, w, inv)
@@ -221,7 +277,7 @@ def read_labels(path) -> LabelSet:
 
 def write_labels(labels: LabelSet, path):
     with open(path, "w", encoding="utf-8") as fh:
-        for node in sorted(labels.positives):
+        for node in labels.positive_array().tolist():
             fh.write(f"{node}\t1\n")
-        for node in sorted(labels.negatives):
+        for node in labels.negative_array().tolist():
             fh.write(f"{node}\t-1\n")

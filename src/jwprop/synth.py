@@ -182,7 +182,7 @@ def synth_sybil_replicate(g: Graph, k: int, seed: int) -> tuple[Graph, LabelSet]
         count += fresh.size
     attack = np.stack([codes // n, codes % n + n], axis=1)
     all_edges = np.concatenate([base, mirrored, attack], axis=0)
-    truth = LabelSet(frozenset(range(n, 2 * n)), frozenset(range(n)))
+    truth = LabelSet(np.arange(n, 2 * n), np.arange(n))
     return Graph.from_edges(all_edges, directed=False, node_count=2 * n), truth
 
 
@@ -214,11 +214,13 @@ def inject_noise(train: LabelSet, alpha_percent: float, seed: int) -> LabelSet:
     n_flip_pos = int(round(frac * pos.size))
     n_flip_neg = int(round(frac * neg.size))
     rng = np.random.default_rng(seed)
-    flip_p = set(int(i) for i in rng.choice(pos, size=n_flip_pos, replace=False))
-    flip_n = set(int(i) for i in rng.choice(neg, size=n_flip_neg, replace=False))
-    new_pos = (train.positives - flip_p) | flip_n
-    new_neg = (train.negatives - flip_n) | flip_p
-    return LabelSet(frozenset(new_pos), frozenset(new_neg))
+    # choice over an array draws as over the indices of that array
+    flip_p = np.zeros(pos.size, dtype=bool)
+    flip_p[rng.choice(pos.size, size=n_flip_pos, replace=False)] = True
+    flip_n = np.zeros(neg.size, dtype=bool)
+    flip_n[rng.choice(neg.size, size=n_flip_neg, replace=False)] = True
+    return LabelSet(np.concatenate([pos[~flip_p], neg[flip_n]]),
+                    np.concatenate([neg[~flip_n], pos[flip_p]]))
 
 
 def build_sybil_benchmark(spec: SynthSpec) -> tuple[Graph, LabelSet, LabelSet]:

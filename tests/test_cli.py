@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import jwprop
 from jwprop import JwpConfig, RegularizerKind, read_labels, read_scores
 from jwprop.cli import _parser, main
 from jwprop.engine import DIAG_COLUMNS
@@ -297,6 +302,31 @@ class TestEvalScoreFile:
         assert "node 0 has a NaN score" in capsys.readouterr().err
         # a NaN row of a node outside the truth set is allowed
         assert self.run_eval(tmp_path, self.ROWS + "3\tnan\t-1\n") == 0
+
+    def test_eval_skips_numpy_ma(self, tmp_path):
+        # np.isin(kind="sort") calls np.unique, which imports numpy.ma
+        # (about 12 ms a process); the lookup among the sorted ids does not
+        n = 2000
+        scores = tmp_path / "s.tsv"
+        scores.write_text("".join(f"{i}\t{(n - i) / n!r}\t1\n" for i in range(n)))
+        truth = tmp_path / "truth.tsv"
+        truth.write_text("".join(f"{i}\t{1 if i < n // 2 else -1}\n" for i in range(n)))
+        train = tmp_path / "train.tsv"
+        train.write_text("0\t1\n1999\t-1\n")
+        script = ("import runpy, sys\n"
+                  "sys.argv = ['jwprop', 'eval', '--scores', sys.argv[1], '--truth',"
+                  " sys.argv[2], '--exclude', sys.argv[3]]\n"
+                  "try:\n"
+                  "    runpy.run_module('jwprop', run_name='__main__')\n"
+                  "except SystemExit as exc:\n"
+                  "    assert exc.code == 0, exc.code\n"
+                  "print('numpy.ma' in sys.modules)\n")
+        src = os.path.dirname(os.path.dirname(jwprop.__file__))
+        proc = subprocess.run([sys.executable, "-c", script, str(scores), str(truth),
+                               str(train)], capture_output=True, text=True, timeout=120,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["AUC\t1.000000", "False"]
 
     def test_huge_id_is_input_error(self, tmp_path, capsys):
         # it once sized a dense score vector by the id

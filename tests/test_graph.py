@@ -690,7 +690,8 @@ class TestMutualProjection:
 
 # Runs ``python -m jwprop run`` in one fresh process after ``import jwprop``
 # and prints the scipy.sparse modules it loaded, then which of the modules
-# no run uses (scipy's package init, numpy.random, statistics) it loaded.
+# no run uses (scipy's package init, numpy.random, statistics, numpy.ma) it
+# loaded.
 _RUN_AND_LIST_MODULES = """
 import runpy, sys
 import jwprop
@@ -702,7 +703,7 @@ try:
 except SystemExit as exc:
     assert exc.code == 0, exc.code
 print(sorted(m for m in sys.modules if m.startswith("scipy.sparse")))
-print([m for m in ("scipy", "numpy.random", "statistics") if m in sys.modules])
+print([m for m in ("scipy", "numpy.random", "statistics", "numpy.ma") if m in sys.modules])
 from scipy.sparse import _sparsetools, csgraph
 print(_sparsetools is graph._sparsetools, graph._sparsetools.__name__)
 """
@@ -724,8 +725,8 @@ class TestSparsetoolsLoader:
         loaded, unused, same = proc.stdout.splitlines()[-3:]  # after the run's report
         # only the kernel extension: no package init, no csgraph
         assert loaded == "['scipy.sparse._sparsetools']"
-        # no scipy package init, and neither synth's numpy.random nor scaling's
-        # statistics
+        # no scipy package init, neither synth's numpy.random nor scaling's
+        # statistics, and no numpy.ma, which np.unique imports
         assert unused == "[]"
         # a later import of scipy.sparse reuses the loaded extension
         assert same == "True scipy.sparse._sparsetools"

@@ -240,6 +240,19 @@ class TestGradRwUndirected:
         assert grad[g.edge_slot(0, 1)] == pytest.approx(err0 * 2.0 / 1.0)
         assert grad[g.edge_slot(0, 2)] == pytest.approx(err0 * 3.0 / 1.0)
 
+    @pytest.mark.parametrize("restart", [np.nan, 5.0, -0.1])
+    def test_restart_checked_with_p_next(self, restart):
+        # With p_next given no step runs, and the gradient once took any
+        # restart: NaN gave NaN on the labeled slots, and 5.0 scaled their
+        # loss term by -4.
+        g = Graph.from_edges([(0, 1), (1, 2), (2, 3)], directed=False)
+        w = EdgeWeights.uniform(g, 0.3)
+        p = np.array([0.5, 0.1, -0.1, -0.5])
+        for p_next in (None, p):
+            with pytest.raises(InputError, match=r"^restart probability must lie in \[0, 1\]$"):
+                grad_rw_undirected(g, w, np.zeros(4), p, LabelSet.of([0], [3]), 1.0,
+                                   restart=restart, p_next=p_next)
+
 
 class TestApplyGradientStep:
     def test_zero_gradient_identity(self):
@@ -279,6 +292,19 @@ class TestApplyGradientStep:
         # infinite rate wherever the gradient is 0
         with pytest.raises(InputError, match="^learning rate must be nonnegative"):
             apply_gradient_step(EdgeWeights(np.zeros(2)), np.array([0.0, 0.1]), gamma)
+
+    @pytest.mark.parametrize("bound", [np.nan, -1.0, np.inf, -np.inf])
+    def test_clamp_bound_checked(self, bound):
+        # A NaN bound once gave all-NaN weights, and -1.0 weights of -1.0,
+        # outside the |w| <= bound the clip promises.
+        with pytest.raises(InputError, match="^clamp_bound must be nonnegative and finite"):
+            apply_gradient_step(EdgeWeights(np.zeros(3), bound), np.zeros(3), 1.0)
+        with pytest.raises(InputError, match="^clamp_bound must be nonnegative and finite"):
+            EdgeWeights(np.zeros(3), bound)
+
+    def test_zero_clamp_bound_accepted(self):
+        out = apply_gradient_step(EdgeWeights(np.zeros(2), 0.0), np.array([0.5, -0.5]), 1.0)
+        assert out.values.tolist() == [0.0, 0.0] and out.clamp_bound == 0.0
 
     def test_empty_gradient(self):
         out = apply_gradient_step(EdgeWeights(np.zeros(0)), np.zeros(0), 1.0)

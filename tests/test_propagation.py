@@ -36,16 +36,38 @@ from _oracles import (
 )
 
 
+def _as_int64(ids):
+    return np.array(ids, dtype=np.int64)
+
+
+def _as_uint64(ids):
+    return np.array(ids, dtype=np.uint64)
+
+
+# The id containers a label set takes: iterables and integer arrays.
+ID_FORMS = [list, frozenset, _as_int64, _as_uint64]
+
+
 class TestLabelSet:
     def test_overlap_rejected(self):
-        with pytest.raises(InputError, match="overlap"):
-            LabelSet.of([1, 2], [2, 3])
+        for form in (list, _as_int64):
+            with pytest.raises(InputError, match=r"^labels overlap on nodes \[2\]$"):
+                LabelSet.of(form([1, 2]), form([2, 3]))
+            with pytest.raises(InputError,
+                               match=r"^labels overlap on nodes \[0, 1, 2, 3, 4\]$"):
+                LabelSet(form(range(9, -1, -1)), form(range(7)))
 
     @pytest.mark.parametrize("pos,neg", [([-1, 2], [3]), ([2], [0, -5]),
-                                         ([-1], [])], ids=["pos", "neg", "only"])
+                                         ([-1], []), ([2], [-2 ** 63])],
+                             ids=["pos", "neg", "only", "int64-min"])
     def test_negative_id_rejected(self, pos, neg):
+        for form in (list, _as_int64):
+            with pytest.raises(InputError, match="must be nonnegative"):
+                LabelSet.of(form(pos), form(neg))
+
+    def test_id_below_int64_rejected(self):
         with pytest.raises(InputError, match="must be nonnegative"):
-            LabelSet.of(pos, neg)
+            LabelSet.of([2], [-2 ** 64])
 
     @pytest.mark.parametrize("pos,neg", [([2 ** 63], [3]), ([2], [0, 10 ** 20])],
                              ids=["pos", "neg"])
@@ -55,14 +77,59 @@ class TestLabelSet:
         top = LabelSet.of([2 ** 63 - 1], [])
         assert top.positive_array().tolist() == [2 ** 63 - 1]
 
+    @pytest.mark.parametrize("pos,neg", [([2 ** 63], [3]), ([2], [0, 2 ** 64 - 1])],
+                             ids=["pos", "neg"])
+    def test_uint64_beyond_int64_rejected(self, pos, neg):
+        with pytest.raises(InputError, match=r"must be below 2\*\*63"):
+            LabelSet.of(_as_uint64(pos), _as_uint64(neg))
+        top = LabelSet.of(_as_uint64([2 ** 63 - 1, 0]), _as_uint64([5]))
+        assert top.positive_array().tolist() == [0, 2 ** 63 - 1]
+
     def test_empty_and_zero_ids_accepted(self):
         assert len(LabelSet.of([], [])) == 0
         assert len(LabelSet.of([0], [])) == len(LabelSet.of([], [0])) == 1
+
+    @pytest.mark.parametrize("neg_form", ID_FORMS)
+    @pytest.mark.parametrize("pos_form", ID_FORMS)
+    def test_forms_compare_and_hash_equal(self, pos_form, neg_form):
+        # unsorted, with repeats: the ids are what count
+        ls = LabelSet(pos_form([9, 2, 5, 2, 9]), neg_form([7, 1, 7, 3]))
+        want = LabelSet(frozenset({2, 5, 9}), frozenset({1, 3, 7}))
+        assert ls == want and hash(ls) == hash(want)
+        assert ls.positive_array().tolist() == [2, 5, 9]
+        assert ls.negative_array().tolist() == [1, 3, 7]
+        assert ls.positive_array().dtype == ls.negative_array().dtype == np.int64
+        assert ls.positives == {2, 5, 9} and ls.negatives == {1, 3, 7}
+        assert len(ls) == 6
+        assert ls != LabelSet.of([2, 5], [1, 3, 7]) and ls != LabelSet.of([1, 3, 7], [2, 5, 9])
+        assert ls != LabelSet.of([2, 5, 9], [1, 3, 7, 8])
+
+    def test_stored_arrays_are_copies(self):
+        ids = np.array([4, 1, 8])
+        ls = LabelSet(ids, np.array([0, 2, 3]))
+        ids[0] = 2
+        assert ls.positive_array().tolist() == [1, 4, 8]
+        sorted_ids = np.array([0, 2, 3])
+        ls = LabelSet(np.array([5]), sorted_ids)
+        assert not np.shares_memory(ls.negative_array(), sorted_ids)
+        sorted_ids[0] = 9
+        assert ls.negative_array().tolist() == [0, 2, 3]
 
     def test_exclude(self):
         ls = LabelSet.of([1, 2, 3], [4, 5])
         out = ls.exclude(LabelSet.of([2], [4]))
         assert out.positives == {1, 3} and out.negatives == {5}
+
+    def test_exclude_drops_ids_of_both_classes(self):
+        # other's classes need not match: a label flipped between the two
+        # sets is dropped too
+        ls = LabelSet.of(range(0, 20, 2), range(1, 20, 2))
+        out = ls.exclude(LabelSet.of([1, 4, 30], [6, 7, 40]))
+        assert out.positive_array().tolist() == [0, 2, 8, 10, 12, 14, 16, 18]
+        assert out.negative_array().tolist() == [3, 5, 9, 11, 13, 15, 17, 19]
+        assert ls.exclude(LabelSet.of([], [])) == ls
+        assert len(ls.exclude(ls)) == 0
+        assert len(LabelSet.of([], []).exclude(ls)) == 0
 
     def test_sorted_arrays_built_once_and_read_only(self):
         ls = LabelSet.of([9, 2, 5], [7, 1])
@@ -77,6 +144,10 @@ class TestLabelSet:
         empty = LabelSet.of([], [])
         assert empty.positive_array().dtype == np.int64
         assert empty.positive_array().size == empty.negative_array().size == 0
+        for arr in (empty.positive_array(), ls.exclude(ls).negative_array()):
+            with pytest.raises(ValueError):
+                arr.sort()
+            assert not arr.flags.writeable
 
     def test_check_bounds_reads_largest_id(self):
         ls = LabelSet.of([3, 12, 5], [9])

@@ -1,4 +1,7 @@
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -95,7 +98,30 @@ class TestDirectedSample:
             directed_sample(g, 0.0, seed=0)
 
 
+# Builds the method-sweep benchmark (seed 11, 6000 base nodes, 15 000
+# attack edges, 100 training labels a class) and its test set in a fresh
+# process, and prints whether numpy.ma was loaded.
+_SWEEP_LABELS_MODULES = """
+import sys
+from jwprop import synth
+g, truth, train = synth.build_sybil_benchmark(synth.SynthSpec(
+    6000, 10, 11, attack_edges=15000, train_pos=100, train_neg=100))
+test = truth.exclude(train)
+print(len(truth), len(test), 'numpy.ma' in sys.modules)
+"""
+
+
 class TestSybilReplicate:
+    def test_sweep_labels_skip_numpy_ma(self):
+        # np.unique and its kin import numpy.ma on first use; a label set
+        # sorts and tests membership without them
+        src = os.path.dirname(os.path.dirname(synth.__file__))
+        proc = subprocess.run([sys.executable, "-c", _SWEEP_LABELS_MODULES],
+                              capture_output=True, text=True, timeout=120,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["12000", "11800", "False"]
+
     def test_triangle_with_one_attack_edge(self):
         tri = Graph.from_edges([(0, 1), (1, 2), (0, 2)], directed=False)
         g, truth = synth_sybil_replicate(tri, 1, seed=0)
@@ -383,6 +409,21 @@ class TestInjectNoise:
     def test_bad_alpha(self):
         with pytest.raises(InputError):
             inject_noise(LabelSet.of([0], [1]), 150.0, seed=0)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_flips_are_draws_over_the_sorted_ids(self, seed):
+        # the stream of a set-based version: rng.choice over each sorted
+        # class, the positives first
+        rng = np.random.default_rng(seed + 50)
+        ids = rng.permutation(400)
+        train = LabelSet.of(ids[:30], ids[30:47])
+        pos, neg = sorted(train.positives), sorted(train.negatives)
+        for alpha in (10.0, 35.0, 100.0):
+            draw = np.random.default_rng(seed)
+            flip_p = set(draw.choice(pos, size=round(alpha / 100 * 30), replace=False).tolist())
+            flip_n = set(draw.choice(neg, size=round(alpha / 100 * 17), replace=False).tolist())
+            want = LabelSet((set(pos) - flip_p) | flip_n, (set(neg) - flip_n) | flip_p)
+            assert inject_noise(train, alpha, seed) == want
 
 
 class TestSynthSpec:
