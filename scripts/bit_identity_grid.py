@@ -38,6 +38,10 @@ reversed and self-loops added, one of them on an id above every other, and
 read back once undirected and once directed.  It hashes the same graph
 arrays as the load hash.
 
+A sixth hash covers the evaluation: ``auc`` of each run's posteriors on
+the test nodes (the ground truth without the training nodes), its AUC and
+tie-pair count packed bit for bit, in grid order.
+
     PYTHONPATH=src python scripts/bit_identity_grid.py
 
 Run it on two checkouts (point PYTHONPATH at each ``src``) and compare the
@@ -62,6 +66,7 @@ from jwprop import (
     Method,
     RegularizerKind,
     SynthSpec,
+    auc,
     build_sybil_benchmark,
     directed_sample,
     load_edge_list,
@@ -171,6 +176,7 @@ def main() -> int:
     loads = hashlib.sha256()
     graphs = hashlib.sha256()
     messy = hashlib.sha256()
+    aucs = hashlib.sha256()
     count = 0
     with tempfile.TemporaryDirectory() as workdir:
         diag_path = Path(workdir) / "diag.tsv"
@@ -181,6 +187,7 @@ def main() -> int:
                              train_neg=args.train_per_class)
             g, truth, train = build_sybil_benchmark(spec)
             gd = directed_sample(g, DIRECTED_KEEP, seed)
+            test = truth.exclude(train)
             for graph in (g, gd):
                 graphs.update(graph_digest(graph))
                 loads.update(load_digest(graph))
@@ -195,6 +202,8 @@ def main() -> int:
                         digest = run_digest(result)
                         results.update(digest)
                         written.update(written_diagnostics(result, diag_path))
+                        report = auc(result.posteriors, test)
+                        aucs.update(struct.pack("<dq", report.auc, report.tie_pairs))
                         count += 1
                         if args.per_run:
                             print(f"{seed}\t{method.value}\t{reg.value}\t{gamma:g}\t"
@@ -204,6 +213,7 @@ def main() -> int:
     print(f"{2 * len(SEEDS)} graphs loaded  sha256 {loads.hexdigest()}")
     print(f"{2 * len(SEEDS)} graphs generated  sha256 {graphs.hexdigest()}")
     print(f"{4 * len(SEEDS)} loads with repeats and self-loops  sha256 {messy.hexdigest()}")
+    print(f"{count} runs  test AUC sha256 {aucs.hexdigest()}")
     return 0
 
 

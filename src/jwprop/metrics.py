@@ -1,4 +1,8 @@
-"""Ranking evaluation (AUC) and score-file output."""
+"""Ranking evaluation (AUC) and score-file output.
+
+AUC pairs are counted per class: the negative scores are sorted once and
+the positive ones looked up in them, with no joint ranking of the two.
+"""
 
 from __future__ import annotations
 
@@ -14,8 +18,6 @@ from .propagation import LabelSet
 @dataclass(frozen=True)
 class AucReport:
     auc: float
-    positive_count: int
-    negative_count: int
     tie_pairs: int
 
 
@@ -24,15 +26,16 @@ def auc(scores: np.ndarray, truth: LabelSet) -> AucReport:
     half credit for ties.
 
     ``truth`` must cover test nodes only (exclude training nodes first);
-    ``scores`` is indexed by node id.  Pair counts are exact integers from
-    a sort-and-group pass, so the result matches brute-force pairwise
-    counting bit for bit.  Infinite scores rank as such; a NaN score on a
+    ``scores`` is indexed by node id.  For each positive score, two
+    ``searchsorted`` passes over the sorted negative scores count the
+    negatives below it and tied with it.  These pair counts are exact
+    integers, so the result matches brute-force pairwise counting bit for
+    bit.  Infinite scores rank as such and -0.0 ties +0.0; a NaN score on a
     node of ``truth`` raises InputError, as it has no rank.
     """
     truth.check_bounds(scores.shape[0])
     pos, neg = truth.positive_array(), truth.negative_array()
-    nodes = np.concatenate([pos, neg])
-    return _ranked_pairs(nodes, scores[nodes], pos.size)
+    return _ranked_pairs(pos, scores[pos], neg, scores[neg])
 
 
 def auc_of_rows(ids: np.ndarray, vals: np.ndarray, truth: LabelSet) -> AucReport:
@@ -48,36 +51,24 @@ def auc_of_rows(ids: np.ndarray, vals: np.ndarray, truth: LabelSet) -> AucReport
     if missing.size:
         raise InputError(f"score file is missing {missing.size} labeled nodes "
                          f"(e.g. node {missing.min()})")
-    return _ranked_pairs(nodes, vals[order[np.searchsorted(sorted_ids, nodes)]], pos.size)
+    s = vals[order[np.searchsorted(sorted_ids, nodes)]]
+    return _ranked_pairs(pos, s[:pos.size], neg, s[pos.size:])
 
 
-def _ranked_pairs(nodes: np.ndarray, s: np.ndarray, n_pos: int) -> AucReport:
-    """AUC of the scores ``s`` of ``nodes``, the first ``n_pos`` of them
-    positive and the rest negative."""
-    n_neg = s.size - n_pos
-    if n_pos == 0 or n_neg == 0:
+def _ranked_pairs(pos: np.ndarray, s_pos: np.ndarray,
+                  neg: np.ndarray, s_neg: np.ndarray) -> AucReport:
+    """AUC of the positive nodes ``pos``, scored ``s_pos``, against the
+    negative nodes ``neg``, scored ``s_neg``."""
+    if not pos.size or not neg.size:
         raise InputError("AUC needs at least one positive and one negative test node")
-    nan = np.isnan(s)
-    if nan.any():
-        raise InputError(f"node {nodes[nan.argmax()]} has a NaN score")
-    is_pos = np.zeros(s.size, dtype=bool)
-    is_pos[:n_pos] = True
-    order = np.argsort(s, kind="stable")
-    s = s[order]
-    is_pos = is_pos[order]
-
-    boundaries = np.flatnonzero(s[1:] != s[:-1]) + 1
-    starts = np.concatenate([[0], boundaries])
-    ends = np.concatenate([boundaries, [s.size]])
-    pos_cum = np.concatenate([[0], np.cumsum(is_pos)])
-    pos_in = pos_cum[ends] - pos_cum[starts]
-    neg_in = (ends - starts) - pos_in
-    neg_below = np.concatenate([[0], np.cumsum(neg_in)])[:-1]
-    greater = int(np.sum(pos_in * neg_below))
-    ties = int(np.sum(pos_in * neg_in))
-    value = (greater + 0.5 * ties) / (n_pos * n_neg)
-    return AucReport(auc=value, positive_count=int(n_pos),
-                     negative_count=int(n_neg), tie_pairs=ties)
+    for nodes, s in ((pos, s_pos), (neg, s_neg)):
+        nan = np.isnan(s)
+        if nan.any():
+            raise InputError(f"node {nodes[nan.argmax()]} has a NaN score")
+    s_neg = np.sort(s_neg)
+    greater = int(np.searchsorted(s_neg, s_pos, side="left").sum())
+    ties = int(np.searchsorted(s_neg, s_pos, side="right").sum()) - greater
+    return AucReport(auc=(greater + 0.5 * ties) / (pos.size * neg.size), tie_pairs=ties)
 
 
 def rank_and_write(p: np.ndarray, remap: np.ndarray | None, path):

@@ -27,14 +27,19 @@ RW_VARIANTS = ("rw-n", "rw-p", "rw-b")
 
 def _id_array(ids) -> np.ndarray:
     """``ids``, an integer array or an iterable of integers, as a sorted,
-    distinct, read-only int64 array of its own.  An id outside int64
-    raises ``InputError``."""
+    distinct, read-only int64 array of its own.  An id that is not a
+    Python or numpy integer (a bool, a float, a string) or lies outside
+    int64 raises ``InputError``."""
     if isinstance(ids, np.ndarray) and ids.dtype.kind in "iu":
         if ids.dtype.kind == "u" and ids.size and ids.max() >= 2 ** 63:
             raise InputError("label node ids must be below 2**63")
         arr = np.array(ids, dtype=np.int64).reshape(-1)
     else:
-        ints = [int(i) for i in ids]
+        ints = []
+        for i in ids:
+            if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
+                raise InputError(f"label node id {i!r} is not an integer")
+            ints.append(int(i))
         try:
             arr = np.array(ints, dtype=np.int64)
         except OverflowError:

@@ -16,7 +16,7 @@ import numpy as np
 import numpy.random  # noqa: F401
 
 from .errors import InputError
-from .graph import Graph
+from .graph import Graph, _in_sorted
 from .propagation import LabelSet
 
 
@@ -169,7 +169,8 @@ def synth_sybil_replicate(g: Graph, k: int, seed: int) -> tuple[Graph, LabelSet]
     mirrored = base + n
     rng = np.random.default_rng(seed)
     # Codes u * n + v in the order first drawn, skipping repeats; each batch
-    # draws 16 more than are still missing.
+    # draws 16 more than are still missing.  Kept codes are looked up in a
+    # sorted copy, not by np.isin, which may import numpy.ma.
     codes = np.empty(k, dtype=np.int64)
     count = 0
     while count < k:
@@ -177,7 +178,7 @@ def synth_sybil_replicate(g: Graph, k: int, seed: int) -> tuple[Graph, LabelSet]
         _, first = np.unique(batch, return_index=True)
         first.sort()
         fresh = batch[first]
-        fresh = fresh[~np.isin(fresh, codes[:count])][:k - count]
+        fresh = fresh[~_in_sorted(np.sort(codes[:count]), fresh)][:k - count]
         codes[count:count + fresh.size] = fresh
         count += fresh.size
     attack = np.stack([codes // n, codes % n + n], axis=1)

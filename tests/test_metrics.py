@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from jwprop import InputError, LabelSet, auc, auc_of_rows, rank_and_write, read_scores
+from jwprop import AucReport, InputError, LabelSet, auc, auc_of_rows, rank_and_write, read_scores
 
 from _oracles import brute_force_auc, brute_force_auc_counts
 
@@ -73,6 +73,24 @@ class TestAuc:
         scores = np.array([np.inf, 0.5, -np.inf, np.nan])
         assert auc(scores, LabelSet.of([0, 1], [2])).auc == 1.0
         assert auc(scores, LabelSet.of([2], [0, 1])).auc == 0.0
+
+    def test_signed_zeros_tie(self):
+        scores = np.array([-0.0, 0.0, 0.0, -0.0, -1.0])
+        report = auc(scores, LabelSet.of([0, 1], [2, 3, 4]))
+        assert report.tie_pairs == 4
+        assert report.auc == (2 + 0.5 * 4) / 6
+
+    def test_one_node_per_class(self):
+        scores = np.array([0.1, 0.7, 0.1])
+        assert auc(scores, LabelSet.of([1], [0])) == AucReport(1.0, 0)
+        assert auc(scores, LabelSet.of([0], [1])) == AucReport(0.0, 0)
+        assert auc(scores, LabelSet.of([2], [0])) == AucReport(0.5, 1)
+
+    @pytest.mark.parametrize("truth", [([], [3, 7]), ([3, 7], [])], ids=["pos", "neg"])
+    def test_empty_class_through_rows_rejected(self, truth):
+        with pytest.raises(InputError, match="^AUC needs at least one positive "
+                                             "and one negative test node$"):
+            auc_of_rows(np.array([7, 3]), np.array([0.2, 0.9]), LabelSet.of(*truth))
 
     def test_negate_scores_and_swap_labels(self):
         rng = np.random.default_rng(1)

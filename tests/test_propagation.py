@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,18 @@ class TestLabelSet:
             LabelSet.of(pos, neg)
         top = LabelSet.of([2 ** 63 - 1], [])
         assert top.positive_array().tolist() == [2 ** 63 - 1]
+
+    @pytest.mark.parametrize("ids,first", [
+        ([2, 1.5, 2.5], 1), (["3", 4], 0), ([1, True], 1),
+        (np.array([1, 0], dtype=bool), 0), (np.array([4.0, 2.0]), 0),
+        ([float("nan")], 0)],
+        ids=["float", "str", "bool", "bool-array", "float-array", "nan"])
+    def test_non_integer_id_rejected(self, ids, first):
+        # no id is coerced: 1.5 is not node 1, nor '3' node 3, nor True node 1
+        named = re.escape(repr(ids[first]))
+        for pos, neg in ((ids, [7]), ([7], ids)):
+            with pytest.raises(InputError, match=f"^label node id {named} is not an integer$"):
+                LabelSet(pos, neg)
 
     @pytest.mark.parametrize("pos,neg", [([2 ** 63], [3]), ([2], [0, 2 ** 64 - 1])],
                              ids=["pos", "neg"])

@@ -110,17 +110,35 @@ test = truth.exclude(train)
 print(len(truth), len(test), 'numpy.ma' in sys.modules)
 """
 
+# Plants 200 000 attack edges on a 3000-node base in a fresh process: the
+# dedupe needs a second batch of draws, checked against the kept codes.
+_MANY_ATTACK_EDGES_MODULES = """
+import sys
+from jwprop import synth
+g, truth = synth.synth_sybil_replicate(synth.gen_pa(3000, 2, 0), 200000, 0)
+print(g.edge_count, 'numpy.ma' in sys.modules)
+"""
+
+
+def _fresh_process_output(script: str) -> list[str]:
+    src = os.path.dirname(os.path.dirname(synth.__file__))
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
 
 class TestSybilReplicate:
     def test_sweep_labels_skip_numpy_ma(self):
         # np.unique and its kin import numpy.ma on first use; a label set
         # sorts and tests membership without them
-        src = os.path.dirname(os.path.dirname(synth.__file__))
-        proc = subprocess.run([sys.executable, "-c", _SWEEP_LABELS_MODULES],
-                              capture_output=True, text=True, timeout=120,
-                              env=dict(os.environ, PYTHONPATH=src))
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["12000", "11800", "False"]
+        assert _fresh_process_output(_SWEEP_LABELS_MODULES) == ["12000", "11800", "False"]
+
+    def test_many_attack_edges_skip_numpy_ma(self):
+        # np.isin picks its sort kind, which imports numpy.ma, on a large
+        # second batch
+        assert _fresh_process_output(_MANY_ATTACK_EDGES_MODULES) == ["211994", "False"]
 
     def test_triangle_with_one_attack_edge(self):
         tri = Graph.from_edges([(0, 1), (1, 2), (0, 2)], directed=False)
