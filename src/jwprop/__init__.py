@@ -21,7 +21,6 @@ from .engine import (
     RunResult,
     convergence_metric,
     run,
-    truth_class_slots,
     weight_class_means,
     write_diagnostics,
 )

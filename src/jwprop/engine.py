@@ -14,21 +14,22 @@ the family's priors, default weights, step and gradient once, before the
 loop; the steps live in ``propagation`` and their gradients in ``learning``.
 The random walk's inverse weighted degrees are computed before the loop
 and passed in, recomputed only after a weight update, and shared by the
-step and the gradient.  What ``weight_class_means`` reads of the
-ground-truth slot classes (the three class sizes and the indices of the
-two smaller classes, not of the largest) and the labeled slots that carry
-the gradient's loss term are kept with the graph for their label set
+step and the gradient.  The ground-truth slot classes come from
+``_class_mean_slots`` alone: the three class sizes and the indices of the
+two smaller classes, not of the largest.  They and the labeled slots that
+carry the gradient's loss term are kept with the graph for their label set
 (``Graph._per_labels``) by the functions that read them, so runs that
 share a graph and a label set build them once.
 
-One alternation runs: step, convergence check, gradient, the loss and
-consistency diagnostics under the weights just propagated with, the weight
-update in place, and the class means, which are recomputed only when the
-weights changed.  Every run collects these diagnostics.  No alternation
-gathers a score per slot: the consistency gradient and diagnostic both go
-through the graph's slot products (``learning``), and the class means
-gather only the two smaller truth classes.  The consistency diagnostic and
-the class means are exact to rounding, not to the bit.
+One alternation runs: step, convergence check, the loss and consistency
+diagnostics under the weights just propagated with, one update block (the
+gradient, the weight update in place and the walk's inverse degrees), and
+the class means, which are recomputed only when the weights changed.
+Every run collects these diagnostics.  No alternation gathers a score per
+slot: the consistency gradient and diagnostic both go through the graph's
+slot products (``learning``), and the class means gather only the two
+smaller truth classes.  The consistency diagnostic and the class means are
+exact to rounding, not to the bit.
 """
 
 from __future__ import annotations
@@ -162,9 +163,10 @@ class JwpConfig:
             raise InputError("gamma must be nonnegative")
         if self.tolerance <= 0:
             raise InputError("tolerance must be positive")
-        if not isinstance(self.max_alternations, numbers.Integral) or self.max_alternations < 1:
+        count = self.max_alternations
+        if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
             raise InputError("max_alternations must be an integer of at least 1, "
-                             f"got {self.max_alternations!r}")
+                             f"got {count!r}")
         if not 0.0 <= self.restart <= 1.0:
             raise InputError("restart must lie in [0, 1]")
 
@@ -213,10 +215,16 @@ def convergence_metric(p_new: np.ndarray, p_old: np.ndarray) -> float:
     return float(np.abs(p_new - p_old).sum()) / denom
 
 
-def _truth_class_masks(g: Graph, truth: LabelSet
-                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-slot masks of ``truth_class_slots``'s three classes, from one int8
-    product of the endpoint labels (``Graph._at_rows``, ``_at_columns``)."""
+def _class_mean_slots(g: Graph, truth: LabelSet
+                      ) -> tuple[tuple[np.ndarray | None, ...], tuple[int, ...]]:
+    """The ground-truth slot classes as ``weight_class_means`` keeps them:
+    the indices of the homogeneous, the heterogeneous and the remaining
+    slots, with None in place of the largest class, which is never gathered
+    or built, and the three class sizes.  A slot is homogeneous when both
+    endpoints are labeled alike, heterogeneous when they are labeled unlike,
+    and remaining when an endpoint is unlabeled; the three partition the
+    slots.  Labels are read per slot (``Graph._at_rows``, ``_at_columns``),
+    not off ``slot_ends``."""
     truth.check_bounds(g.node_count)
     y = np.zeros(g.node_count, dtype=np.int8)
     y[truth.positive_array()] = 1
@@ -225,25 +233,7 @@ def _truth_class_masks(g: Graph, truth: LabelSet
     # -1 for a heterogeneous one and 0 when an endpoint is unlabeled.
     same = g._at_rows(y)
     same *= g._at_columns(y)
-    return same > 0, same < 0, same == 0
-
-
-def truth_class_slots(g: Graph, truth: LabelSet
-                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Indices of the homogeneous, the heterogeneous and the remaining
-    slots under ground truth.  A slot is homogeneous when both endpoints
-    are labeled alike, heterogeneous when they are labeled unlike, and
-    remaining when an endpoint is unlabeled; the three partition the
-    slots.  Labels are read per slot, not off ``slot_ends``."""
-    return tuple(np.flatnonzero(mask) for mask in _truth_class_masks(g, truth))
-
-
-def _class_mean_slots(g: Graph, truth: LabelSet
-                      ) -> tuple[tuple[np.ndarray | None, ...], tuple[int, ...]]:
-    """What ``weight_class_means`` keeps of ``truth_class_slots(g, truth)``:
-    the three classes' indices with None in place of the largest class,
-    which it never gathers or builds, and the three class sizes."""
-    masks = _truth_class_masks(g, truth)
+    masks = same > 0, same < 0, same == 0
     sizes = tuple(int(np.count_nonzero(mask)) for mask in masks)
     largest = max(range(3), key=sizes.__getitem__)
     return (tuple(None if i == largest else np.flatnonzero(mask)
@@ -253,8 +243,8 @@ def _class_mean_slots(g: Graph, truth: LabelSet
 def weight_class_means(g: Graph, w: EdgeWeights, truth: LabelSet) -> tuple[float, float]:
     """Mean weight over homogeneous and heterogeneous slots under ground
     truth; NaN for classes with no member slots.  The slot classes come
-    from ``truth_class_slots(g, truth)``; the indices of the two smaller
-    ones and the class sizes are kept with the graph per label set.
+    from ``_class_mean_slots(g, truth)`` alone, which is kept with the graph
+    per label set.
 
     Only the two smaller of the three slot classes are gathered; the sum of
     the largest is the sum of all weights minus theirs.  A mean is thus
@@ -327,12 +317,8 @@ def run(g: Graph, labels: LabelSet, cfg: JwpConfig,
 
     q = assign_priors(prior_labels, cfg.theta, g.node_count)
     w = EdgeWeights.uniform(g, w0, clamp)
-    p_prev = q.copy()
-
+    p_prev = q  # no kernel writes into a score vector it is given
     diags: list[AlternationDiag] = []
-    converged = False
-    alternations = 0
-    p = p_prev
 
     # One slot-sized gradient array for the whole run, which the update
     # scales in place: a fresh one per alternation would be faulted in
@@ -353,18 +339,15 @@ def run(g: Graph, labels: LabelSet, cfg: JwpConfig,
         if not np.isfinite(p).all():
             raise NumericalError(f"non-finite posteriors at alternation {t}")
         metric = convergence_metric(p, p_prev)
-        alternations = t
         converged = metric < cfg.tolerance
-        update = learn and not converged and t < cfg.max_alternations
-        grad_inf = math.nan
-        if update:
-            grad = gradient(g, w, q, p_prev, labels, lam, cfg.regularizer,
-                            p_next=p, out=work, **rw_degrees)
-            grad_inf = gradient_inf_norm(grad)
         with np.errstate(over="ignore"):  # inf diagnostics on divergence
             loss_val = training_loss(p, labels)
             cons_val = consistency_value(g, w, p)
-        if update:
+        grad_inf = math.nan
+        if learn and not converged and t < cfg.max_alternations:
+            grad = gradient(g, w, q, p_prev, labels, lam, cfg.regularizer,
+                            p_next=p, out=work, **rw_degrees)
+            grad_inf = gradient_inf_norm(grad)
             w = apply_gradient_step(w, grad, cfg.gamma, work, out=w.values, checked=True)
             if rw_degrees:
                 rw_degrees["inv_degrees"] = _inverse_degrees(g, w, work)
@@ -387,7 +370,7 @@ def run(g: Graph, labels: LabelSet, cfg: JwpConfig,
         if converged:
             break
 
-    return RunResult(priors=q, posteriors=p, weights=w, alternations=alternations,
+    return RunResult(priors=q, posteriors=p, weights=w, alternations=t,
                      converged=converged, diagnostics=diags, w0=w0, lam=lam,
                      method=method)
 

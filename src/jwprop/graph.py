@@ -36,6 +36,7 @@ import importlib.machinery
 import importlib.util
 import io
 import math
+import operator
 import os
 import sys
 import warnings
@@ -226,7 +227,8 @@ class Graph:
 
     @classmethod
     def from_edges(cls, edges, directed: bool, node_count: int | None = None) -> "Graph":
-        """Build a graph from raw (u, v) pairs.
+        """Build a graph from raw (u, v) pairs: an integer array or
+        sequence shaped (E, 2), and an integer ``node_count`` if given.
 
         Drops self-loops (counted), deduplicates pairs, and for undirected
         graphs collapses (u, v) and (v, u) onto one edge.  Node count
@@ -240,7 +242,16 @@ class Graph:
         keys are dropped only where there are any.  1-D np.unique
         costs far more than np.sort plus a neighbour mask on NumPy 2.x.
         """
-        e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        try:
+            e = np.asarray(edges)
+        except ValueError:  # ragged rows
+            raise InputError("edges must be (u, v) pairs of integers: ragged rows") from None
+        if e.size and (e.dtype.kind not in "iu" or e.ndim != 2 or e.shape[1] != 2):
+            raise InputError("edges must be (u, v) pairs of integers, shaped (E, 2); "
+                             f"got {e.dtype} of shape {e.shape}")
+        if e.dtype.kind == "u" and e.size and int(e.max()) > _MAX_INT64:
+            raise InputError("node ids must be below 2**63")
+        e = e.astype(np.int64, copy=False).reshape(-1, 2)
         if e.size and int(e.min()) < 0:
             raise InputError("node ids must be nonnegative")
         u, v = e[:, 0], e[:, 1]
@@ -255,12 +266,14 @@ class Graph:
             max_id = int(e.max())
         if node_count is None:
             node_count = max_id + 1
-        elif node_count <= max_id:
-            raise InputError(f"node_count {node_count} too small for node id {max_id}")
-        if node_count > MAX_NODE_COUNT:
-            raise InputError(f"node count {node_count} exceeds the limit of "
+        elif isinstance(node_count, bool) or not hasattr(node_count, "__index__"):
+            raise InputError(f"node_count must be an integer, got {node_count!r}")
+        n = operator.index(node_count)
+        if n <= max_id:
+            raise InputError(f"node_count {n} too small for node id {max_id}")
+        if n > MAX_NODE_COUNT:
+            raise InputError(f"node count {n} exceeds the limit of "
                              f"{MAX_NODE_COUNT} nodes (int64 slot keys)")
-        n = node_count
         # Keys of self-loop rows are formed too, then dropped: their ids
         # may exceed n, but their keys are never read.
         key = _pair_keys(u, v, n, directed)

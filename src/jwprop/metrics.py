@@ -1,7 +1,7 @@
 """Ranking evaluation (AUC) and score-file output.
 
-AUC pairs are counted per class: the negative scores are sorted once and
-the positive ones looked up in them, with no joint ranking of the two.
+AUC pairs are counted per class: both classes' scores are sorted, and the
+positive ones are looked up among the negative ones; no joint ranking.
 """
 
 from __future__ import annotations
@@ -65,7 +65,8 @@ def _ranked_pairs(pos: np.ndarray, s_pos: np.ndarray,
         nan = np.isnan(s)
         if nan.any():
             raise InputError(f"node {nodes[nan.argmax()]} has a NaN score")
-    s_neg = np.sort(s_neg)
+    # ascending keys narrow numpy's binary searches; the counts are sums
+    s_pos, s_neg = np.sort(s_pos), np.sort(s_neg)
     greater = int(np.searchsorted(s_neg, s_pos, side="left").sum())
     ties = int(np.searchsorted(s_neg, s_pos, side="right").sum()) - greater
     return AucReport(auc=(greater + 0.5 * ties) / (pos.size * neg.size), tie_pairs=ties)

@@ -388,6 +388,18 @@ def fsum_consistency(g: Graph, w: EdgeWeights, p) -> tuple[float, float]:
     return math.fsum(terms), fsum_bound(terms, g.slot_count)
 
 
+def slot_classes(g: Graph, truth: LabelSet) -> tuple[np.ndarray, ...]:
+    """Indices of the homogeneous, the heterogeneous and the remaining slots
+    under ground truth, by a loop over ``slot_ends``: both endpoints labeled
+    alike, labeled unlike, or an endpoint unlabeled."""
+    label = {i: 1 for i in truth.positives} | {i: -1 for i in truth.negatives}
+    classes = ([], [], [])
+    for s, (u, v) in enumerate(g.slot_ends):
+        lu, lv = label.get(int(u)), label.get(int(v))
+        classes[2 if lu is None or lv is None else 0 if lu == lv else 1].append(s)
+    return tuple(np.array(c, dtype=np.int64) for c in classes)
+
+
 def fsum_class_means(g: Graph, w: EdgeWeights, truth: LabelSet):
     """Homogeneous and heterogeneous mean weights as math.fsum over each
     class's slots divided by its size (NaN when empty), each with the bound

@@ -22,7 +22,6 @@ from jwprop import (
     lbp_step_undirected,
     run,
     rw_step,
-    truth_class_slots,
     weight_class_means,
     write_diagnostics,
 )
@@ -39,6 +38,7 @@ from _oracles import (
     random_labels,
     random_undirected_graph,
     random_weights,
+    slot_classes,
     within_bound,
 )
 
@@ -334,7 +334,7 @@ class TestPerRunInvariants:
         ]
         largest = set()
         for graph, labels in cases:
-            slots = truth_class_slots(graph, labels)
+            slots = slot_classes(graph, labels)
             assert np.array_equal(np.sort(np.concatenate(slots)),
                                   np.arange(graph.slot_count))
             largest_now = max(range(3), key=lambda i: slots[i].size)
@@ -545,7 +545,7 @@ class TestConfigValidation:
         with pytest.raises(InputError):
             JwpConfig(restart=1.5)
 
-    @pytest.mark.parametrize("alts", [2.5, 3.0, "3", None])
+    @pytest.mark.parametrize("alts", [2.5, 3.0, "3", None, True])
     def test_non_integer_max_alternations(self, alts):
         # refused at construction, not with a TypeError in run
         with pytest.raises(InputError, match="max_alternations must be an integer"):

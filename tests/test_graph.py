@@ -380,6 +380,58 @@ class TestBuildMatchesReference:
         assert counts.min() > 1000, counts
 
 
+SHAPE_ERROR = r"edges must be \(u, v\) pairs of integers"
+
+
+class TestFromEdgesInput:
+    # Every case below was once cast to int64 and reshaped to (-1, 2):
+    # floats were truncated, strings parsed, bools read as ids 0 and 1, a
+    # (2, 3) array read as three edges, and ragged rows, NaN and ids of
+    # 2**63 and above raised errors other than InputError.
+    @pytest.mark.parametrize("directed", [False, True])
+    @pytest.mark.parametrize("edges,error", [
+        ([[0, 1.5], [1, 2]], SHAPE_ERROR),
+        (np.array([[0, 1.9], [1, 2.2]]), SHAPE_ERROR),
+        ([["0", "1"], ["1", "2"]], SHAPE_ERROR),
+        ([[True, False], [False, True]], SHAPE_ERROR),
+        (np.array([[0, 1, 2], [3, 4, 5]]), SHAPE_ERROR),
+        ([0, 1, 2, 3], SHAPE_ERROR),
+        ([[0, 1], [1]], SHAPE_ERROR),
+        ([[0, float("nan")], [1, 2]], SHAPE_ERROR),
+        ([[0, 2 ** 63]], SHAPE_ERROR),
+        ([[0, 2 ** 64]], SHAPE_ERROR),
+        (np.array([[0, 2 ** 63]], dtype=np.uint64), r"node ids must be below 2\*\*63"),
+    ], ids=["float-list", "float-array", "strings", "bools", "2x3", "flat", "ragged",
+            "nan", "2**63", "2**64", "uint64-2**63"])
+    def test_only_integer_pairs(self, edges, error, directed):
+        with pytest.raises(InputError, match=error):
+            Graph.from_edges(edges, directed=directed)
+
+    @pytest.mark.parametrize("edges", [[], np.empty((0, 2), dtype=np.int64)])
+    def test_empty_input_is_an_empty_graph(self, edges):
+        with pytest.raises(InputError, match="empty graph"):
+            Graph.from_edges(edges, directed=False)
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_any_integer_dtype_and_numpy_node_count(self, directed):
+        # a numpy node_count once crashed in the key build
+        edges = [(0, 1), (1, 2), (2, 0)]
+        want = Graph.from_edges(np.array(edges, dtype=np.int64), directed, node_count=6)
+        for dtype in (np.int32, np.uint8):
+            for count in (6, np.int64(6), np.uint8(6)):
+                g = Graph.from_edges(np.array(edges, dtype=dtype), directed, node_count=count)
+                assert type(g.node_count) is int and g.node_count == 6
+                for name in ("_csr_indptr", "_csr_indices"):
+                    got, ref = getattr(g, name), getattr(want, name)
+                    assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("count", [4.0, np.float64(6.0), True, np.True_, "6"],
+                             ids=["float", "numpy-float", "bool", "numpy-bool", "str"])
+    def test_non_integer_node_count(self, count):
+        with pytest.raises(InputError, match="node_count must be an integer, got"):
+            Graph.from_edges([(0, 1), (1, 2)], directed=False, node_count=count)
+
+
 class TestNodeCountLimit:
     # Each case must fail before any array sized by the node count exists:
     # at 4e9 nodes one such array takes 32 GB.

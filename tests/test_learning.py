@@ -18,9 +18,9 @@ from jwprop import (
     grad_rw_undirected,
     grad_undirected,
     training_loss,
-    truth_class_slots,
     weight_class_means,
 )
+from jwprop.engine import _class_mean_slots
 from jwprop.learning import LabeledSlots, gradient_inf_norm
 
 from _oracles import (
@@ -557,7 +557,7 @@ def _label_entry_points():
         "grad_rw_undirected": lambda lab: grad_rw_undirected(und, w_und, z, z, lab, 1.0),
         "LabeledSlots": lambda lab: LabeledSlots(und, lab),
         "LabeledSlots-directed": lambda lab: LabeledSlots(dig, lab),
-        "truth_class_slots": lambda lab: truth_class_slots(und, lab),
+        "_class_mean_slots": lambda lab: _class_mean_slots(und, lab),
         "weight_class_means": lambda lab: weight_class_means(dig, w_dig, lab),
         "training_loss": lambda lab: training_loss(z, lab),
     }
