@@ -42,6 +42,14 @@ A sixth hash covers the evaluation: ``auc`` of each run's posteriors on
 the test nodes (the ground truth without the training nodes), its AUC and
 tie-pair count packed bit for bit, in grid order.
 
+A seventh hash covers the three text readers.  For each seed and method,
+at the first regularizer and gamma, it hashes the ground-truth labels
+written with ``write_labels``, a '#' header, a blank line and CRLF line
+ends, and read back with ``read_labels``; the method's graph written with a
+'#' line after its first edge, which only the line parser accepts, and
+read back with ``load_edge_list``; and the run's score file from
+``rank_and_write``, as bytes and as ``read_scores`` returns it.
+
     PYTHONPATH=src python scripts/bit_identity_grid.py
 
 Run it on two checkouts (point PYTHONPATH at each ``src``) and compare the
@@ -70,9 +78,13 @@ from jwprop import (
     build_sybil_benchmark,
     directed_sample,
     load_edge_list,
+    rank_and_write,
+    read_labels,
+    read_scores,
     run,
     write_diagnostics,
     write_edge_list,
+    write_labels,
 )
 
 GAMMAS = (0.01, 1.0)
@@ -158,6 +170,29 @@ def messy_load_digest(g, seed: int) -> bytes:
     return h.digest()
 
 
+def text_formats_digest(graph, labels, result, workdir: Path) -> bytes:
+    """Hash of ``labels``, ``graph`` and ``result``'s score file, each
+    written and read back through its text reader."""
+    h = hashlib.sha256()
+    path = workdir / "labels.tsv"
+    write_labels(labels, path)
+    path.write_bytes(b"# node\tlabel\r\n\r\n" + path.read_bytes().replace(b"\n", b"\r\n"))
+    read = read_labels(path)
+    h.update(read.positive_array().tobytes())
+    h.update(read.negative_array().tobytes())
+    path = workdir / "edges.tsv"
+    write_edge_list(graph, path)
+    first, rest = path.read_bytes().split(b"\n", 1)
+    path.write_bytes(first + b"\n# after the first edge\n" + rest)
+    h.update(graph_digest(load_edge_list(path, graph.directed)))
+    path = workdir / "scores.tsv"
+    rank_and_write(result.posteriors, None, path)
+    h.update(path.read_bytes())
+    for column in read_scores(path):
+        h.update(column.tobytes())
+    return h.digest()
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--nodes", type=int, default=1000)
@@ -177,7 +212,9 @@ def main() -> int:
     graphs = hashlib.sha256()
     messy = hashlib.sha256()
     aucs = hashlib.sha256()
-    count = 0
+    formats = hashlib.sha256()
+    first = (next(iter(RegularizerKind)), GAMMAS[0])
+    count = formats_count = 0
     with tempfile.TemporaryDirectory() as workdir:
         diag_path = Path(workdir) / "diag.tsv"
         for seed in SEEDS:
@@ -205,6 +242,10 @@ def main() -> int:
                         report = auc(result.posteriors, test)
                         aucs.update(struct.pack("<dq", report.auc, report.tie_pairs))
                         count += 1
+                        if (reg, gamma) == first:
+                            formats.update(text_formats_digest(graph, truth, result,
+                                                               Path(workdir)))
+                            formats_count += 1
                         if args.per_run:
                             print(f"{seed}\t{method.value}\t{reg.value}\t{gamma:g}\t"
                                   f"{digest.hex()}")
@@ -214,6 +255,7 @@ def main() -> int:
     print(f"{2 * len(SEEDS)} graphs generated  sha256 {graphs.hexdigest()}")
     print(f"{4 * len(SEEDS)} loads with repeats and self-loops  sha256 {messy.hexdigest()}")
     print(f"{count} runs  test AUC sha256 {aucs.hexdigest()}")
+    print(f"{formats_count} runs  text formats sha256 {formats.hexdigest()}")
     return 0
 
 

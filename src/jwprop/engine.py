@@ -128,9 +128,10 @@ class JwpConfig:
     p = q + W p instead of growing along the dominant eigenvector.  For the
     random-walk methods, w0 = 1 / average degree and clamp_bound = 0.5.
     A given w0 must satisfy |w0| <= clamp_bound; a default w0 may exceed
-    it (RW's does below average degree 2).  Every float field must be
-    finite, and a given lam or clamp_bound nonnegative.  ``method`` and
-    ``regularizer`` may be given as their string values.
+    it (RW's does below average degree 2).  Every float field must be a
+    finite real number, not a bool, and a given lam or clamp_bound
+    nonnegative.  ``method`` and ``regularizer`` may be given as their
+    string values.
     """
 
     method: Method = Method.LBP_JWP_U
@@ -149,9 +150,13 @@ class JwpConfig:
         object.__setattr__(self, "method", enum_member(Method, self.method, "method"))
         object.__setattr__(self, "regularizer",
                            enum_member(RegularizerKind, self.regularizer, "regularizer"))
-        for name in ("theta", "lam", "gamma", "w0", "clamp_bound", "tolerance"):
+        for name in ("theta", "lam", "gamma", "w0", "clamp_bound", "tolerance", "restart"):
             value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
+            if value is None and name in ("lam", "w0", "clamp_bound"):
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise InputError(f"{name} must be a real number, got {value!r}")
+            if not math.isfinite(value):
                 raise InputError(f"{name} must be finite, got {value}")
         if self.theta <= 0:
             raise InputError("theta must be positive")

@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the helpers that turn
-undecodable input and unknown option values into one of them."""
+"""Exception types shared across the package, the one row reader of its
+three text formats (``data_rows``), and the helpers that turn undecodable
+input and unknown option values into one of them."""
 
 
 class InputError(ValueError):
@@ -31,11 +32,19 @@ def is_utf8(line: str) -> bool:
     return True
 
 
-def numbered_lines(fh, path):
-    """Yield (line number, line) from a text handle opened with
-    ``encoding="utf-8", errors="surrogateescape"``, raising InputError at
-    the first line that is not valid UTF-8."""
+def data_rows(fh, path, width: int, expected: str, sep: str | None = None):
+    """Yield (line number, fields) for each line of a text handle opened with
+    ``encoding="utf-8", errors="surrogateescape"`` that is not blank and does
+    not start with '#', split on ``sep`` (any whitespace when None).
+    InputError names the first line that is not UTF-8, comment lines
+    included, or has not ``width`` fields ("expected {expected}, got ...")."""
     for lineno, line in enumerate(fh, 1):
         if not is_utf8(line):
             raise InputError(f"{path}:{lineno}: not valid UTF-8")
-        yield lineno, line
+        text = line.strip()
+        if not text or text.startswith("#"):
+            continue
+        fields = text.split(sep)
+        if len(fields) != width:
+            raise InputError(f"{path}:{lineno}: expected {expected}, got {text!r}")
+        yield lineno, fields

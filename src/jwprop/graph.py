@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, is_utf8, numbered_lines
+from .errors import InputError, data_rows, is_utf8
 
 # Pair classes for directed graphs, one per ordered slot (u, v).
 BIDIRECTIONAL = 0  # both (u,v) and (v,u) are input edges
@@ -636,15 +636,9 @@ def _load_edges_bulk(fh, name: str | None) -> np.ndarray | None:
 def _parse_edge_lines(fh, path) -> np.ndarray:
     """(E, 2) int64 ids, one line at a time, with line-numbered errors."""
     edges = []
-    for lineno, line in numbered_lines(fh, path):
-        text = line.strip()
-        if not text or text.startswith("#"):
-            continue
-        parts = text.split()
-        if len(parts) != 2:
-            raise InputError(f"{path}:{lineno}: expected 'u<TAB>v', got {text!r}")
+    for lineno, (a, b) in data_rows(fh, path, 2, "'u<TAB>v'"):
         try:
-            u, v = int(parts[0]), int(parts[1])
+            u, v = int(a), int(b)
         except ValueError:
             raise InputError(
                 f"{path}:{lineno}: node ids must be base-10 integers"

@@ -7,13 +7,13 @@ l1/l2 are the conventional penalties; "none" drops the term.  Gradients are
 closed-form because the current score vector is held fixed while the next
 one is linear in the weights.
 
-The three gradients share one body and differ only in their loss term.  It
-writes the regularizer's term over every slot, then adds the loss term on
-the labeled slots only (``LabeledSlots``, kept with the graph per label
-set): the residual p_next - y is zero off the labeled nodes, so the loss
-term is zero on every other slot.  There are two loss terms: one for LBP
-in either direction, which reads the step's input (``Graph._step_input``)
-in each slot's step column, and one for the random walk.
+The three gradients share one body and one loss term.  The body writes
+the regularizer's term over every slot, then adds the loss term on the
+labeled slots only (``LabeledSlots``, kept with the graph per label set):
+the residual p_next - y is zero off the labeled nodes, so the loss term is
+zero on every other slot.  The loss term reads the step's input
+(``Graph._step_input``) in each slot's step column; the random walk scales
+it by the inverse degrees and the non-restart mass.
 
 Nothing here gathers a score per slot through the slot endpoints.  The
 consistency gradient -lam * p_u * p_v is -lam scaled in place by p_u and
@@ -110,49 +110,60 @@ def _regularizer_grad(g: Graph, w: EdgeWeights, p_t: np.ndarray,
     return grad
 
 
-def _gradient(name: str, directed: bool, step, loss_term, g: Graph, w: EdgeWeights,
+def _check_slot_array(name: str, a, w: EdgeWeights):
+    if not (isinstance(a, np.ndarray) and a.shape == w.values.shape
+            and a.dtype == np.float64 and a.flags.c_contiguous):
+        raise InputError(f"{name} must be a contiguous float64 array with one entry per slot")
+
+
+def _gradient(name: str, directed: bool, step, g: Graph, w: EdgeWeights,
               q: np.ndarray, p_t: np.ndarray, labels: LabelSet, lam: float,
               regularizer: RegularizerKind, p_next: np.ndarray | None,
-              out: np.ndarray | None, *vecs: np.ndarray) -> np.ndarray:
+              out: np.ndarray | None, inv: np.ndarray | None = None,
+              keep: float | None = None) -> np.ndarray:
     # The part the gradients share.  ``step(g, w, q, p_t)`` is the family's
-    # step, for the default p_next; ``loss_term(g, p_t, err, labeled)``
-    # returns the loss term on ``labeled.idx`` from the residuals
-    # err = p_next - y, zero off the labeled nodes; ``vecs`` are further
-    # per-node inputs to check.
+    # step, for the default p_next; ``inv`` and ``keep`` are the walk's.
     _check_direction(name, directed, g)
     regularizer = enum_member(RegularizerKind, regularizer, "regularizer")
-    _check_vectors(g, w, q, p_t, *vecs, *(() if p_next is None else (p_next,)))
+    _check_vectors(g, w, q, p_t, *(v for v in (inv, p_next) if v is not None))
     if not 0 <= lam < math.inf:
         raise InputError(f"lam must be nonnegative and finite, got {lam}")
     if p_next is None:
         p_next = step(g, w, q, p_t)
     if out is None:
         out = np.empty(g.slot_count)
-    elif out.shape != w.values.shape or out.dtype != np.float64 or not out.flags.c_contiguous:
-        raise InputError("out must be a contiguous float64 array with one entry per slot")
+    else:
+        _check_slot_array("out", out, w)
     labeled = g._per_labels(LabeledSlots, labels)
     err = np.zeros(g.node_count)
     pos, neg = labels.positive_array(), labels.negative_array()
     err[pos] = p_next[pos] - 1.0
     err[neg] = p_next[neg] + 1.0
-    loss = loss_term(g, p_t, err, labeled)
+    loss = _loss_term(g, p_t, err, labeled, inv, keep)
     grad = _regularizer_grad(g, w, p_t, regularizer, lam, out)
     grad[labeled.idx] = loss + grad[labeled.idx]
     return grad
 
 
-def _lbp_loss_term(g: Graph, p_t: np.ndarray, err: np.ndarray,
-                   labeled: LabeledSlots) -> np.ndarray:
-    # err_u * x_col on each labeled slot (u, v), for the step input
-    # x = g._step_input(p_t) and the slot's step column col, plus
-    # err_v * p_t_u when undirected, where x is p_t and col is v
+def _loss_term(g: Graph, p_t: np.ndarray, err: np.ndarray, labeled: LabeledSlots,
+               inv: np.ndarray | None, keep: float | None) -> np.ndarray:
+    # err_u * x_col on each labeled slot (u, v), for the residuals
+    # err = p_next - y, the step input x = g._step_input(p_t) and the slot's
+    # step column col, plus err_v * p_t_u when undirected, where x is p_t and
+    # col is v; the walk scales each part by its receiver's inv, the sum by keep
     u, col = labeled.u, labeled.col
     loss = err[u]
     loss *= g._step_input(p_t)[col]
+    if inv is not None:
+        loss *= inv[u]
     if not g.directed:
         term = err[col]
         term *= p_t[u]
+        if inv is not None:
+            term *= inv[col]
         loss += term
+    if keep is not None:
+        loss *= keep
     return loss
 
 
@@ -171,8 +182,8 @@ def grad_undirected(g: Graph, w: EdgeWeights, q: np.ndarray, p_t: np.ndarray,
     ``regularizer`` is a ``RegularizerKind`` or its value; ``lam`` must be
     nonnegative and finite.
     """
-    return _gradient("grad_undirected", False, lbp_step_undirected, _lbp_loss_term,
-                     g, w, q, p_t, labels, lam, regularizer, p_next, out)
+    return _gradient("grad_undirected", False, lbp_step_undirected, g, w, q, p_t,
+                     labels, lam, regularizer, p_next, out)
 
 
 def grad_directed(g: Graph, w: EdgeWeights, q: np.ndarray, p_t: np.ndarray,
@@ -189,8 +200,8 @@ def grad_directed(g: Graph, w: EdgeWeights, q: np.ndarray, p_t: np.ndarray,
     column.  ``lam``, ``regularizer``, ``p_next`` and ``out`` are as for
     ``grad_undirected``.
     """
-    return _gradient("grad_directed", True, lbp_step_directed, _lbp_loss_term,
-                     g, w, q, p_t, labels, lam, regularizer, p_next, out)
+    return _gradient("grad_directed", True, lbp_step_directed, g, w, q, p_t,
+                     labels, lam, regularizer, p_next, out)
 
 
 def grad_rw_undirected(g: Graph, w: EdgeWeights, q: np.ndarray, p_t: np.ndarray,
@@ -213,22 +224,9 @@ def grad_rw_undirected(g: Graph, w: EdgeWeights, q: np.ndarray, p_t: np.ndarray,
     # A directed graph is left to the direction check of ``_gradient``.
     _check_restart(restart)
     inv = _inverse_degrees(g, w) if inv_degrees is None and not g.directed else inv_degrees
-    def loss_term(g, p_t, err, labeled):
-        # (1 - restart) * (err_u * pv * inv_u + err_v * pu * inv_v) on the
-        # labeled slots
-        u, v = labeled.u, labeled.col
-        loss = err[u]
-        loss *= p_t[v]
-        loss *= inv[u]
-        term = err[v]
-        term *= p_t[u]
-        term *= inv[v]
-        loss += term
-        loss *= 1.0 - restart
-        return loss
     step = functools.partial(rw_step, variant="rw-b", restart=restart, inv_degrees=inv)
-    return _gradient("grad_rw_undirected", False, step, loss_term,
-                     g, w, q, p_t, labels, lam, regularizer, p_next, out, inv)
+    return _gradient("grad_rw_undirected", False, step, g, w, q, p_t, labels, lam,
+                     regularizer, p_next, out, inv, 1.0 - restart)
 
 
 def gradient_inf_norm(grad: np.ndarray) -> float:
@@ -264,8 +262,9 @@ def apply_gradient_step(w: EdgeWeights, grad: np.ndarray, gamma: float,
     grad = np.asarray(grad, dtype=float)
     if grad.shape != w.values.shape:
         raise InputError("gradient shape does not match the weight array")
-    if work is not None and (work.shape != grad.shape or work.dtype != np.float64):
-        raise InputError("work must be a float64 array shaped like the gradient")
+    for name, a in (("work", work), ("out", out)):
+        if a is not None:
+            _check_slot_array(name, a, w)
     if not checked:
         gradient_inf_norm(grad)
     bound = w.clamp_bound

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, numbered_lines
+from .errors import InputError, data_rows
 from .graph import MAX_NODE_COUNT, _in_sorted
 from .propagation import LabelSet
 
@@ -105,15 +105,10 @@ def read_scores(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ids, vals, preds = [], [], []
     line_of = {}
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in numbered_lines(fh, path):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            parts = text.split("\t")
-            if len(parts) != 3:
-                raise InputError(f"{path}:{lineno}: expected 'node<TAB>score<TAB>label'")
+        for lineno, (a, b, c) in data_rows(fh, path, 3, "'node<TAB>score<TAB>label'",
+                                           sep="\t"):
             try:
-                node, val, pred = int(parts[0]), float(parts[1]), int(parts[2])
+                node, val, pred = int(a), float(b), int(c)
             except ValueError:
                 raise InputError(f"{path}:{lineno}: malformed score row") from None
             if not 0 <= node < MAX_NODE_COUNT:

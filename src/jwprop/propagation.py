@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InputError, numbered_lines
+from .errors import InputError, data_rows
 from .graph import MAX_NODE_COUNT, EdgeWeights, Graph, _first_of_runs, _in_sorted
 
 RW_VARIANTS = ("rw-n", "rw-p", "rw-b")
@@ -205,10 +205,7 @@ def _inverse_degrees(g: Graph, w: EdgeWeights,
     |w| is written into ``scratch`` when given, a free float64 array with
     one entry per slot, instead of a new array."""
     d = weighted_degrees(g, EdgeWeights(np.abs(w.values, out=scratch), w.clamp_bound))
-    inv = np.zeros_like(d)
-    nz = d > 0
-    inv[nz] = 1.0 / d[nz]
-    return inv
+    return np.divide(1.0, d, out=np.zeros_like(d), where=d > 0)
 
 
 def _check_restart(restart: float):
@@ -229,8 +226,7 @@ def rw_step(g: Graph, w: EdgeWeights, q: np.ndarray, p: np.ndarray,
     restart * q.  ``inv_degrees`` passes in the inverse weighted degrees of
     ``w`` when the caller already has them.
     """
-    if g.directed:
-        raise InputError("random-walk propagation supports undirected graphs only")
+    _check_direction("rw_step", False, g)
     if variant not in RW_VARIANTS:
         raise InputError(f"unknown random-walk variant {variant!r}")
     _check_restart(restart)
@@ -256,16 +252,9 @@ def read_labels(path) -> LabelSet:
     every graph."""
     pos, neg = [], []
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in numbered_lines(fh, path):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            parts = text.split()
-            if len(parts) != 2:
-                raise InputError(f"{path}:{lineno}: expected 'node<TAB>label'")
+        for lineno, (a, b) in data_rows(fh, path, 2, "'node<TAB>label'"):
             try:
-                node = int(parts[0])
-                label = int(parts[1])
+                node, label = int(a), int(b)
             except ValueError:
                 raise InputError(f"{path}:{lineno}: ids and labels must be integers") from None
             if not 0 <= node < MAX_NODE_COUNT:

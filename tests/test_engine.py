@@ -551,6 +551,20 @@ class TestConfigValidation:
         with pytest.raises(InputError, match="max_alternations must be an integer"):
             JwpConfig(max_alternations=alts)
 
+    @pytest.mark.parametrize("field, value", [
+        ("theta", "1"), ("gamma", None), ("restart", "0.1"), ("tolerance", 1j),
+        ("w0", "0.1"), ("lam", True), ("theta", True), ("tolerance", True),
+        ("clamp_bound", False)])
+    def test_float_fields_are_real_numbers(self, field, value):
+        # a string, None or complex value once raised a bare TypeError, and
+        # a bool ran as 0 or 1
+        with pytest.raises(InputError, match=f"^{field} must be a real number"):
+            JwpConfig(**{field: value})
+
+    def test_numpy_float_fields(self):
+        cfg = JwpConfig(theta=np.float32(2.0), lam=np.float64(0.5), restart=np.int64(0))
+        assert (cfg.theta, cfg.lam, cfg.restart) == (2.0, 0.5, 0)
+
     def test_method_and_regularizer_by_value(self):
         # a string regularizer once ran with no regularizer at all, and a
         # string method failed in run with AttributeError or KeyError

@@ -17,6 +17,8 @@ from jwprop import (
     gen_pa,
     load_edge_list,
     mutual_projection_lcc,
+    read_labels,
+    read_scores,
     write_edge_list,
 )
 
@@ -299,6 +301,33 @@ class TestParserEquivalence:
                     load_edge_list(path, directed=False)
         finally:
             os.close(r)
+
+
+# Each text reader as a row count, with one valid row and one row with the
+# wrong number of fields.  The edge list goes through its line parser.
+TEXT_READERS = {
+    "edges": (lambda path: len(_lines(path)), b"0\t1", b"0\t1\t2"),
+    "labels": (lambda path: len(read_labels(path)), b"0\t1", b"0\t1\t1"),
+    "scores": (lambda path: len(read_scores(path)[0]), b"0\t0.5\t1", b"0\t0.5"),
+}
+
+
+@pytest.mark.parametrize("reader", TEXT_READERS)
+def test_text_readers_share_row_rules(tmp_path, reader):
+    # Blank and '#' lines are skipped but counted; a line that is not UTF-8
+    # is refused, a comment line too; a field-count error names the line's
+    # text, which the label and score readers once left out.
+    read, row, wrong = TEXT_READERS[reader]
+    path = tmp_path / "f.tsv"
+    head = b"# header\n\n  \n" + row + b"\n\n"
+    path.write_bytes(head + b"# note\n\n")
+    assert read(path) == 1
+    for bad, error in ((b"# caf\xe9", "not valid UTF-8"),
+                       (row + b"\xff", "not valid UTF-8"),
+                       (wrong, "expected '[^']+', got " + re.escape(repr(wrong.decode())))):
+        path.write_bytes(head + bad + b"\n" + row + b"\n")
+        with pytest.raises(InputError, match=f"^{re.escape(str(path))}:6: {error}$"):
+            read(path)
 
 
 class TestBuildMatchesReference:

@@ -286,6 +286,16 @@ class TestApplyGradientStep:
             with pytest.raises(NumericalError, match="slot 2$"):
                 apply_gradient_step(EdgeWeights(np.zeros(5)), given, gamma, work)
 
+    @pytest.mark.parametrize("name", ["work", "out"])
+    @pytest.mark.parametrize("bad", [np.zeros(3, dtype=np.float32), np.zeros(4),
+                                     np.zeros(3, dtype=np.int64), np.zeros(6)[::2]],
+                             ids=["float32", "long", "int64", "strided"])
+    def test_slot_arrays_checked(self, name, bad):
+        # a float32 out once gave float32 weights, a long one numpy's
+        # broadcast error and an int64 one a UFuncTypeError
+        with pytest.raises(InputError, match=f"^{name} must be a contiguous float64 array"):
+            apply_gradient_step(EdgeWeights(np.zeros(3)), np.full(3, 0.1), 0.1, **{name: bad})
+
     @pytest.mark.parametrize("gamma", [-0.1, np.nan, np.inf])
     def test_learning_rate_checked(self, gamma):
         # NaN passed the old sign test and gave NaN weights, and so did an

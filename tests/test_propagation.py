@@ -350,6 +350,11 @@ class TestLbpDirected:
 
 
 class TestRwStep:
+    def test_directed_graph_refused(self):
+        g = Graph.from_edges([(0, 1)], directed=True)
+        with pytest.raises(InputError, match="^rw_step expects an undirected graph$"):
+            rw_step(g, EdgeWeights.uniform(g, 0.5), np.zeros(2), np.zeros(2), "rw-b", 0.0)
+
     def test_pure_restart_returns_priors(self):
         g = Graph.from_edges([(0, 1), (1, 2)], directed=False)
         w = random_weights(np.random.default_rng(0), g)

@@ -9,7 +9,7 @@ import jwprop
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
-def test_bit_identity_grid_prints_six_hashes():
+def test_bit_identity_grid_prints_seven_hashes():
     # The hashes depend on the host's floating-point libraries, so only
     # their presence is checked: the gate script must still run against
     # the package's public names.
@@ -19,5 +19,5 @@ def test_bit_identity_grid_prints_six_hashes():
                           env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 6, proc.stdout
+    assert len(lines) == 7, proc.stdout
     assert all(re.search(r" sha256 [0-9a-f]{64}$", line) for line in lines), proc.stdout
