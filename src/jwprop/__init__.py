@@ -19,7 +19,6 @@ from .engine import (
     JwpConfig,
     Method,
     RunResult,
-    convergence_metric,
     run,
     weight_class_means,
     write_diagnostics,
@@ -27,8 +26,6 @@ from .engine import (
 from .errors import InputError, NumericalError
 from .graph import (
     BIDIRECTIONAL,
-    UNI_INCOMING,
-    UNI_OUTGOING,
     EdgeWeights,
     Graph,
     load_edge_list,
@@ -44,7 +41,7 @@ from .learning import (
     grad_undirected,
     training_loss,
 )
-from .metrics import AucReport, auc, auc_of_rows, rank_and_write, read_scores
+from .metrics import auc, auc_of_rows, rank_and_write, read_scores
 from .propagation import (
     LabelSet,
     assign_priors,
@@ -52,7 +49,6 @@ from .propagation import (
     lbp_step_undirected,
     read_labels,
     rw_step,
-    weighted_degrees,
     write_labels,
 )
 

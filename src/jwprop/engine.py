@@ -201,7 +201,6 @@ class AlternationDiag:
 
 @dataclass(frozen=True)
 class RunResult:
-    priors: np.ndarray
     posteriors: np.ndarray
     weights: EdgeWeights
     alternations: int
@@ -375,9 +374,8 @@ def run(g: Graph, labels: LabelSet, cfg: JwpConfig,
         if converged:
             break
 
-    return RunResult(priors=q, posteriors=p, weights=w, alternations=t,
-                     converged=converged, diagnostics=diags, w0=w0, lam=lam,
-                     method=method)
+    return RunResult(posteriors=p, weights=w, alternations=t, converged=converged,
+                     diagnostics=diags, w0=w0, lam=lam, method=method)
 
 
 DIAG_COLUMNS = tuple(f.name for f in fields(AlternationDiag))

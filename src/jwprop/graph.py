@@ -514,12 +514,21 @@ class Graph:
 @dataclass(frozen=True)
 class EdgeWeights:
     """One learnable weight per graph slot, bounded by ``clamp_bound``,
-    which must be nonnegative and finite."""
+    which must be nonnegative and finite.  ``values`` is a 1-D array or
+    sequence of reals, held as a contiguous float64 array; one that is
+    already so is held as it is, so an update written into it is the
+    weights' own.  The check reads the dtype and shape, not the values."""
 
     values: np.ndarray
     clamp_bound: float = 0.5
 
     def __post_init__(self):
+        values = np.asarray(self.values)
+        if values.dtype.kind not in "iuf":
+            raise InputError(f"weights must be real numbers, got dtype {values.dtype}")
+        if values.ndim != 1:
+            raise InputError(f"weights must be a 1-D array, got shape {values.shape}")
+        object.__setattr__(self, "values", np.ascontiguousarray(values, dtype=np.float64))
         if not 0 <= self.clamp_bound < math.inf:
             raise InputError(f"clamp_bound must be nonnegative and finite, "
                              f"got {self.clamp_bound}")

@@ -182,29 +182,17 @@ def lbp_step_directed(g: Graph, w: EdgeWeights, q: np.ndarray,
     return _lbp_step("lbp_step_directed", True, g, w, q, p)
 
 
-def weighted_degrees(g: Graph, w: EdgeWeights) -> np.ndarray:
-    """Per-node sum of |weight| over incident edges (undirected graphs).
-
-    |W| times the ones vector: each node adds the weights of its lower
-    neighbors and then of its upper ones, in ascending order.  That is the
-    slot order a weighted ``bincount`` over the interleaved slot endpoints
-    (u0, v0, u1, v1, ...) adds them in.  Weights with no negative entry
-    are their own |w|, and are read as they are.
-    """
-    _check_direction("weighted_degrees", False, g)
-    w.check(g)
-    values = w.values
-    if values.size and values.min() < 0:
-        values = np.abs(values)
-    return g._matvec(values, np.ones(g.node_count))
-
-
 def _inverse_degrees(g: Graph, w: EdgeWeights,
                      scratch: np.ndarray | None = None) -> np.ndarray:
-    """1 / weighted degree per node, 0 where the weighted degree is 0.
+    """1 / weighted degree per node of an undirected graph, 0 where the
+    weighted degree is 0.  The degree is |W| times the ones vector, each
+    node adding |w| over its neighbors in ascending order, the slot order a
+    weighted ``bincount`` over the interleaved slot endpoints adds them in.
     |w| is written into ``scratch`` when given, a free float64 array with
     one entry per slot, instead of a new array."""
-    d = weighted_degrees(g, EdgeWeights(np.abs(w.values, out=scratch), w.clamp_bound))
+    _check_direction("_inverse_degrees", False, g)
+    w.check(g)
+    d = g._matvec(np.abs(w.values, out=scratch), np.ones(g.node_count))
     return np.divide(1.0, d, out=np.zeros_like(d), where=d > 0)
 
 

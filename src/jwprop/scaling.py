@@ -30,7 +30,6 @@ class BenchRecord:
     edges: int
     alternations: int
     wall_ms_total: float
-    wall_ms_per_alt: float
 
 
 def pa_nodes_for_edges(target_edges: int, m: int = 10) -> int:
@@ -72,10 +71,9 @@ def bench(methods: list[str], edge_targets: list[int], seeds: list[int],
                 times[name].append((time.perf_counter() - tic) * 1e3)
                 alts = result.alternations
         for name in methods:
-            total = statistics.median(times[name])
             records.append(BenchRecord(method=name, nodes=n, edges=edges,
-                                       alternations=alts, wall_ms_total=total,
-                                       wall_ms_per_alt=total / alts))
+                                       alternations=alts,
+                                       wall_ms_total=statistics.median(times[name])))
     return records
 
 

@@ -9,8 +9,7 @@ from scipy.sparse import csgraph
 
 from jwprop import (
     BIDIRECTIONAL,
-    UNI_INCOMING,
-    UNI_OUTGOING,
+    EdgeWeights,
     Graph,
     InputError,
     directed_sample,
@@ -23,7 +22,7 @@ from jwprop import (
 )
 
 from jwprop import graph
-from jwprop.graph import MAX_NODE_COUNT
+from jwprop.graph import MAX_NODE_COUNT, UNI_INCOMING, UNI_OUTGOING
 
 from _oracles import (
     dense_slot_adjacency,
@@ -684,6 +683,36 @@ class TestAverageDegree:
         tri = Graph.from_edges([(0, 1), (1, 0), (1, 2), (2, 1), (0, 2), (2, 0)],
                                directed=True)
         assert tri.average_degree() == 2.0
+
+
+class TestEdgeWeightsValues:
+    @pytest.mark.parametrize("values, named", [
+        (np.array([0.5 + 1j, 0.5]), "dtype complex128"),
+        (np.array(["0.5", "0.5"]), "dtype <U3"),
+        (np.array([0.5, None], dtype=object), "dtype object"),
+        ([True, False], "dtype bool"),
+        (np.full((2, 1), 0.5), r"shape \(2, 1\)"),
+    ], ids=["complex", "string", "object", "bool", "2-D"])
+    def test_rejected_when_built(self, values, named):
+        # bool weights once ran as 1/0, complex ones raised a bare
+        # ValueError, and a (2, 1) array on a 2-slot graph was reported as
+        # "weight array has 2 slots, graph has 2"
+        with pytest.raises(InputError, match=f"^weights must be .*{named}$"):
+            EdgeWeights(values)
+
+    def test_sequence_converted_once(self):
+        # a list once raised AttributeError in `check`
+        g = Graph.from_edges([(0, 1), (1, 2)], directed=False)
+        w = EdgeWeights([1, 0.5])
+        assert isinstance(w.values, np.ndarray) and w.values.dtype == np.float64
+        assert w.values.tolist() == [1.0, 0.5]
+        w.check(g)
+
+    def test_float64_array_held_as_is(self):
+        values = np.zeros(3)
+        assert EdgeWeights(values).values is values
+        strided = EdgeWeights(np.zeros(6)[::2]).values
+        assert strided.flags.c_contiguous and strided.dtype == np.float64
 
 
 class TestSpectralRadiusBound:

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from jwprop import AucReport, InputError, LabelSet, auc, auc_of_rows, rank_and_write, read_scores
+from jwprop import InputError, LabelSet, auc, auc_of_rows, rank_and_write, read_scores
+from jwprop.metrics import AucReport
 
 from _oracles import brute_force_auc, brute_force_auc_counts
 

@@ -5,8 +5,6 @@ import pytest
 
 from jwprop import (
     BIDIRECTIONAL,
-    UNI_INCOMING,
-    UNI_OUTGOING,
     EdgeWeights,
     Graph,
     InputError,
@@ -16,11 +14,10 @@ from jwprop import (
     lbp_step_undirected,
     read_labels,
     rw_step,
-    weighted_degrees,
     write_labels,
 )
 from jwprop import graph
-from jwprop.graph import csr_index_dtype
+from jwprop.graph import UNI_INCOMING, UNI_OUTGOING, csr_index_dtype
 from jwprop.propagation import RW_VARIANTS, _inverse_degrees
 
 from _oracles import (
@@ -423,7 +420,7 @@ class TestRwStep:
     def test_weighted_degree_uses_absolute_values(self):
         g = Graph.from_edges([(0, 1), (0, 2)], directed=False)
         w = EdgeWeights(np.array([0.5, -0.5]))
-        assert list(weighted_degrees(g, w)) == [1.0, 0.5, 0.5]
+        assert list(_inverse_degrees(g, w)) == [1.0, 2.0, 2.0]
 
     def test_directed_graph_rejected(self):
         g = Graph.from_edges([(0, 1)], directed=True)
@@ -501,13 +498,24 @@ class TestPrebuiltCsrSteps:
         for g in raw_pair_graphs(False):
             w = random_weights(rng, g)
             w.values[rng.random(g.slot_count) < 0.1] = 0.0
-            want = bincount_weighted_degrees(g, w)
-            assert weighted_degrees(g, w).tobytes() == want.tobytes()
+            d = bincount_weighted_degrees(g, w)
+            want = np.divide(1.0, d, out=np.zeros_like(d), where=d > 0)
+            assert _inverse_degrees(g, w).tobytes() == want.tobytes()
         with pytest.raises(InputError):
-            weighted_degrees(g, EdgeWeights(np.ones(g.slot_count + 1)))
+            _inverse_degrees(g, EdgeWeights(np.ones(g.slot_count + 1)))
         gd = directed_graph_with_isolated_tail()
         with pytest.raises(InputError):
-            weighted_degrees(gd, EdgeWeights.uniform(gd, 0.5))
+            _inverse_degrees(gd, EdgeWeights.uniform(gd, 0.5))
+
+    def test_scratch_holds_absolute_weights(self):
+        # the run passes its free gradient array as the |w| scratch
+        rng = np.random.default_rng(26)
+        for g in raw_pair_graphs(False, count=50):
+            w = random_weights(rng, g)
+            scratch = np.full(g.slot_count, np.nan)
+            inv = _inverse_degrees(g, w, scratch)
+            assert inv.tobytes() == _inverse_degrees(g, w).tobytes()
+            assert scratch.tobytes() == np.abs(w.values).tobytes()
 
     def test_sparsetools_kernels_add_into_y(self):
         # The steps rely on both kernels adding onto y as it stands, row
