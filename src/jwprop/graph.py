@@ -207,14 +207,18 @@ class Graph:
 
     def __init__(self, node_count: int, keys: np.ndarray, directed: bool,
                  self_loops_dropped: int = 0):
-        """``keys`` are sorted and distinct (``from_edges``), of dtype
-        ``_key_dtype(node_count, directed)``: uint32 where every key and
-        every row bound n * n fits in 32 bits, else uint64.  Undirected:
-        one key u * node_count + v per input pair, u < v.  Directed: one
-        key (u * node_count + v) * 2 + origin per slot (u, v) and arc it
-        comes from, origin 1 for the input arc u->v and 0 for the input arc
-        v->u.  The build overwrites ``keys``, and the graph may keep it as
-        its CSR indices."""
+        """Build from sort keys, which two callers form: ``from_edges``,
+        from pairs it validates, sorts and deduplicates, and
+        ``synth.synth_sybil_replicate``, which puts the keys of a base
+        graph, its replica and the attack edges in order without a sort.
+        Nothing here checks the contract: ``keys`` are sorted ascending and
+        distinct, of dtype ``_key_dtype(node_count, directed)``: uint32
+        where every key and every row bound n * n fits in 32 bits, else
+        uint64.  Undirected: one key u * node_count + v per input pair,
+        u < v.  Directed: one key (u * node_count + v) * 2 + origin per
+        slot (u, v) and arc it comes from, origin 1 for the input arc u->v
+        and 0 for the input arc v->u.  The build overwrites ``keys``, and
+        the graph may keep it as its CSR indices."""
         self.node_count = int(node_count)
         self.directed = bool(directed)
         self.self_loops_dropped = int(self_loops_dropped)
@@ -523,7 +527,10 @@ class EdgeWeights:
     clamp_bound: float = 0.5
 
     def __post_init__(self):
-        values = np.asarray(self.values)
+        try:
+            values = np.asarray(self.values)
+        except ValueError:  # ragged rows
+            raise InputError("weights must be a 1-D array, got ragged rows") from None
         if values.dtype.kind not in "iuf":
             raise InputError(f"weights must be real numbers, got dtype {values.dtype}")
         if values.ndim != 1:

@@ -16,7 +16,7 @@ import numpy as np
 import numpy.random  # noqa: F401
 
 from .errors import InputError
-from .graph import Graph, _in_sorted
+from .graph import MAX_NODE_COUNT, Graph, _first_of_runs, _in_sorted, _pair_keys
 from .propagation import LabelSet
 
 
@@ -156,6 +156,16 @@ def synth_sybil_replicate(g: Graph, k: int, seed: int) -> tuple[Graph, LabelSet]
     replica i+n per original i (ground-truth positive), with replica edges
     mirroring the original edges.  k attack edges then connect uniformly
     random (original, replica) pairs, deduplicated.
+
+    The output is built from its sort keys u * 2n + v (``Graph.__init__``),
+    put in ascending order without sorting them all.  The base graph's
+    slots, read in slot order, give its keys in ascending order.  The
+    attack edge of code u * n + v joins u to replica v + n, so its key lies
+    after those of row u's base slots: the codes come out of
+    ``_attack_codes`` sorted and are merged into the base block.  The
+    replica of slot (u, v) has key (u + n) * 2n + v + n, the base key plus
+    n * 2n + n, above every base and attack key.  Nothing is validated,
+    sorted or deduplicated again: the keys are distinct by construction.
     """
     if g.directed:
         raise InputError("synth_sybil_replicate expects an undirected graph")
@@ -164,27 +174,71 @@ def synth_sybil_replicate(g: Graph, k: int, seed: int) -> tuple[Graph, LabelSet]
     n = g.node_count
     if k > n * n:
         raise InputError(f"cannot place {k} distinct attack edges between {n}x{n} pairs")
+    if 2 * n > MAX_NODE_COUNT:
+        raise InputError(f"node count {2 * n} exceeds the limit of "
+                         f"{MAX_NODE_COUNT} nodes (int64 slot keys)")
     _check_seed(seed)
-    base = g.slot_ends
-    mirrored = base + n
-    rng = np.random.default_rng(seed)
-    # Codes u * n + v in the order first drawn, skipping repeats; each batch
-    # draws 16 more than are still missing.  Kept codes are looked up in a
-    # sorted copy, not by np.isin, which may import numpy.ma.
-    codes = np.empty(k, dtype=np.int64)
-    count = 0
-    while count < k:
-        batch = rng.integers(0, n * n, size=k - count + 16)
-        _, first = np.unique(batch, return_index=True)
-        first.sort()
-        fresh = batch[first]
-        fresh = fresh[~_in_sorted(np.sort(codes[:count]), fresh)][:k - count]
-        codes[count:count + fresh.size] = fresh
-        count += fresh.size
-    attack = np.stack([codes // n, codes % n + n], axis=1)
-    all_edges = np.concatenate([base, mirrored, attack], axis=0)
+    codes = _attack_codes(n, k, np.random.default_rng(seed))
+    ids = np.arange(n)
+    rows = g._at_rows(ids)
+    base = _pair_keys(rows, g._at_columns(ids), 2 * n, False)
+    u, v = np.divmod(codes, n)
+    v += n
+    keys = np.empty(2 * base.size + k, dtype=base.dtype)
+    # the attack edge (u, v) goes after the base slots of rows up to u
+    row_ends = np.cumsum(np.bincount(rows, minlength=n))
+    _merge(base, _pair_keys(u, v, 2 * n, False), row_ends[u], out=keys[:base.size + k])
+    np.add(base, 2 * n * n + n, out=keys[base.size + k:])
     truth = LabelSet(np.arange(n, 2 * n), np.arange(n))
-    return Graph.from_edges(all_edges, directed=False, node_count=2 * n), truth
+    return Graph(2 * n, keys, False), truth
+
+
+def _attack_codes(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
+    """The k distinct attack codes u * n + v in [0, n * n), ascending.
+
+    The codes are those first drawn, skipping repeats: each batch draws 16
+    more than are still missing, and its codes not drawn before, in the
+    order drawn, are kept until k are.  A batch's repeats are found by one
+    sort (``_first_draws``).  The kept codes stay sorted between batches:
+    a batch's codes are looked up in them by one ``searchsorted``, not by
+    np.isin, which may import numpy.ma, and its few fresh codes are sorted
+    and merged in.  Re-sorting every kept code per batch would take time
+    quartic in n for k near n * n, where the last codes take thousands of
+    batches."""
+    kept = np.empty(0, dtype=np.int64)
+    while kept.size < k:
+        batch = rng.integers(0, n * n, size=k - kept.size + 16)
+        fresh = batch[_first_draws(batch) & ~_in_sorted(kept, batch)][:k - kept.size]
+        if fresh.size:
+            fresh.sort()
+            kept = _merge(kept, fresh, np.searchsorted(kept, fresh),
+                          out=np.empty(kept.size + fresh.size, dtype=np.int64))
+    return kept
+
+
+def _first_draws(batch: np.ndarray) -> np.ndarray:
+    """Mask of the first draw of each value in ``batch``.  A batch usually
+    holds a few repeats, so one sort finds the values drawn more than once,
+    and a stable sort of just their draws finds each one's first."""
+    first = np.ones(batch.size, dtype=bool)
+    ordered = np.sort(batch)
+    repeated = ordered[1:][ordered[1:] == ordered[:-1]]
+    if repeated.size:
+        at = np.flatnonzero(_in_sorted(repeated, batch))
+        at = at[np.argsort(batch[at], kind="stable")]
+        first[at[~_first_of_runs(batch[at])]] = False
+    return first
+
+
+def _merge(a: np.ndarray, b: np.ndarray, at: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out``, holding the ascending arrays a and b merged, where b[j]
+    goes after the first at[j] entries of a (``np.searchsorted(a, b)``)."""
+    at = at + np.arange(b.size)
+    out[at] = b
+    rest = np.ones(out.size, dtype=bool)
+    rest[at] = False
+    out[rest] = a
+    return out
 
 
 def sample_training(truth: LabelSet, n_pos: int, n_neg: int, seed: int) -> LabelSet:

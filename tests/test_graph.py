@@ -692,11 +692,12 @@ class TestEdgeWeightsValues:
         (np.array([0.5, None], dtype=object), "dtype object"),
         ([True, False], "dtype bool"),
         (np.full((2, 1), 0.5), r"shape \(2, 1\)"),
-    ], ids=["complex", "string", "object", "bool", "2-D"])
+        ([[1], [1, 2]], "ragged rows"),
+    ], ids=["complex", "string", "object", "bool", "2-D", "ragged"])
     def test_rejected_when_built(self, values, named):
-        # bool weights once ran as 1/0, complex ones raised a bare
-        # ValueError, and a (2, 1) array on a 2-slot graph was reported as
-        # "weight array has 2 slots, graph has 2"
+        # bool weights once ran as 1/0, complex and ragged ones raised a
+        # bare ValueError, and a (2, 1) array on a 2-slot graph was
+        # reported as "weight array has 2 slots, graph has 2"
         with pytest.raises(InputError, match=f"^weights must be .*{named}$"):
             EdgeWeights(values)
 

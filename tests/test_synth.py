@@ -361,17 +361,24 @@ class TestSameStreamAsLoops:
             assert np.array_equal(captured.edges[-1], loop_gen_pa(n, m, seed))
 
     @pytest.mark.parametrize("n,k", [(6, 0), (6, 1), (6, 30), (6, 35), (6, 36),
-                                     (2, 3), (2, 4), (40, 1500), (300, 2000)])
+                                     (2, 3), (2, 4), (40, 1500), (300, 2000),
+                                     (32767, 5), (32768, 5)])
     @pytest.mark.parametrize("seed", [0, 5])
-    def test_attack_edges(self, monkeypatch, n, k, seed):
+    def test_attack_edges(self, n, k, seed):
+        # The output equals the graph of the loop's edge list.  Its 2n
+        # nodes take uint32 sort keys up to n = 32767, uint64 from 32768.
         base = gen_pa(n, 1, seed)
-        captured = CapturedEdges(monkeypatch)
         g, _ = synth_sybil_replicate(base, k, seed)
         codes = loop_attack_codes(n, k, seed)
         assert codes.size == k
         attack = np.stack([codes // n, codes % n + n], axis=1).reshape(-1, 2)
-        want = np.concatenate([base.slot_ends, base.slot_ends + n, attack])
-        assert np.array_equal(captured.edges[0], want)
+        want = Graph.from_edges(
+            np.concatenate([base.slot_ends, base.slot_ends + n, attack]), False, 2 * n)
+        assert g.node_count == want.node_count == 2 * n
+        for name in ("_csr_indptr", "_csr_indices"):
+            got, expected = getattr(g, name), getattr(want, name)
+            assert got.dtype == expected.dtype
+            assert np.array_equal(got, expected)
         assert g.edge_count == base.edge_count * 2 + k
 
 
