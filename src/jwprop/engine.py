@@ -23,8 +23,10 @@ share a graph and a label set build them once.
 
 One alternation runs: step, convergence check, the loss and consistency
 diagnostics under the weights just propagated with, one update block (the
-gradient, the weight update in place and the walk's inverse degrees), and
-the class means, which are recomputed only when the weights changed.
+gradient into the run's one scratch array, then ``apply_gradient_step``,
+which updates the run's one ``EdgeWeights`` in place, and the walk's
+inverse degrees), and the class means, which are recomputed only when the
+weights changed.
 Every run collects these diagnostics.  No alternation gathers a score per
 slot: the consistency gradient and diagnostic both go through the graph's
 slot products (``learning``), and the class means gather only the two
@@ -52,7 +54,6 @@ from .learning import (
     grad_directed,
     grad_rw_undirected,
     grad_undirected,
-    gradient_inf_norm,
     training_loss,
 )
 from .propagation import (
@@ -327,9 +328,7 @@ def run(g: Graph, labels: LabelSet, cfg: JwpConfig,
     # One slot-sized gradient array for the whole run, which the update
     # scales in place: a fresh one per alternation would be faulted in
     # again each time, since glibc serves blocks above its mmap threshold
-    # by mmap and returns them on free.  The weights are updated in place,
-    # after the diagnostics that read the weights this alternation
-    # propagated with.
+    # by mmap and returns them on free.
     work = np.empty(g.slot_count)
     # The random walk's inverse weighted degrees, for the step and the
     # gradient of the weights they were computed from.  Their |w| pass runs
@@ -349,10 +348,9 @@ def run(g: Graph, labels: LabelSet, cfg: JwpConfig,
             cons_val = consistency_value(g, w, p)
         grad_inf = math.nan
         if learn and not converged and t < cfg.max_alternations:
-            grad = gradient(g, w, q, p_prev, labels, lam, cfg.regularizer,
-                            p_next=p, out=work, **rw_degrees)
-            grad_inf = gradient_inf_norm(grad)
-            w = apply_gradient_step(w, grad, cfg.gamma, work, out=w.values, checked=True)
+            grad_inf = apply_gradient_step(
+                w, gradient(g, w, q, p_prev, labels, lam, cfg.regularizer,
+                            p_next=p, out=work, **rw_degrees), cfg.gamma)
             if rw_degrees:
                 rw_degrees["inv_degrees"] = _inverse_degrees(g, w, work)
             class_means = None

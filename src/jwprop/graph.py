@@ -520,8 +520,9 @@ class EdgeWeights:
     """One learnable weight per graph slot, bounded by ``clamp_bound``,
     which must be nonnegative and finite.  ``values`` is a 1-D array or
     sequence of reals, held as a contiguous float64 array; one that is
-    already so is held as it is, so an update written into it is the
-    weights' own.  The check reads the dtype and shape, not the values."""
+    already so is held as it is.  ``learning.apply_gradient_step`` updates
+    ``values`` in place, the only way the weights change during a run.
+    The check reads the dtype and shape, not the values."""
 
     values: np.ndarray
     clamp_bound: float = 0.5

@@ -243,32 +243,25 @@ def gradient_inf_norm(grad: np.ndarray) -> float:
     return float(abs(max(hi, -lo)))
 
 
-def apply_gradient_step(w: EdgeWeights, grad: np.ndarray, gamma: float,
-                        work: np.ndarray | None = None,
-                        out: np.ndarray | None = None, *,
-                        checked: bool = False) -> EdgeWeights:
-    """One descent step of nonnegative, finite size ``gamma``, then each
-    weight is clipped into [-w.clamp_bound, w.clamp_bound].
+def apply_gradient_step(w: EdgeWeights, grad: np.ndarray, gamma: float) -> float:
+    """One descent step of nonnegative, finite size ``gamma`` on ``w.values``,
+    in place, each weight then clipped into [-w.clamp_bound, w.clamp_bound].
+    Returns max |grad| (``gradient_inf_norm``).
 
-    The new values go to ``out`` when given, which may be ``w.values``
-    itself to update the weights in place.  The scaled step goes to
-    ``work`` when given, so a gradient held there is consumed.  A
-    non-finite entry raises ``NumericalError`` naming its slot
-    (``gradient_inf_norm``); ``checked`` says that the caller has already
-    taken ``gradient_inf_norm`` of this gradient, and skips it.
+    ``grad`` is a contiguous float64 slot array apart from the weights,
+    which must be writeable; the step scales it by ``gamma`` in place.  All
+    checks run first: a non-finite entry raises ``NumericalError`` naming
+    its slot, with nothing written.
     """
     if not 0 <= gamma < math.inf:
         raise InputError(f"learning rate must be nonnegative and finite, got {gamma}")
-    grad = np.asarray(grad, dtype=float)
-    if grad.shape != w.values.shape:
-        raise InputError("gradient shape does not match the weight array")
-    for name, a in (("work", work), ("out", out)):
-        if a is not None:
-            _check_slot_array(name, a, w)
-    if not checked:
-        gradient_inf_norm(grad)
-    bound = w.clamp_bound
-    step = np.multiply(grad, gamma, out=work)
-    vals = np.subtract(w.values, step, out=out)
-    np.clip(vals, -bound, bound, out=vals)
-    return EdgeWeights(vals, bound)
+    _check_slot_array("grad", grad, w)
+    if not w.values.flags.writeable:
+        raise InputError("weights must be writeable to be updated in place")
+    if np.shares_memory(w.values, grad):
+        raise InputError("grad must not share memory with the weights")
+    norm = gradient_inf_norm(grad)
+    grad *= gamma
+    np.subtract(w.values, grad, out=w.values)
+    np.clip(w.values, -w.clamp_bound, w.clamp_bound, out=w.values)
+    return norm

@@ -45,6 +45,13 @@ def _check_seed(seed: int) -> None:
         raise InputError(f"seed must be nonnegative, got {seed}")
 
 
+def _check_node_count(n: int) -> None:
+    # Graph.from_edges's limit, checked before any array sized by n is built
+    if n > MAX_NODE_COUNT:
+        raise InputError(f"node count {n} exceeds the limit of "
+                         f"{MAX_NODE_COUNT} nodes (int64 slot keys)")
+
+
 def _check_counts(n_pos: int, n_neg: int) -> None:
     if n_pos < 0 or n_neg < 0:
         raise InputError(f"training counts must be nonnegative, got {n_pos}+{n_neg}")
@@ -84,6 +91,7 @@ def gen_pa(n: int, m: int, seed: int) -> Graph:
     """
     if m < 1 or m >= n:
         raise InputError("gen_pa needs 1 <= m < n")
+    _check_node_count(n)
     _check_seed(seed)
     rng = np.random.default_rng(seed)
     clique = m * (m - 1) // 2
@@ -174,9 +182,7 @@ def synth_sybil_replicate(g: Graph, k: int, seed: int) -> tuple[Graph, LabelSet]
     n = g.node_count
     if k > n * n:
         raise InputError(f"cannot place {k} distinct attack edges between {n}x{n} pairs")
-    if 2 * n > MAX_NODE_COUNT:
-        raise InputError(f"node count {2 * n} exceeds the limit of "
-                         f"{MAX_NODE_COUNT} nodes (int64 slot keys)")
+    _check_node_count(2 * n)
     _check_seed(seed)
     codes = _attack_codes(n, k, np.random.default_rng(seed))
     ids = np.arange(n)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import jwprop
-from jwprop import JwpConfig, RegularizerKind, read_labels, read_scores
+from jwprop import JwpConfig, RegularizerKind, read_labels, read_scores, synth
 from jwprop.cli import _parser, main
 from jwprop.engine import DIAG_COLUMNS
 from jwprop.graph import MAX_NODE_COUNT
@@ -240,6 +240,13 @@ class TestExitCodes:
         assert rc == 2
         assert message in capsys.readouterr().err
 
+    def test_gen_pa_node_limit_is_input_error(self, tmp_path, capsys, monkeypatch):
+        # checked before gen_pa sizes anything by the node count
+        monkeypatch.setattr(synth, "MAX_NODE_COUNT", 50)
+        out = tmp_path / "g.tsv"
+        assert run_cli("gen-pa", "--nodes", 51, "--m", 1, "--out", out) == 2
+        assert "node count 51 exceeds the limit of 50 nodes" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command,args,message", [
         ("gen-pa", ["--nodes", "20", "--m", "2", "--seed", "-1"], "seed must be nonnegative"),

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import astuple
 
 import numpy as np
@@ -511,6 +512,33 @@ class TestSlotPasses:
         for a, b in zip(fast.diagnostics, slow.diagnostics):
             assert same_floats([getattr(a, c) for c in cols],
                                [getattr(b, c) for c in cols])
+
+
+class TestRunScratch:
+    """A learning run keeps one weight array and one gradient array for all
+    its alternations: the gradient is written into the run's scratch array
+    and the update writes the weights in place.  Once the graph holds its
+    spectral radius bound and label-set memos, a run's traced peak stays
+    within three slot-sized float64 arrays; fresh slot arrays each
+    alternation would pass it."""
+
+    SPEC = SynthSpec(node_count=2000, attachment=10, seed=3, attack_edges=5000,
+                     train_pos=50, train_neg=50)
+
+    @pytest.mark.parametrize("method", [Method.LBP_JWP_U, Method.RW_JWP_U])
+    def test_peak_within_three_slot_arrays(self, method):
+        g, truth, train = build_sybil_benchmark(self.SPEC)
+        assert g.slot_count == 44890
+        cfg = JwpConfig(method=method)
+        run(g, train, cfg, truth=truth)  # builds the memos the second run reads
+        tracemalloc.start()
+        try:
+            again = run(g, train, cfg, truth=truth)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert again.alternations == cfg.max_alternations
+        assert peak <= 3 * g.slot_count * 8
 
 
 class TestDiagnostics:

@@ -257,18 +257,34 @@ class TestGradRwUndirected:
 class TestApplyGradientStep:
     def test_zero_gradient_identity(self):
         w = EdgeWeights(np.array([0.1, -0.3]))
-        out = apply_gradient_step(w, np.zeros(2), 1.0)
-        assert np.array_equal(out.values, w.values)
+        assert apply_gradient_step(w, np.zeros(2), 1.0) == 0.0
+        assert w.values.tolist() == [0.1, -0.3]
 
     def test_clamp_at_boundary(self):
         w = EdgeWeights(np.array([0.4]))
-        out = apply_gradient_step(w, np.array([-0.3]), 1.0)
-        assert out.values[0] == 0.5
+        assert apply_gradient_step(w, np.array([-0.3]), 1.0) == 0.3
+        assert w.values[0] == 0.5
 
     def test_interior_update(self):
         w = EdgeWeights(np.array([0.1]))
-        out = apply_gradient_step(w, np.array([0.05]), 1.0)
-        assert out.values[0] == pytest.approx(0.05)
+        assert apply_gradient_step(w, np.array([0.05]), 1.0) == 0.05
+        assert w.values[0] == pytest.approx(0.05)
+
+    def test_updates_in_place_and_returns_inf_norm(self):
+        w = EdgeWeights(np.array([0.1, 0.2, -0.3]))
+        values = w.values
+        grad = np.array([0.4, -0.8, 0.2])
+        expected = np.clip(values - 0.5 * grad, -0.5, 0.5)
+        assert apply_gradient_step(w, grad, 0.5) == 0.8
+        assert w.values is values
+        assert np.array_equal(values, expected)
+
+    def test_step_written_to_work(self):
+        # the scaled step goes to the gradient's own array, which is
+        # engine.run's work array
+        grad = np.array([0.1, -0.2, 0.3])
+        apply_gradient_step(EdgeWeights(np.zeros(3)), grad, 0.5)
+        assert np.array_equal(grad, np.array([0.1, -0.2, 0.3]) * 0.5)
 
     def test_non_finite_gradient_aborts(self):
         w = EdgeWeights(np.array([0.1]))
@@ -278,23 +294,64 @@ class TestApplyGradientStep:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("gamma", [0.0, 0.1])
     def test_non_finite_entry_named(self, bad, gamma):
-        # also at gamma 0, and for an inf that the clip would turn into a
-        # bound; a work array does not skip the check
+        # also at gamma 0, and for an inf that the clip would turn into a bound
         grad = np.array([0.1, -0.2, bad, bad, 0.3])
-        work = grad.copy()
-        for given in (grad, work):
-            with pytest.raises(NumericalError, match="slot 2$"):
-                apply_gradient_step(EdgeWeights(np.zeros(5)), given, gamma, work)
+        with pytest.raises(NumericalError, match="slot 2$"):
+            apply_gradient_step(EdgeWeights(np.zeros(5)), grad, gamma)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gradient_leaves_weights(self, bad):
+        # the check runs before anything is written, the gradient included
+        w = EdgeWeights(np.array([0.1, -0.2, 0.3, 0.4]))
+        before = w.values.tobytes()
+        grad = np.array([0.3, -0.1, 0.2, bad])
+        grad_before = grad.tobytes()
+        with pytest.raises(NumericalError, match="slot 3$"):
+            apply_gradient_step(w, grad, 0.5)
+        assert w.values.tobytes() == before
+        assert grad.tobytes() == grad_before
 
     @pytest.mark.parametrize("name", ["work", "out"])
     @pytest.mark.parametrize("bad", [np.zeros(3, dtype=np.float32), np.zeros(4),
                                      np.zeros(3, dtype=np.int64), np.zeros(6)[::2]],
                              ids=["float32", "long", "int64", "strided"])
     def test_slot_arrays_checked(self, name, bad):
-        # a float32 out once gave float32 weights, a long one numpy's
-        # broadcast error and an int64 one a UFuncTypeError
-        with pytest.raises(InputError, match=f"^{name} must be a contiguous float64 array"):
-            apply_gradient_step(EdgeWeights(np.zeros(3)), np.full(3, 0.1), 0.1, **{name: bad})
+        # the step's two slot arrays: the gradient is its work array and the
+        # weights' values its out array.  A long gradient gave numpy's
+        # broadcast error and an int64 one a UFuncTypeError; a bad one is
+        # refused by name before either array is written
+        w = EdgeWeights(np.array([0.1, -0.2, 0.3]))
+        written = {"work": bad, "out": w.values}[name]
+        before = written.tobytes()
+        with pytest.raises(InputError, match="^grad must be a contiguous float64 array"):
+            apply_gradient_step(w, bad, 0.1)
+        assert written.tobytes() == before
+
+    @pytest.mark.parametrize("grad", [np.array([0.1, 1e-9, 0.3], dtype=np.float32),
+                                      np.array([0.1, 1e-9])],
+                             ids=["float32", "short"])
+    def test_work_checked(self, grad):
+        # the gradient is the step's work array: a float32 one would round
+        # the step without a word
+        with pytest.raises(InputError, match="^grad must be"):
+            apply_gradient_step(EdgeWeights(np.zeros(3)), grad, 0.3333)
+
+    def test_read_only_weights_rejected(self):
+        values = np.array([0.1, 0.2])
+        values.flags.writeable = False
+        w = EdgeWeights(values)
+        grad = np.array([0.3, 0.4])
+        with pytest.raises(InputError, match="^weights must be writeable"):
+            apply_gradient_step(w, grad, 0.1)
+        assert values.tolist() == [0.1, 0.2] and grad.tolist() == [0.3, 0.4]
+
+    @pytest.mark.parametrize("view", [lambda v: v, lambda v: v.view()],
+                             ids=["same", "view"])
+    def test_grad_aliasing_weights_rejected(self, view):
+        w = EdgeWeights(np.array([0.1, -0.2, 0.3]))
+        with pytest.raises(InputError, match="^grad must not share memory"):
+            apply_gradient_step(w, view(w.values), 0.1)
+        assert w.values.tolist() == [0.1, -0.2, 0.3]
 
     @pytest.mark.parametrize("gamma", [-0.1, np.nan, np.inf])
     def test_learning_rate_checked(self, gamma):
@@ -313,36 +370,14 @@ class TestApplyGradientStep:
             EdgeWeights(np.zeros(3), bound)
 
     def test_zero_clamp_bound_accepted(self):
-        out = apply_gradient_step(EdgeWeights(np.zeros(2), 0.0), np.array([0.5, -0.5]), 1.0)
-        assert out.values.tolist() == [0.0, 0.0] and out.clamp_bound == 0.0
+        w = EdgeWeights(np.zeros(2), 0.0)
+        assert apply_gradient_step(w, np.array([0.5, -0.5]), 1.0) == 0.5
+        assert w.values.tolist() == [0.0, 0.0] and w.clamp_bound == 0.0
 
     def test_empty_gradient(self):
-        out = apply_gradient_step(EdgeWeights(np.zeros(0)), np.zeros(0), 1.0)
-        assert out.values.size == 0
-
-    def test_step_written_to_work(self):
-        # the scaled step goes to work, whatever gradient is given
-        grad = np.array([0.1, -0.2, 0.3])
-        work = np.empty(3)
-        out = apply_gradient_step(EdgeWeights(np.zeros(3)), grad, 0.5, work)
-        assert grad.tolist() == [0.1, -0.2, 0.3]
-        assert np.array_equal(work, grad * 0.5)
-        work[:] = grad
-        scratch = apply_gradient_step(EdgeWeights(np.zeros(3)), work, 0.5, work)
-        assert np.array_equal(work, grad * 0.5)
-        assert np.array_equal(out.values, scratch.values)
-        assert np.array_equal(out.values, -(grad * 0.5))
-        plain = apply_gradient_step(EdgeWeights(np.zeros(3)), grad, 0.5)
-        assert np.array_equal(plain.values, out.values)
-        assert grad.tolist() == [0.1, -0.2, 0.3]
-
-    @pytest.mark.parametrize("work", [np.empty(3, dtype=np.float32), np.empty(2)],
-                             ids=["float32", "short"])
-    def test_work_checked(self, work):
-        # a float32 work array would round the step without a word
-        with pytest.raises(InputError, match="^work must be"):
-            apply_gradient_step(EdgeWeights(np.zeros(3)), np.array([0.1, 1e-9, 0.3]),
-                                0.3333, work)
+        w = EdgeWeights(np.zeros(0))
+        assert apply_gradient_step(w, np.zeros(0), 1.0) == 0.0
+        assert w.values.size == 0
 
     @pytest.mark.parametrize("grad,norm", [([0.1, -0.4, 0.3], 0.4), ([0.5, -0.2], 0.5),
                                            ([-0.0], 0.0), ([], 0.0)])
@@ -355,19 +390,14 @@ class TestApplyGradientStep:
         with pytest.raises(NumericalError, match="slot 1$"):
             gradient_inf_norm(np.array([0.1, bad, bad]))
 
-    def test_checked_skips_the_check(self):
-        # the caller vouches for the gradient through gradient_inf_norm
-        out = apply_gradient_step(EdgeWeights(np.zeros(2)), np.array([0.2, np.nan]),
-                                  1.0, checked=True)
-        assert out.values[0] == -0.2
-
     @given(st.lists(st.floats(-5, 5), min_size=1, max_size=10).map(np.asarray))
     def test_clamp_idempotent(self, vals):
         w = EdgeWeights(vals)
-        once = apply_gradient_step(w, np.zeros(vals.size), 1.0)
-        twice = apply_gradient_step(once, np.zeros(vals.size), 1.0)
-        assert np.array_equal(once.values, twice.values)
-        assert np.all(np.abs(once.values) <= 0.5)
+        apply_gradient_step(w, np.zeros(vals.size), 1.0)
+        once = w.values.copy()
+        apply_gradient_step(w, np.zeros(vals.size), 1.0)
+        assert np.array_equal(once, w.values)
+        assert np.all(np.abs(once) <= 0.5)
 
     def test_consistency_step_increases_consistency_at_zero_loss(self):
         # fit the labels exactly so only the consistency force remains
@@ -379,17 +409,17 @@ class TestApplyGradientStep:
         lam, gamma = 0.1, 1.0
         grad = grad_undirected(g, w, q, p_t, labels, lam, RegularizerKind.CONSISTENCY)
         assert grad[0] == pytest.approx(-lam)
-        out = apply_gradient_step(w, grad, gamma)
-        before = consistency_value(g, w, p_t)
-        after = consistency_value(g, out, p_t)
+        before, w_before = consistency_value(g, w, p_t), w.values[0]
+        assert apply_gradient_step(w, grad, gamma) == pytest.approx(lam)
+        after = consistency_value(g, w, p_t)
         assert after > before
-        assert np.sign(out.values[0] - w.values[0]) == np.sign(p_t[0] * p_t[1])
+        assert np.sign(w.values[0] - w_before) == np.sign(p_t[0] * p_t[1])
 
 
 class TestSlotWork:
-    """Gradients and the update step give the same bits with a reused, dirty
-    slot-sized work array (the gradients' ``out``, the update's ``work``)
-    as with fresh ones."""
+    """Gradients give the same bits with a reused, dirty slot-sized work
+    array (their ``out``) as with a fresh one, and the update step applied
+    to the gradient held there gives the bits of w - gamma * grad, clipped."""
 
     @staticmethod
     def _dirty(g):
@@ -409,12 +439,9 @@ class TestSlotWork:
         reused = fn(g, w, q, p_t, labels, 0.7, reg, out=work)
         assert reused is work
         assert np.array_equal(fresh, reused)
-        work = self._dirty(g)
-        step = apply_gradient_step(w, fresh, 0.1)
-        in_place = EdgeWeights(w.values.copy(), w.clamp_bound)
-        out = apply_gradient_step(in_place, fresh, 0.1, work, out=in_place.values)
-        assert out.values is in_place.values
-        assert np.array_equal(step.values, out.values)
+        expected = np.clip(w.values - 0.1 * fresh, -w.clamp_bound, w.clamp_bound)
+        assert apply_gradient_step(w, reused, 0.1) == np.abs(fresh).max()
+        assert np.array_equal(w.values, expected)
 
     @pytest.mark.parametrize("directed,fn", GRADIENTS)
     def test_score_vector_length_checked(self, directed, fn):

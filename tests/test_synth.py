@@ -2,6 +2,7 @@ import itertools
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -67,6 +68,22 @@ class TestGenPa:
             gen_pa(5, 5, seed=0)
         with pytest.raises(InputError):
             gen_pa(10, 2, seed=-1)
+
+    def test_node_count_limit_checked_before_allocating(self, monkeypatch):
+        # the endpoint array holds 2 * (n - 1) int64 entries at m = 1; a node
+        # count above the limit is rejected, with Graph.from_edges's
+        # message, before it is built
+        monkeypatch.setattr(synth, "MAX_NODE_COUNT", 1000)
+        assert gen_pa(1000, 1, seed=0).node_count == 1000
+        tracemalloc.start()
+        try:
+            with pytest.raises(InputError, match="^node count 100000 exceeds the limit "
+                                                 "of 1000 nodes"):
+                gen_pa(100_000, 1, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
 
 
 class TestDirectedSample:
