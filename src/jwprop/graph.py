@@ -28,6 +28,13 @@ bare ``import scipy`` still 10 ms and 1.3 MiB (2-core x86_64 VM).
 ``find_spec("scipy.sparse")`` would import ``scipy`` to search it.
 ``scipy.sparse`` and ``csgraph`` are imported only by
 ``mutual_projection_lcc``.
+
+``load_edge_list`` reads an edge-list file with the first of three readers
+that takes it, and all three give the same ids: ``_load_canonical_edges``
+takes regular files of plain "u<TAB>v" lines and parses them in chunks on
+two threads; ``_load_edges_bulk`` takes any other whitespace-separated
+pairs of int64 ids through ``np.loadtxt``; ``_parse_edge_lines`` reads
+everything else line by line and names the first bad line.
 """
 
 from __future__ import annotations
@@ -38,7 +45,9 @@ import io
 import math
 import operator
 import os
+import stat
 import sys
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -486,8 +495,20 @@ class Graph:
         return np.repeat(x, np.diff(self._csr_indptr))
 
     def _at_columns(self, x: np.ndarray) -> np.ndarray:
-        """x[v] for each slot (u, v), in slot order."""
-        return np.take(self._per_column(x), self._csr_indices)
+        """x[v] for each slot (u, v), in slot order.  Indexing, not
+        ``np.take``, which first copies int32 indices to a slot-sized int64
+        array."""
+        return self._per_column(x)[self._csr_indices]
+
+    def _row_slots(self, rows: np.ndarray) -> np.ndarray:
+        """int64 indices of the slots of the ascending rows ``rows``, in
+        slot order, read off the CSR row pointers."""
+        starts = self._csr_indptr[rows].astype(np.int64)
+        counts = self._csr_indptr[rows + 1] - starts
+        slots = np.arange(int(counts.sum()), dtype=np.int64)
+        # row j's slots are starts[j], starts[j] + 1, ...: shift its run
+        slots += np.repeat(starts - (np.cumsum(counts) - counts), counts)
+        return slots
 
     def _rows_and_columns(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Row owner u and int64 step column (v, or pair_class * n + v when
@@ -565,17 +586,27 @@ def load_edge_list(path, directed: bool) -> Graph:
     base-10 integers; node_count becomes max id + 1, so no id may exceed
     ``MAX_NODE_COUNT - 1`` (3 037 000 498).
 
-    The fast path (``_load_edges_bulk``) skips the leading '#' lines
-    (SNAP-style headers) and parses the rest in bulk with ``np.loadtxt``,
-    which gets the file's name rather than the open handle where it can:
-    numpy iterates a handle one line at a time in Python.  Any file it does
-    not accept as it stands -- a comment after the first edge, a line
-    without exactly two ids, an id that is not a plain decimal int64 (such
-    as ``1_0``, which ``int`` accepts), a negative id, bytes that are not
-    UTF-8, or no edges at all -- is read again from the start and parsed
-    line by line.  That slow path accepts ids as ``int`` does
-    and raises an ``InputError`` naming the first bad line.  Input from a
-    pipe is read into memory first, so that it can be read twice.
+    Three readers, tried in turn, give the same ids for every file that
+    each accepts:
+
+    - ``_load_canonical_edges`` takes a regular file named by ``path``
+      whose lines after the leading blank and '#' ones are all two ASCII
+      digit runs joined by one tab and ended by a newline, with ids below
+      ``MAX_NODE_COUNT``: the form ``write_edge_list`` writes.  It parses
+      the file in chunks on two threads.
+    - ``_load_edges_bulk`` skips the same leading lines (SNAP-style
+      headers) and parses the rest in bulk with ``np.loadtxt``, which gets
+      the file's name rather than the open handle where it can: numpy
+      iterates a handle one line at a time in Python.  It also takes CRLF
+      line ends, other blanks between ids, signs and a missing final
+      newline.
+    - ``_parse_edge_lines`` reads any file that neither took -- a comment
+      after the first edge, a line without exactly two ids, an id that is
+      not a plain decimal int64 (such as ``1_0``, which ``int`` accepts),
+      a negative id, bytes that are not UTF-8, or no edges at all -- again
+      from the start, line by line.  It accepts ids as ``int`` does and
+      raises an ``InputError`` naming the first bad line.  Input from a
+      pipe is read into memory first, so that it can be read twice.
     """
     # a helper, so that no local here keeps the parsed ids through the build
     return Graph.from_edges(_read_edges(path), directed)
@@ -583,6 +614,9 @@ def load_edge_list(path, directed: bool) -> Graph:
 
 def _read_edges(path) -> np.ndarray:
     """(E, 2) int64 ids of the edge list at ``path`` (``load_edge_list``)."""
+    edges = _load_canonical_edges(path)
+    if edges is not None:
+        return edges
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         if fh.seekable():
             name = _loadtxt_name(path)
@@ -593,6 +627,147 @@ def _read_edges(path) -> np.ndarray:
             fh.seek(0)
             edges = _parse_edge_lines(fh, path)
     return edges
+
+
+# Target body bytes per chunk of ``_load_canonical_edges``; a chunk ends at
+# the last line end within it.  Each thread holds about five chunk-sized
+# temporaries at a time: with 512 KiB chunks, a directed load peaked above
+# tests/test_graph.py's TestBuildMemory load budget.
+_CHUNK_BYTES = 1 << 17
+
+
+def _load_canonical_edges(path) -> np.ndarray | None:
+    """(E, 2) int64 ids of a canonical edge list (``load_edge_list``), or
+    None where ``path`` names no regular file or the file is not canonical.
+
+    The leading blank and '#' lines are skipped as ``_load_edges_bulk``
+    skips them.  The body is read with ``os.pread`` in chunks of about
+    ``_CHUNK_BYTES`` that end at line ends, twice: once to count each
+    chunk's lines, so that the result is allocated once, then to parse
+    them.  The caller parses the even chunks and one worker thread the odd
+    ones, each straight into its rows: ``np.fromstring`` and the numpy
+    checks of ``_canonical_ids`` release the GIL, and ``np.loadtxt`` does
+    not.  The worker calls no package function, since perfbench's span
+    recorder, which wraps them, keeps one stack for one thread; it is
+    joined before this returns, and what it raises is raised here.
+    """
+    if isinstance(path, int):
+        return None
+    try:
+        # A FIFO is never opened here: opening one waits for a writer, and
+        # closing it unread could leave the writer without a reader.
+        if not stat.S_ISREG(os.stat(path).st_mode):
+            return None
+        fd = os.open(path, os.O_RDONLY)
+    except (OSError, ValueError):  # the other readers raise their own errors
+        return None
+    try:
+        if not stat.S_ISREG(os.fstat(fd).st_mode):
+            return None
+        chunks = _body_chunks(fd)
+        return _parse_chunks(fd, chunks) if chunks else None
+    finally:
+        os.close(fd)
+
+
+def _body_chunks(fd: int) -> list[tuple[int, int, int, int]] | None:
+    """(offset, size, first row, line count) of each chunk of the body of
+    the file ``fd``; None where a leading blank or '#' line is not UTF-8
+    or holds a carriage return, which text mode reads as a line end, or
+    where the last line has no newline.  A line longer than
+    ``_CHUNK_BYTES`` makes a longer chunk."""
+    offset = 0
+    with open(fd, "rb", closefd=False) as fh:
+        for line in fh:
+            if b"\r" in line:
+                return None
+            try:
+                text = line.decode("utf-8").strip()
+            except UnicodeDecodeError:
+                return None
+            if text and not text.startswith("#"):
+                break
+            offset += len(line)
+    chunks, row = [], 0
+    while True:
+        size = _CHUNK_BYTES
+        while True:
+            data = os.pread(fd, size, offset)
+            end = data.rfind(b"\n") + 1
+            if end or len(data) < size:
+                break
+            size *= 2
+        if not data:
+            return chunks
+        if not end:
+            return None
+        lines = int(np.count_nonzero(np.frombuffer(data, np.uint8, end) == ord("\n")))
+        chunks.append((offset, end, row, lines))
+        offset, row = offset + end, row + lines
+
+
+def _canonical_ids(chunk: bytes, lines: int) -> np.ndarray | None:
+    """The 2 * ``lines`` ids in ``chunk``, or None unless its ``lines``
+    lines are each two digit runs joined by a tab, with ids below
+    ``MAX_NODE_COUNT``.  ``np.fromstring`` reads no line structure, so the
+    bytes that are not digits are checked first: none lies above '9', and
+    those below '0' are a tab, then a newline, once per line.  An empty
+    field leaves ``fromstring`` an id short, and an id of 2**63 or more
+    reads as 2**63 - 1.  ``fromstring`` gets no ``count=``, with which it
+    pads short text with uninitialized ids."""
+    a = np.frombuffer(chunk, dtype=np.uint8)
+    if a.max() > ord("9"):
+        return None
+    seps = a[np.flatnonzero(a < ord("0"))]
+    # "\t\n" read as a little-endian uint16
+    if seps.size != 2 * lines or not (seps.view("<u2") == 0x0A09).all():
+        return None
+    ids = np.fromstring(chunk, dtype=np.int64, sep=" ")
+    if ids.size != 2 * lines or ids.max() >= MAX_NODE_COUNT:
+        return None
+    return ids
+
+
+def _parse_chunks(fd: int, chunks: list[tuple[int, int, int, int]]) -> np.ndarray | None:
+    """The ids of the file ``fd``'s ``chunks`` (``_body_chunks``): the even
+    chunks parsed on the caller's thread, the odd ones on one worker
+    thread; None where a chunk is not canonical.  Pinned to one CPU of a
+    2-core x86_64 VM, the two threads still parsed a 358 348-line file
+    faster than ``np.loadtxt``."""
+    last = chunks[-1]
+    edges = np.empty((last[2] + last[3], 2), dtype=np.int64)
+    refused = threading.Event()
+    raised = []
+
+    def parse(first: int):
+        for offset, size, row, lines in chunks[first::2]:
+            if refused.is_set():
+                return
+            ids = _canonical_ids(os.pread(fd, size, offset), lines)
+            if ids is None:
+                refused.set()
+                return
+            edges[row:row + lines] = ids.reshape(lines, 2)
+
+    def parse_odd():
+        try:
+            parse(1)
+        except BaseException as exc:  # raised again by the caller
+            raised.append(exc)
+            refused.set()
+
+    worker = threading.Thread(target=parse_odd, name="jwprop-parse")
+    worker.start()
+    try:
+        parse(0)
+    except BaseException:
+        refused.set()
+        raise
+    finally:
+        worker.join()
+    if raised:
+        raise raised[0]
+    return None if refused.is_set() else edges
 
 
 # File name endings that np.loadtxt opens through a decompressor.

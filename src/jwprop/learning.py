@@ -70,7 +70,9 @@ class LabeledSlots:
     slot's weight moves.  ``idx`` holds the slot indices in ascending
     order, ``u`` their row owners and ``col`` their int64 columns in the
     step matrix (v, or ``pair_class * n + v`` when directed), all read off
-    the graph's step CSR without building ``slot_ends``.
+    the graph's step CSR without building ``slot_ends``.  The labeled rows'
+    slots come from the row pointers, so the build's one slot-sized
+    temporary is the undirected column mask.
     """
 
     def __init__(self, g: Graph, labels: LabelSet):
@@ -78,10 +80,13 @@ class LabeledSlots:
         is_labeled = np.zeros(g.node_count, dtype=bool)
         is_labeled[labels.positive_array()] = True
         is_labeled[labels.negative_array()] = True
-        mask = g._at_rows(is_labeled)
-        if not g.directed:
-            mask |= g._at_columns(is_labeled)
-        self.idx = np.flatnonzero(mask)
+        own = g._row_slots(np.flatnonzero(is_labeled))
+        if g.directed:
+            self.idx = own
+        else:
+            mask = g._at_columns(is_labeled)
+            mask[own] = True
+            self.idx = np.flatnonzero(mask)
         self.u, self.col = g._rows_and_columns(self.idx)
 
 

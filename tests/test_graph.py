@@ -2,6 +2,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -300,6 +301,170 @@ class TestParserEquivalence:
                     load_edge_list(path, directed=False)
         finally:
             os.close(r)
+
+
+# The PARSER_CASES that the canonical reader takes.
+CANONICAL_CASES = {"snap_header", "header_then_blank", "leading_zeros", "utf8_comment",
+                   "single_line", "only_self_loops"}
+
+# One line each that a canonical file cannot hold; each makes the canonical
+# reader refuse the file, whatever the line parser makes of it.
+CANONICAL_FAULTS = [
+    b"1\t\n", b"\t5\n", b"1\t2\t3\n", b"1\t2\r\n", b"1 2\n", b"+3\t1\n", b"1\t-0\n",
+    b"9" * 20 + b"\t1\n", b"%d\t1\n" % MAX_NODE_COUNT, b"1\t\xff2\n", b"# later\n", b"\n",
+]
+
+
+def _canonical(path):
+    return graph._load_canonical_edges(path)
+
+
+class TestCanonicalReader:
+    """``_load_canonical_edges`` returns None or the line parser's ids."""
+
+    @pytest.mark.parametrize("case,data", [c[:2] for c in PARSER_CASES],
+                             ids=[c[0] for c in PARSER_CASES])
+    def test_parser_cases(self, tmp_path, case, data):
+        f = tmp_path / "g.tsv"
+        f.write_bytes(data)
+        got = _canonical(f)
+        assert (got is not None) == (case in CANONICAL_CASES)
+        if got is not None:
+            want = _lines(f)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("data,read", [
+        (b"# a\r5\t6\n7\t8\n", False),  # text mode reads "5\t6" as a line
+        (b"# caf\xe9\n0\t1\n", False),
+        (b"\x1c\n\t \x0b\n0\t1\n", True),  # str.strip blanks both lines
+        (b"\xef\xbb\xbf# bom\n0\t1\n", False),
+        (b"# h\n" * 5000 + b"0\t1\n", True),
+    ], ids=["cr", "non_utf8", "unicode_blank", "bom", "long_header"])
+    def test_header_lines(self, tmp_path, data, read):
+        f = tmp_path / "g.tsv"
+        f.write_bytes(data)
+        got = _canonical(f)
+        assert (got is not None) == read
+        if read:
+            assert np.array_equal(got, _lines(f))
+
+    @pytest.mark.parametrize("chunk", [1, 3, 7, 16, 1 << 17])
+    def test_random_files_with_rare_faults(self, tmp_path, monkeypatch, chunk):
+        # Chunks of a few bytes hold one line each, so every line end is a
+        # chunk boundary, and the worker thread parses every other line.
+        monkeypatch.setattr(graph, "_CHUNK_BYTES", chunk)
+        rng = np.random.default_rng([9, chunk])
+        widths = [1, 2, 3, 10]  # digits per id, 10 up to MAX_NODE_COUNT - 1
+        f = tmp_path / "g.tsv"
+        read = 0
+        for _ in range(150):
+            lines = []
+            for _ in range(int(rng.integers(1, 30))):
+                u, v = (int(rng.integers(10 ** (w - 1) if w > 1 else 0,
+                                         min(10 ** w, MAX_NODE_COUNT)))
+                        for w in rng.choice(widths, 2))
+                lines.append(b"%s%d\t%d\n" % (b"0" * int(rng.random() < 0.05), u, v))
+            faulty = rng.random() < 0.4
+            if faulty:
+                fault = CANONICAL_FAULTS[int(rng.integers(len(CANONICAL_FAULTS)))]
+                lines.insert(int(rng.integers(1, len(lines) + 1)), fault)
+            if rng.random() < 0.3:
+                lines.insert(0, b"# FromNodeId\tToNodeId\n\n  # c\xc3\xa9\n")
+            data = b"".join(lines)
+            if not faulty and rng.random() < 0.1:
+                data, faulty = data[:-1], True  # no final newline
+            f.write_bytes(data)
+            got = _canonical(f)
+            assert (got is None) == faulty, data
+            if got is not None:
+                read += 1
+                want = _lines(f)
+                assert got.dtype == want.dtype and np.array_equal(got, want), data
+        assert read > 50
+
+    def test_canonical_file_skips_other_readers(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("another reader reached")
+
+        monkeypatch.setattr(np, "loadtxt", refuse)
+        monkeypatch.setattr(graph, "_parse_edge_lines", refuse)
+        g = random_undirected_graph(np.random.default_rng(4), 60)
+        f = tmp_path / "g.tsv"
+        f.write_text("# FromNodeId\tToNodeId\n\n" + "".join(
+            f"{v}\t{u}\n" for u, v in g.edges.tolist()), encoding="utf-8")
+        assert np.array_equal(load_edge_list(f, directed=False).edges, g.edges)
+
+    @pytest.mark.parametrize("data", [b"0\t1\n" * 300, b"0\t1\n" * 299 + b"0\t1\r\n"],
+                             ids=["canonical", "refused"])
+    def test_no_thread_left(self, tmp_path, monkeypatch, data):
+        monkeypatch.setattr(graph, "_CHUNK_BYTES", 64)
+        f = tmp_path / "g.tsv"
+        f.write_bytes(data)
+        before = threading.active_count()
+        assert (_canonical(f) is None) == data.endswith(b"\r\n")
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("failing", [0, 1], ids=["caller", "worker"])
+    def test_error_in_a_chunk_reaches_the_caller(self, tmp_path, monkeypatch, failing):
+        # 10-byte lines and 100-byte chunks: chunk k starts at line 10 * k,
+        # and the worker thread parses the odd chunks.
+        monkeypatch.setattr(graph, "_CHUNK_BYTES", 100)
+        lines = [b"%04d\t%04d\n" % (i, i + 1) for i in range(100)]
+        f = tmp_path / "g.tsv"
+        f.write_bytes(b"".join(lines))
+        fromstring = np.fromstring
+
+        def fail_one_chunk(chunk, *args, **kwargs):
+            if chunk.startswith(lines[10 * failing]):
+                raise MemoryError("chunk %d" % failing)
+            return fromstring(chunk, *args, **kwargs)
+
+        monkeypatch.setattr(np, "fromstring", fail_one_chunk)
+        before = threading.active_count()
+        with pytest.raises(MemoryError, match="chunk %d" % failing):
+            load_edge_list(f, directed=False)
+        assert threading.active_count() == before
+
+    def test_special_files_are_not_opened(self, tmp_path, monkeypatch):
+        # A descriptor, a FIFO, a directory and a missing name are left to
+        # the other readers.  A FIFO is not even opened: that waits for a
+        # writer, and closing it unread could leave the writer without a
+        # reader.
+        f = tmp_path / "g.tsv"
+        f.write_bytes(b"0\t1\n")
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        fd = os.open(f, os.O_RDONLY)
+        held = os.open(fifo, os.O_RDWR | os.O_NONBLOCK)  # so that no open waits
+        opened, os_open = [], os.open
+        monkeypatch.setattr(os, "open", lambda path, *args: opened.append(path)
+                            or os_open(path, *args))
+        try:
+            for path in (fd, fifo, tmp_path, tmp_path / "missing"):
+                assert _canonical(path) is None
+        finally:
+            os.close(fd)
+            os.close(held)
+        assert opened == []
+        assert _canonical(f).tolist() == [[0, 1]] and opened == [f]
+
+    def test_descriptor_checked_before_reading(self, tmp_path, monkeypatch):
+        # a FIFO that its name reports as a regular file, as if swapped in
+        # after the check by name
+        f = tmp_path / "g.tsv"
+        f.write_bytes(b"0\t1\n")
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        held = os.open(fifo, os.O_RDWR | os.O_NONBLOCK)  # a reader and a writer
+        try:
+            os.write(held, b"0\t1\n")
+            os_stat = os.stat
+            monkeypatch.setattr(os, "stat", lambda path, *args, **kwargs:
+                                os_stat(f if path == fifo else path, *args, **kwargs))
+            assert _canonical(fifo) is None
+            assert os.read(held, 16) == b"0\t1\n"  # nothing was read
+        finally:
+            os.close(held)
 
 
 # Each text reader as a row count, with one valid row and one row with the

@@ -14,6 +14,8 @@ from jwprop import (
     RegularizerKind,
     apply_gradient_step,
     consistency_value,
+    directed_sample,
+    gen_pa,
     grad_directed,
     grad_rw_undirected,
     grad_undirected,
@@ -698,3 +700,46 @@ class TestLabeledSlotGradients:
                 assert np.array_equal(lab.col, g.slot_ends[mask, 1])
             assert lab.col.dtype == np.int64
             assert sorted(vars(lab)) == ["col", "idx", "u"]
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_labeled_slots_match_mask_build(self, directed):
+        # The row-pointer build gives the bytes of the mask build it
+        # replaced: a slot-sized mask over the rows, or'ed with one over the
+        # columns when undirected.
+        rng = np.random.default_rng(32)
+        for i in range(120):
+            g, labels, _ = graph_case(rng, i, directed)
+            is_labeled = np.zeros(g.node_count, dtype=bool)
+            is_labeled[labels.positive_array()] = True
+            is_labeled[labels.negative_array()] = True
+            mask = np.repeat(is_labeled, np.diff(g._csr_indptr))
+            if not directed:
+                mask |= np.take(is_labeled, g._csr_indices)
+            idx = np.flatnonzero(mask)
+            u, col = g._rows_and_columns(idx)
+            lab = LabeledSlots(g, labels)
+            for got, want in ((lab.idx, idx), (lab.u, u), (lab.col, col)):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    # Traced peak of the build in bytes per slot, 100 + 100 labels on the
+    # gen_pa(15000, 10) graph or its 0.6-keep arc sample.  The mask build
+    # peaked at 10.1 B undirected (np.take copied the int32 indices to
+    # int64) and 1.78 B directed (the row mask).
+    PEAK_PER_SLOT = {False: 3.0, True: 1.0}
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_labeled_slots_peak(self, directed):
+        import tracemalloc
+
+        base = gen_pa(15000, 10, seed=11)
+        g = directed_sample(base, 0.6, seed=11) if directed else base
+        picks = np.random.default_rng(1).permutation(g.node_count)[:200]
+        labels = LabelSet.of(np.sort(picks[:100]), np.sort(picks[100:]))
+        tracemalloc.start()
+        try:
+            lab = LabeledSlots(g, labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert lab.idx.size > 0
+        assert peak / g.slot_count <= self.PEAK_PER_SLOT[directed], peak / g.slot_count
